@@ -6,7 +6,6 @@ Subcommands:
                  field can be overridden with a flag)
 * ``float-demo`` the scalar loss-of-significance table
 * ``validate``   post-hoc true-error sweep of a saved run
-* ``bench``      time the jit-compiled sweep kernels against the numpy path
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical failures,
 4 on filesystem errors.
@@ -15,7 +14,6 @@ Exit codes: 0 on success, 2 on configuration errors, 3 on numerical failures,
 import argparse
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -146,50 +144,6 @@ def _cmd_validate(args):
     return 0
 
 
-def _cmd_bench(args):
-    from . import kernels
-
-    if not kernels.HAVE_NUMBA:
-        print("numba unavailable; nothing to compare")
-        return 0
-    rng = np.random.default_rng(0)
-    M, N, Qa, Qf = args.points, args.basis_size, 3, 1
-    theta_a = rng.uniform(0.5, 2.0, (M, Qa))
-    theta_f = np.ones((M, Qf))
-    alpha = np.ones(M)
-    a_blocks = np.stack([np.eye(N) + 0.01 * rng.standard_normal((N, N))
-                         for _ in range(Qa)])
-    f_blocks = rng.standard_normal((Qf, N))
-    cc = np.eye(Qf)
-    cl = rng.standard_normal((Qf, N * Qa))
-    ll = np.eye(N * Qa)
-    pairs = [
-        ("classical", kernels.classical_sweep_jit, kernels.classical_sweep_numpy,
-         (theta_a, theta_f, alpha, a_blocks, f_blocks, cc, cl, ll)),
-        ("stable", kernels.stable_sweep_jit, kernels.stable_sweep_numpy,
-         (theta_a, theta_f, alpha, a_blocks, f_blocks,
-          np.zeros((0, Qf)), rng.standard_normal((N * Qa, Qf)),
-          np.eye(N * Qa))),
-        ("lebesgue", kernels.lebesgue_sweep_jit, kernels.lebesgue_sweep_numpy,
-         (theta_a, theta_f, a_blocks, f_blocks,
-          np.triu(np.eye(N) + 0.1 * rng.standard_normal((N, N))))),
-    ]
-    print(f"sweep of {M} parameters, basis size {N} ({args.repeat} repeats)")
-    print(f"{'kernel':>10} {'jit [s]':>12} {'numpy [s]':>12} {'speedup':>9}")
-    for name, jit_fn, np_fn, fargs in pairs:
-        jit_fn(*fargs)  # compile outside the timed region
-        t0 = time.perf_counter()
-        for _ in range(args.repeat):
-            jit_fn(*fargs)
-        t_jit = (time.perf_counter() - t0) / args.repeat
-        t0 = time.perf_counter()
-        for _ in range(args.repeat):
-            np_fn(*fargs)
-        t_np = (time.perf_counter() - t0) / args.repeat
-        print(f"{name:>10} {t_jit:>12.4f} {t_np:>12.4f} {t_np / t_jit:>8.1f}x")
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="rbkit",
@@ -212,11 +166,6 @@ def build_parser():
     p.add_argument("--grid", type=_int_list,
                    help="per-dimension counts for the validation grid")
     p.add_argument("--output")
-
-    p = sub.add_parser("bench", help="compare jit and numpy sweep kernels")
-    p.add_argument("--points", type=int, default=20000)
-    p.add_argument("--basis-size", type=int, default=20)
-    p.add_argument("--repeat", type=int, default=3)
     return parser
 
 
@@ -227,7 +176,6 @@ def main(argv=None):
         "run": _cmd_run,
         "float-demo": _cmd_float_demo,
         "validate": _cmd_validate,
-        "bench": _cmd_bench,
     }
     try:
         return handlers[args.command](args)

@@ -69,3 +69,94 @@ def random_spd(n, rng, cond=10.0):
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     vals = np.linspace(1.0, cond, n)
     return (Q * vals) @ Q.T
+
+
+# ---------------------------------------------------------------------------
+# Per-point sweep references.  One Python iteration per training parameter,
+# with the same BLAS/LAPACK calls the batched kernels in ``rbkit.kernels``
+# make for each point, so the two must agree bit for bit.
+
+
+def classical_sweep_loop(theta_a, theta_f, alpha, a_blocks, f_blocks, cc, cl, ll):
+    """Per-point reference for ``kernels.classical_sweep``."""
+    M = theta_a.shape[0]
+    Qa = a_blocks.shape[0]
+    Qf = f_blocks.shape[0]
+    N = a_blocks.shape[1]
+    values = np.empty(M)
+    clamped = np.zeros(M, dtype=np.bool_)
+    for i in range(M):
+        A = np.zeros((N, N))
+        for q in range(Qa):
+            A += theta_a[i, q] * a_blocks[q]
+        rhs = np.zeros(N)
+        for q in range(Qf):
+            rhs += theta_f[i, q] * f_blocks[q]
+        u = np.linalg.solve(A, rhs)
+        c = np.empty(N * Qa)
+        for m in range(N):
+            for q in range(Qa):
+                c[m * Qa + q] = theta_a[i, q] * u[m]
+        tf = theta_f[i]
+        quad = np.dot(np.dot(tf, cc), tf) + np.dot(np.dot(c, ll), c) - 2.0 * np.dot(
+            np.dot(tf, cl), c
+        )
+        if quad < 0.0:
+            clamped[i] = True
+            quad = 0.0
+        values[i] = np.sqrt(quad) / alpha[i]
+    return values, clamped
+
+
+def stable_sweep_loop(theta_a, theta_f, alpha, a_blocks, f_blocks, w_coords, qtc, rzt):
+    """Per-point reference for ``kernels.stable_sweep``."""
+    M = theta_a.shape[0]
+    Qa = a_blocks.shape[0]
+    Qf = f_blocks.shape[0]
+    N = a_blocks.shape[1]
+    values = np.empty(M)
+    for i in range(M):
+        A = np.zeros((N, N))
+        for q in range(Qa):
+            A += theta_a[i, q] * a_blocks[q]
+        rhs = np.zeros(N)
+        for q in range(Qf):
+            rhs += theta_f[i, q] * f_blocks[q]
+        u = np.linalg.solve(A, rhs)
+        c = np.empty(N * Qa)
+        for m in range(N):
+            for q in range(Qa):
+                c[m * Qa + q] = theta_a[i, q] * u[m]
+        tf = theta_f[i]
+        t1 = np.dot(w_coords, tf)
+        t2 = np.dot(qtc, tf) - np.dot(rzt, c)
+        values[i] = np.sqrt(np.dot(t1, t1) + np.dot(t2, t2)) / alpha[i]
+    return values
+
+
+def lebesgue_sweep_loop(theta_a, theta_f, a_blocks, f_blocks, rs):
+    """Per-point reference for ``kernels.lebesgue_sweep``."""
+    M = theta_a.shape[0]
+    Qa = a_blocks.shape[0]
+    Qf = f_blocks.shape[0]
+    N = a_blocks.shape[1]
+    values = np.empty(M)
+    for i in range(M):
+        A = np.zeros((N, N))
+        for q in range(Qa):
+            A += theta_a[i, q] * a_blocks[q]
+        rhs = np.zeros(N)
+        for q in range(Qf):
+            rhs += theta_f[i, q] * f_blocks[q]
+        u = np.linalg.solve(A, rhs)
+        c = np.empty(N)
+        for m in range(N - 1, -1, -1):
+            s = u[m]
+            for k in range(m + 1, N):
+                s -= rs[m, k] * c[k]
+            c[m] = s / rs[m, m]
+        acc = 0.0
+        for m in range(N):
+            acc += abs(c[m])
+        values[i] = acc
+    return values
