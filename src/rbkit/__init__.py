@@ -9,7 +9,7 @@ solution's Lagrange coefficients.
 
 __version__ = "0.1.0"
 
-from .numerics import GramSpec, SingularSystemError
+from .numerics import SingularSystemError
 from .truth import (
     AffineOperator,
     ProblemSpec,

@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from .estimators import ALPHA_MODES, ESTIMATOR_KINDS
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -44,11 +45,11 @@ def _add_run_parser(sub):
     p.add_argument("--training-grid", type=_int_list,
                    help="per-dimension counts, e.g. 65,33")
     p.add_argument("--estimator", dest="estimator_kind",
-                   choices=("classical", "stable", "lebesgue"))
+                   choices=ESTIMATOR_KINDS)
     p.add_argument("--eps-tol", type=float)
     p.add_argument("--n-max", dest="N_max", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--alpha-mode", choices=("unit", "exact-eig"))
+    p.add_argument("--alpha-mode", choices=ALPHA_MODES)
     p.add_argument("--validation-grid", type=_int_list)
     p.add_argument("--output-dir")
     p.add_argument("--checkpoints", type=_int_list,

@@ -14,7 +14,7 @@ oracle used by the tests, and the scalar loss-of-significance demo that
 motivates the stable evaluation.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from . import kernels
 from .numerics import (
     DEFAULT_DROP_TOL,
     DEFAULT_RANK_TOL,
-    GramSpec,
     complement_project,
     pivoted_qr,
     smallest_symmetric_eigenvalue,
@@ -47,7 +46,14 @@ __all__ = [
     "ClassicalEstimator",
     "StableEstimator",
     "LebesgueEstimator",
+    "ESTIMATOR_KINDS",
+    "ALPHA_MODES",
 ]
+
+#: Greedy objectives and stability-constant modes that ``make_estimator``
+#: accepts.
+ESTIMATOR_KINDS = ("classical", "stable", "lebesgue")
+ALPHA_MODES = ("unit", "exact-eig")
 
 
 @dataclass
@@ -55,10 +61,11 @@ class RieszData:
     """Riesz representers of load and operator terms plus their inner-product
     tables.
 
-    Vectors are stored in transformed coordinates (Cholesky factor of the
-    Gram applied), so all table entries are plain dot products.  Operator
-    columns are snapshot-major: column ``m*Q_a + q`` represents
-    a^q(xi_m, .).
+    In the Euclidean inner product a functional's Riesz representer is its
+    own coefficient vector, so ``C`` holds the load components, ``L`` the
+    operator images ``A^q xi_m``, and every table entry is a plain dot
+    product.  Operator columns are snapshot-major: column ``m*Q_a + q``
+    represents a^q(xi_m, .).
     """
 
     C: np.ndarray  # (dim, Q_f)
@@ -99,15 +106,13 @@ class EstimateValue:
     term_par: float | None = None
 
 
-def build_riesz_data(op, basis, gram=None, prev=None):
+def build_riesz_data(op, basis, prev=None):
     """Build (or hierarchically extend) the Riesz representers and tables.
 
     With ``prev`` from the same operator and the leading basis columns, the
     existing table entries are reused bit-identically and only the rows and
     columns for the newly appended snapshots are computed.
     """
-    if gram is None:
-        gram = op.gram
     if basis.size == 0:
         raise ValueError("basis must be nonempty")
     Qa = len(op.a_components)
@@ -118,7 +123,7 @@ def build_riesz_data(op, basis, gram=None, prev=None):
         C = prev.C
         n_old = prev.basis_size
     else:
-        C = gram.invsqrt_apply(F)
+        C = F
         prev = None
         n_old = 0
 
@@ -126,7 +131,7 @@ def build_riesz_data(op, basis, gram=None, prev=None):
     for m in range(n_old, N):
         xi_m = basis.xi[:, m]
         for Aq in op.a_components:
-            new_cols.append(gram.invsqrt_apply(Aq @ xi_m))
+            new_cols.append(Aq @ xi_m)
     Lnew = np.column_stack(new_cols) if new_cols else np.zeros((basis.xi.shape[0], 0))
 
     if prev is None:
@@ -177,9 +182,9 @@ def estimator_classical(riesz, op, mu, u_hat, alpha_lb):
 
 def stable_factors_from_matrices(L, C, rank_tol_rel=DEFAULT_RANK_TOL,
                                  drop_tol=DEFAULT_DROP_TOL, Q_a=1):
-    """Pivoted-QR factors and online products from raw (transformed) Riesz
-    matrices; exposed separately so rank-deficiency behavior can be exercised
-    on hand-built column sets."""
+    """Pivoted-QR factors and online products from raw Riesz matrices;
+    exposed separately so rank-deficiency behavior can be exercised on
+    hand-built column sets."""
     Q, R, perm, rank = pivoted_qr(L, rank_tol_rel)
     if L.shape[1]:
         invperm = np.empty_like(perm)
@@ -249,8 +254,7 @@ def estimator_lebesgue(c):
     return EstimateValue(value=value, clamped=False, alpha_used=1.0)
 
 
-def coercivity_lower_bound(op, mu, mode="unit", gram=None, floor=1e-12,
-                           with_flag=False):
+def coercivity_lower_bound(op, mu, mode="unit", floor=1e-12, with_flag=False):
     """Lower bound for the stability constant at mu.
 
     ``unit`` returns 1 (the estimator degenerates to the plain residual dual
@@ -262,22 +266,18 @@ def coercivity_lower_bound(op, mu, mode="unit", gram=None, floor=1e-12,
         return (1.0, False) if with_flag else 1.0
     if mode != "exact-eig":
         raise ValueError(f"unknown alpha mode {mode!r}")
-    if gram is None:
-        gram = op.gram
-    lam = smallest_symmetric_eigenvalue(assemble(op, mu), gram)
+    lam = smallest_symmetric_eigenvalue(assemble(op, mu))
     degenerate = lam < floor
     value = max(lam, floor)
     return (value, degenerate) if with_flag else value
 
 
-def residual_norm_oracle(op, basis, mu, u_hat, gram=None):
-    """Gram-dual norm of f(mu) - A(mu) (xi u_hat), formed directly in the
-    truth space.  O(dim^2) per call; test-side oracle only."""
-    if gram is None:
-        gram = op.gram
+def residual_norm_oracle(op, basis, mu, u_hat):
+    """Euclidean (dual) norm of f(mu) - A(mu) (xi u_hat), formed directly in
+    the truth space.  O(dim^2) per call; test-side oracle only."""
     u = basis.xi @ np.asarray(u_hat, dtype=float)
     r = load_vector(op, mu) - assemble(op, mu) @ u
-    return float(np.linalg.norm(gram.invsqrt_apply(r)))
+    return float(np.linalg.norm(r))
 
 
 def float_demo(N_values, mu_samples=1000, seed=0):
@@ -339,7 +339,7 @@ class _EstimatorBase:
         if self.alpha_mode == "unit":
             return np.ones(train.shape[0])
         return np.array([
-            coercivity_lower_bound(op, mu, "exact-eig", op.gram, self.alpha_floor)
+            coercivity_lower_bound(op, mu, self.alpha_mode, self.alpha_floor)
             for mu in train
         ])
 
@@ -358,7 +358,7 @@ class ClassicalEstimator(_EstimatorBase):
         self.riesz = None
 
     def refresh(self, op, basis, model):
-        self.riesz = build_riesz_data(op, basis, op.gram, prev=self.riesz)
+        self.riesz = build_riesz_data(op, basis, prev=self.riesz)
 
     def sweep(self, op, basis, model, theta_a, theta_f, alpha, workers=1):
         rz = self.riesz
@@ -390,7 +390,7 @@ class StableEstimator(_EstimatorBase):
         self.factors = None
 
     def refresh(self, op, basis, model):
-        self.riesz = build_riesz_data(op, basis, op.gram, prev=self.riesz)
+        self.riesz = build_riesz_data(op, basis, prev=self.riesz)
         self.factors = build_stable_factors(self.riesz, self.rank_tol_rel)
 
     def sweep(self, op, basis, model, theta_a, theta_f, alpha, workers=1):
@@ -432,6 +432,8 @@ class LebesgueEstimator(_EstimatorBase):
 
 def make_estimator(kind, alpha_mode="unit", alpha_floor=1e-12,
                    rank_tol_rel=DEFAULT_RANK_TOL):
+    if alpha_mode not in ALPHA_MODES:
+        raise ValueError(f"unknown alpha mode {alpha_mode!r}")
     if kind == "classical":
         return ClassicalEstimator(alpha_mode, alpha_floor)
     if kind == "stable":

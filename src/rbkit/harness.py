@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from . import __version__, kernels
-from .estimators import float_demo, make_estimator
+from .estimators import ALPHA_MODES, ESTIMATOR_KINDS, float_demo, make_estimator
 from .rbm import (
     GreedyConfig,
     greedy,
@@ -100,6 +100,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.problem not in PROBLEM_IDS:
             raise ConfigError(f"unknown problem {self.problem!r}")
+        if self.estimator_kind not in ESTIMATOR_KINDS:
+            raise ConfigError(f"unknown estimator kind {self.estimator_kind!r}")
+        if self.alpha_mode not in ALPHA_MODES:
+            raise ConfigError(f"unknown alpha mode {self.alpha_mode!r}")
         spec = problem_spec(self.problem)
         if not self.training_grid:
             scale = DESK_SCALE if self.nodes_per_dim <= 32 else PAPER_SCALE
@@ -200,7 +204,6 @@ def _sub_basis(basis, model, k):
         sample_set=basis.sample_set[:k],
         xi=basis.xi[:, :k],
         chol_coeffs=basis.chol_coeffs[:k, :k],
-        gram=basis.gram,
     )
     sub_model = ReducedModel(
         a_blocks=np.ascontiguousarray(model.a_blocks[:, :k, :k]),
@@ -235,16 +238,14 @@ def _batched_truth(op, points, chunk=16):
     return out
 
 
-def validate(basis, model, op, points, gram=None, truth_values=None):
-    """True error at each point: truth solve, reduced solve, gram-norm gap.
+def validate(basis, model, op, points, truth_values=None):
+    """True error at each point: truth solve, reduced solve, Euclidean gap.
 
     Returns a list of ``(mu, error)`` in input order; singular truth solves
     yield NaN errors instead of aborting the sweep.  ``truth_values`` can
     carry precomputed truth solutions (one row per point) to avoid repeated
     factorization when validating several bases on one grid.
     """
-    if gram is None:
-        gram = op.gram
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.size == 0:
         return []
@@ -256,7 +257,7 @@ def validate(basis, model, op, points, gram=None, truth_values=None):
             out.append((mu, float("nan")))
             continue
         u_rb = reconstruct(basis, rb_solve(model, op, mu))
-        out.append((mu, gram.norm(u_truth - u_rb)))
+        out.append((mu, float(np.linalg.norm(u_truth - u_rb))))
     return out
 
 
@@ -282,9 +283,7 @@ def run_experiment(config):
         eps_tol=config.eps_tol,
         N_max=config.N_max,
         training_set=train,
-        estimator_kind=config.estimator_kind,
         seed=config.seed,
-        alpha_mode=config.alpha_mode,
         validate=config.validate,
     )
     estimator = make_estimator(config.estimator_kind, alpha_mode=config.alpha_mode)
@@ -407,7 +406,6 @@ def load_run(run_dir):
         sample_set=[np.atleast_1d(mu) for mu in data["sample_set"]],
         xi=xi,
         chol_coeffs=data["chol_coeffs"],
-        gram=op.gram,
     )
     a_blocks = np.stack([xi.T @ Aq @ xi for Aq in op.a_components])
     f_blocks = np.stack([xi.T @ fq for fq in op.f_components])

@@ -1,22 +1,17 @@
 """Dense numerical kernels shared by the rest of the package.
 
-Everything here operates on plain float64 numpy arrays.  Inner products are
-either the standard Euclidean one or a weighted one defined by an explicit
-SPD Gram matrix; the Gram case is handled by mapping vectors through the
-Cholesky factor so that all norms reduce to Euclidean norms of transformed
-vectors.
+Everything here operates on plain float64 numpy arrays.  The one inner
+product is the Euclidean one on interior collocation values, so norms and
+dual norms are plain ``np.linalg.norm`` calls.
 """
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 
 __all__ = [
-    "GramSpec",
     "SingularSystemError",
-    "orthonormalize",
     "pivoted_qr",
     "complement_project",
     "solve_dense",
@@ -39,72 +34,12 @@ class SingularSystemError(np.linalg.LinAlgError):
         self.pivot = pivot
 
 
-@dataclass
-class GramSpec:
-    """Inner-product specification: identity or an explicit SPD matrix.
-
-    For the explicit case the Cholesky factor ``L`` (``G = L L^T``) is
-    computed once;  ``sqrt_apply`` maps a vector v to ``L^T v`` (so that
-    ``||L^T v|| = ||v||_G``) and ``invsqrt_apply`` maps a functional vector
-    g to ``L^{-1} g`` (so that ``||L^{-1} g||`` is the dual norm of g).
-    """
-
-    matrix: np.ndarray | None = None
-    _chol: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.matrix is not None:
-            G = np.asarray(self.matrix, dtype=float)
-            if G.ndim != 2 or G.shape[0] != G.shape[1]:
-                raise ValueError("Gram matrix must be square")
-            sym_defect = np.linalg.norm(G - G.T) / max(np.linalg.norm(G), 1.0)
-            if sym_defect > 1e-12:
-                raise ValueError(f"Gram matrix not symmetric (defect {sym_defect:.2e})")
-            try:
-                self._chol = np.linalg.cholesky(G)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError("Gram matrix is not positive definite") from exc
-            self.matrix = G
-
-    @property
-    def is_identity(self):
-        return self.matrix is None
-
-    def inner(self, u, v):
-        if self.is_identity:
-            return float(np.dot(u, v))
-        return float(u @ (self.matrix @ v))
-
-    def norm(self, v):
-        if self.is_identity:
-            return float(np.linalg.norm(v))
-        return float(np.sqrt(max(self.inner(v, v), 0.0)))
-
-    def sqrt_apply(self, v):
-        """Map v to L^T v; Euclidean norm of the result is ||v||_G."""
-        if self.is_identity:
-            return np.asarray(v, dtype=float)
-        return self._chol.T @ v
-
-    def invsqrt_apply(self, g):
-        """Map a functional vector g to L^{-1} g (columns if g is 2-D)."""
-        if self.is_identity:
-            return np.asarray(g, dtype=float)
-        return sla.solve_triangular(self._chol, g, lower=True)
-
-    def riesz(self, g):
-        """Riesz representer of the functional with coefficient vector g."""
-        if self.is_identity:
-            return np.asarray(g, dtype=float)
-        return sla.cho_solve((self._chol, True), g)
-
-
 def _check_finite(a, name):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
 
 
-def _mgs_coeffs(basis, v, gram):
+def _mgs_coeffs(basis, v):
     """Project v onto the span of ``basis`` columns via modified Gram-Schmidt
     with one re-orthogonalization pass.  Returns (coefficients, remainder)."""
     w = np.array(v, dtype=float)
@@ -112,53 +47,10 @@ def _mgs_coeffs(basis, v, gram):
     coeffs = np.zeros(n)
     for _ in range(2):
         for j in range(n):
-            h = gram.inner(basis[:, j], w)
+            h = float(np.dot(basis[:, j], w))
             coeffs[j] += h
             w -= h * basis[:, j]
     return coeffs, w
-
-
-def orthonormalize(vectors, gram=None, drop_tol=DEFAULT_DROP_TOL):
-    """Gram-orthonormalize a list of vectors, dropping dependent ones.
-
-    Returns ``(basis, coeffs, kept)`` with ``basis`` an (n, k) array of
-    orthonormal columns, ``coeffs`` an upper-triangular (k, len(vectors))
-    matrix such that each kept input vector j equals ``basis @ coeffs[:, j]``,
-    and ``kept`` the indices of the retained inputs.  A vector is dropped when
-    its norm after projection falls below ``drop_tol`` times its own norm.
-    """
-    if gram is None:
-        gram = GramSpec()
-    if drop_tol <= 0:
-        raise ValueError("drop_tol must be positive")
-    vectors = [np.asarray(v, dtype=float) for v in vectors]
-    if not vectors:
-        raise ValueError("need at least one vector")
-    n = vectors[0].shape[0]
-    for v in vectors:
-        _check_finite(v, "input vector")
-        if v.shape != (n,):
-            raise ValueError("inconsistent vector lengths")
-
-    basis = np.zeros((n, 0))
-    cols = []
-    kept = []
-    for j, v in enumerate(vectors):
-        orig = gram.norm(v)
-        coeffs, w = _mgs_coeffs(basis, v, gram)
-        wnorm = gram.norm(w)
-        col = np.zeros(len(vectors))
-        col[: basis.shape[1]] = coeffs
-        if orig == 0.0 or wnorm < drop_tol * orig:
-            cols.append(col)
-            continue
-        basis = np.column_stack([basis, w / wnorm])
-        col[basis.shape[1] - 1] = wnorm
-        cols.append(col)
-        kept.append(j)
-    k = basis.shape[1]
-    coeffs = np.array(cols).T[:k, :] if cols else np.zeros((0, 0))
-    return basis, coeffs, kept
 
 
 def pivoted_qr(B, rank_tol_rel=DEFAULT_RANK_TOL):
@@ -229,18 +121,15 @@ def solve_dense(A, b):
     return sla.lu_solve((lu, piv), b, check_finite=False)
 
 
-def smallest_symmetric_eigenvalue(A, gram=None):
-    """Smallest eigenvalue of sym(A) = (A + A^T)/2 in the Gram inner product.
+def smallest_symmetric_eigenvalue(A):
+    """Smallest eigenvalue of sym(A) = (A + A^T)/2.
 
-    This is the infimum of the Rayleigh quotient w^T sym(A) w / w^T G w.
+    This is the infimum of the Rayleigh quotient w^T sym(A) w / w^T w.
     """
     A = np.asarray(A, dtype=float)
     _check_finite(A, "A")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
     S = 0.5 * (A + A.T)
-    if gram is None or gram.is_identity:
-        vals = sla.eigh(S, eigvals_only=True, subset_by_index=[0, 0])
-    else:
-        vals = sla.eigh(S, gram.matrix, eigvals_only=True, subset_by_index=[0, 0])
+    vals = sla.eigh(S, eigvals_only=True, subset_by_index=[0, 0])
     return float(vals[0])

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .numerics import DEFAULT_DROP_TOL, GramSpec, _mgs_coeffs, solve_dense
+from .numerics import DEFAULT_DROP_TOL, _mgs_coeffs, solve_dense
 from .truth import Snapshot, truth_solve
 
 __all__ = [
@@ -38,7 +38,7 @@ class DependentSnapshotError(RuntimeError):
 class ReducedBasis:
     """Orthonormal snapshot basis with its triangular change-of-basis factor.
 
-    ``xi`` holds the gram-orthonormal basis columns, ``chol_coeffs`` the
+    ``xi`` holds the orthonormal basis columns, ``chol_coeffs`` the
     upper-triangular factor R with snapshots = xi @ R, and ``sample_set``
     the selected parameters in greedy order.
     """
@@ -46,7 +46,6 @@ class ReducedBasis:
     sample_set: list
     xi: np.ndarray
     chol_coeffs: np.ndarray
-    gram: GramSpec = field(default_factory=GramSpec)
 
     @property
     def size(self):
@@ -70,9 +69,7 @@ class GreedyConfig:
     eps_tol: float
     N_max: int
     training_set: np.ndarray  # (M, p)
-    estimator_kind: str = "stable"
     seed: int = 0
-    alpha_mode: str = "unit"
     validate: str = "none"  # none | argmax | full
 
     def __post_init__(self):
@@ -83,10 +80,6 @@ class GreedyConfig:
         self.training_set = np.atleast_2d(np.asarray(self.training_set, dtype=float))
         if self.training_set.shape[0] == 0:
             raise ValueError("training set must be nonempty")
-        if self.estimator_kind not in ("classical", "stable", "lebesgue"):
-            raise ValueError(f"unknown estimator kind {self.estimator_kind!r}")
-        if self.alpha_mode not in ("unit", "exact-eig"):
-            raise ValueError(f"unknown alpha mode {self.alpha_mode!r}")
         if self.validate not in ("none", "argmax", "full"):
             raise ValueError(f"unknown validate mode {self.validate!r}")
 
@@ -111,12 +104,9 @@ class GreedyHistory:
         return np.array([r.estimate for r in self.records[1:]])
 
 
-def empty_basis(dim, gram=None):
+def empty_basis(dim):
     return ReducedBasis(
-        sample_set=[],
-        xi=np.zeros((dim, 0)),
-        chol_coeffs=np.zeros((0, 0)),
-        gram=gram if gram is not None else GramSpec(),
+        sample_set=[], xi=np.zeros((dim, 0)), chol_coeffs=np.zeros((0, 0))
     )
 
 
@@ -169,11 +159,10 @@ def extend_basis(basis, model, snapshot, op, drop_tol=DEFAULT_DROP_TOL):
     for mu_prev in basis.sample_set:
         if np.array_equal(mu_prev, snapshot.mu):
             raise ValueError("parameter already in the sample set")
-    gram = basis.gram
     v = np.asarray(snapshot.values, dtype=float)
-    orig = gram.norm(v)
-    coeffs, w = _mgs_coeffs(basis.xi, v, gram)
-    wnorm = gram.norm(w)
+    orig = float(np.linalg.norm(v))
+    coeffs, w = _mgs_coeffs(basis.xi, v)
+    wnorm = float(np.linalg.norm(w))
     if orig == 0.0 or wnorm < drop_tol * orig:
         raise DependentSnapshotError(
             f"snapshot at mu={snapshot.mu} is dependent on the current basis "
@@ -190,7 +179,6 @@ def extend_basis(basis, model, snapshot, op, drop_tol=DEFAULT_DROP_TOL):
         sample_set=basis.sample_set + [np.array(snapshot.mu, dtype=float)],
         xi=new_xi,
         chol_coeffs=new_R,
-        gram=gram,
     )
 
     Qa = len(op.a_components)
@@ -212,7 +200,7 @@ def _true_errors(op, basis, model, mus):
     for i, mu in enumerate(mus):
         u_truth = truth_solve(op, mu)
         u_rb = reconstruct(basis, rb_solve(model, op, mu))
-        errs[i] = basis.gram.norm(u_truth.values - u_rb)
+        errs[i] = np.linalg.norm(u_truth.values - u_rb)
     return errs
 
 
@@ -244,7 +232,7 @@ def greedy(config, op, estimator, workers=1):
     history = GreedyHistory()
     t0 = time.perf_counter()
     snapshot = truth_solve(op, train[first])
-    basis = empty_basis(op.dim, gram=op.gram)
+    basis = empty_basis(op.dim)
     model = empty_model(len(op.a_components), len(op.f_components))
     basis, model = extend_basis(basis, model, snapshot, op)
     estimator.refresh(op, basis, model)

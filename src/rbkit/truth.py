@@ -6,12 +6,12 @@ the tensorized operators to interior grid nodes (boundary rows and columns
 eliminated), which keeps the affine decomposition exact.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .numerics import GramSpec, solve_dense
+from .numerics import solve_dense
 
 __all__ = [
     "ProblemSpec",
@@ -80,7 +80,6 @@ class TruthDiscretization:
     interior: np.ndarray  # indices of interior nodes in the flattened grid
     x_int: np.ndarray  # x coordinate at each interior node
     y_int: np.ndarray  # y coordinate at each interior node
-    gram: GramSpec = field(default_factory=GramSpec)
 
     @property
     def interior_dim(self):
@@ -96,7 +95,6 @@ class AffineOperator:
     f_components: list  # Q_f interior vectors
     theta_a: list  # Q_a callables mu -> float
     theta_f: list  # Q_f callables mu -> float
-    gram: GramSpec = field(default_factory=GramSpec)
 
     @property
     def dim(self):
@@ -134,7 +132,7 @@ def problem_spec(problem_id):
     raise ValueError(f"unknown problem id {problem_id!r}")
 
 
-def build_discretization(nodes_per_dim, gram=None):
+def build_discretization(nodes_per_dim):
     """Set up the tensor-product Chebyshev grid with interior restriction.
 
     ``nodes_per_dim`` counts all nodes per direction (boundary included), so
@@ -160,7 +158,6 @@ def build_discretization(nodes_per_dim, gram=None):
         interior=interior,
         x_int=X,
         y_int=Y,
-        gram=gram if gram is not None else GramSpec(),
     )
 
 
@@ -218,7 +215,6 @@ def assemble_affine(spec, disc):
         f_components=f_components,
         theta_a=theta_a,
         theta_f=theta_f,
-        gram=disc.gram,
     )
 
 
@@ -247,9 +243,8 @@ def truth_solve(op, mu):
     return Snapshot(mu=mu, values=u)
 
 
-def true_error(u_truth, u_rb, gram=None):
-    """Gram norm of the difference between a snapshot and an RB reconstruction."""
-    if gram is None:
-        gram = GramSpec()
+def true_error(u_truth, u_rb):
+    """Euclidean norm of the difference between a snapshot and an RB
+    reconstruction."""
     values = u_truth.values if isinstance(u_truth, Snapshot) else np.asarray(u_truth)
-    return gram.norm(values - np.asarray(u_rb))
+    return float(np.linalg.norm(values - np.asarray(u_rb)))

@@ -64,13 +64,6 @@ def direct_norm(v):
     return float(np.sqrt(acc))
 
 
-def random_spd(n, rng, cond=10.0):
-    """Random SPD matrix with a controlled condition number."""
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    vals = np.linspace(1.0, cond, n)
-    return (Q * vals) @ Q.T
-
-
 # ---------------------------------------------------------------------------
 # Per-point sweep references.  One Python iteration per training parameter,
 # with the same BLAS/LAPACK calls the batched kernels in ``rbkit.kernels``

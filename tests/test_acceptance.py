@@ -52,10 +52,7 @@ def _greedy_run(problem, nodes, training_counts, kind, N_max,
                 eps_tol=1e-16, seed=0):
     spec, _, op = build_problem(problem, nodes)
     train = make_training_grid(spec.param_domain, training_counts)
-    cfg = GreedyConfig(
-        eps_tol=eps_tol, N_max=N_max, training_set=train,
-        estimator_kind=kind, seed=seed, alpha_mode="unit",
-    )
+    cfg = GreedyConfig(eps_tol=eps_tol, N_max=N_max, training_set=train, seed=seed)
     est = make_estimator(kind)
     basis, model, history, est = greedy(cfg, op, est)
     return op, train, basis, model, history

@@ -17,7 +17,7 @@ from rbkit.estimators import (
     stable_factors_from_matrices,
     stable_value,
 )
-from rbkit.numerics import GramSpec, complement_project
+from rbkit.numerics import complement_project
 from rbkit.rbm import (
     empty_basis,
     empty_model,
@@ -41,14 +41,14 @@ import oracles
 
 
 def _build_basis(op, mus):
-    basis = empty_basis(op.dim, gram=op.gram)
+    basis = empty_basis(op.dim)
     model = empty_model(len(op.a_components), len(op.f_components))
     for mu in mus:
         basis, model = extend_basis(basis, model, truth_solve(op, mu), op)
     return basis, model
 
 
-def _toy_operator(dim=30, Q_a=1, Q_f=1, seed=0, gram=None):
+def _toy_operator(dim=30, Q_a=1, Q_f=1, seed=0):
     """Small synthetic affine operator with well-conditioned components."""
     rng = np.random.default_rng(seed)
     spec = ProblemSpec("toy", 1, ((-1.0, 1.0),), Q_a=Q_a, Q_f=Q_f)
@@ -68,7 +68,6 @@ def _toy_operator(dim=30, Q_a=1, Q_f=1, seed=0, gram=None):
         f_components=f_components,
         theta_a=theta_a,
         theta_f=theta_f,
-        gram=gram if gram is not None else GramSpec(),
     )
 
 
@@ -117,22 +116,6 @@ def test_riesz_tables_match_direct_recomputation(oned, oned_basis):
             assert np.array_equal(riesz.L[:, m * 2 + q], want)
 
 
-def test_riesz_explicit_gram_representers():
-    rng = np.random.default_rng(13)
-    G = oracles.random_spd(30, rng)
-    gram = GramSpec(matrix=G)
-    op = _toy_operator(dim=30, Q_a=2, seed=5, gram=gram)
-    basis, _ = _build_basis(op, [[0.2], [0.7]])
-    riesz = build_riesz_data(op, basis, gram)
-    # the representer of the load functional satisfies (C, v)_G = f . v
-    f = op.f_components[0]
-    C_riesz = gram.riesz(f)
-    assert np.allclose(gram.sqrt_apply(C_riesz), riesz.C[:, 0], atol=1e-10)
-    for _ in range(10):
-        v = rng.standard_normal(30)
-        assert gram.inner(C_riesz, v) == pytest.approx(float(f @ v), rel=1e-10)
-
-
 def test_riesz_hierarchical_extension_bit_identical(oned, oned_basis):
     basis, model = oned_basis
     from rbkit.harness import _sub_basis
@@ -161,7 +144,6 @@ def test_classical_zero_load_zero_solution(oned, oned_basis):
         f_components=[np.zeros(oned.dim)],
         theta_a=oned.theta_a,
         theta_f=[lambda mu: 0.0],
-        gram=oned.gram,
     )
     riesz0 = build_riesz_data(op0, basis)
     est = estimator_classical(riesz0, op0, [0.3], np.zeros(basis.size), 1.0)
@@ -380,7 +362,6 @@ def test_scale_equivariance(oned, oned_basis):
         f_components=[s * fq for fq in oned.f_components],
         theta_a=oned.theta_a,
         theta_f=oned.theta_f,
-        gram=oned.gram,
     )
     riesz = build_riesz_data(oned, basis)
     factors = build_stable_factors(riesz)
@@ -466,7 +447,6 @@ def test_coercivity_smaller_toward_degenerate_corner():
         f_components=[-fq for fq in op.f_components],
         theta_a=op.theta_a,
         theta_f=op.theta_f,
-        gram=op.gram,
     )
     corner = coercivity_lower_bound(op_c, [0.99, 0.99], "exact-eig")
     center = coercivity_lower_bound(op_c, [0.0, 0.0], "exact-eig")
@@ -489,7 +469,7 @@ def test_coercivity_unknown_mode(oned):
 def test_oracle_zero_for_truth_solution(oned):
     mu = [0.3]
     u = truth_solve(oned, mu).values
-    basis = empty_basis(oned.dim, oned.gram)
+    basis = empty_basis(oned.dim)
     basis.xi = (u / np.linalg.norm(u))[:, None]
     ref = residual_norm_oracle(oned, basis, mu, np.array([np.linalg.norm(u)]))
     assert ref <= 1e-12 * np.linalg.norm(load_vector(oned, mu)) * 1e3
@@ -565,3 +545,9 @@ def test_lebesgue_sweep_matches_pointwise(oned, oned_basis):
 def test_make_estimator_unknown_kind():
     with pytest.raises(ValueError):
         make_estimator("nope")
+
+
+@pytest.mark.parametrize("kind", ["classical", "stable", "lebesgue"])
+def test_make_estimator_unknown_alpha_mode(kind):
+    with pytest.raises(ValueError, match="alpha mode"):
+        make_estimator(kind, alpha_mode="bogus")

@@ -189,7 +189,7 @@ def test_load_run_reproduces_reduced_model(tmp_path):
 
 def test_validate_snapshots_and_empty():
     _, _, op = build_problem("oned-continuous", 12)
-    basis = empty_basis(op.dim, op.gram)
+    basis = empty_basis(op.dim)
     model = empty_model(2, 1)
     for mu in [[-0.5], [0.5]]:
         basis, model = extend_basis(basis, model, truth_solve(op, mu), op)
@@ -202,7 +202,7 @@ def test_validate_snapshots_and_empty():
 
 def test_validate_against_manual_recomputation():
     _, _, op = build_problem("oned-continuous", 12)
-    basis = empty_basis(op.dim, op.gram)
+    basis = empty_basis(op.dim)
     model = empty_model(2, 1)
     for mu in [[-0.5], [0.5]]:
         basis, model = extend_basis(basis, model, truth_solve(op, mu), op)
@@ -277,3 +277,12 @@ def test_cli_config_errors_exit_2(tmp_path):
     bad.write_text(yaml.safe_dump({"problem": "oned-continuous", "zzz": 1}))
     assert cli_main(["run", str(bad)]) == 2
     assert cli_main(["validate", str(tmp_path / "missing")]) == 2
+    # unknown values are caught with the config, before any solve runs
+    for key, value in [("estimator_kind", "nope"), ("alpha_mode", "bogus")]:
+        bad.write_text(yaml.safe_dump({
+            "problem": "oned-continuous", "nodes_per_dim": 12,
+            "training_grid": [16], "N_max": 2,
+            "output_dir": str(tmp_path / "out"), key: value,
+        }))
+        assert cli_main(["run", str(bad)]) == 2, key
+    assert not (tmp_path / "out").exists()

@@ -117,8 +117,7 @@ def saturated_state():
     tables of a 515-point grid."""
     _, _, op = build_problem("oned-continuous", 32)
     train = make_training_grid(op.spec.param_domain, [128])
-    cfg = GreedyConfig(training_set=train, N_max=30, eps_tol=1e-16,
-                       estimator_kind="classical")
+    cfg = GreedyConfig(training_set=train, N_max=30, eps_tol=1e-16)
     basis, model, history, est = greedy(cfg, op, make_estimator("classical"))
     assert history.saturated
     grid = make_training_grid(op.spec.param_domain, [515])
@@ -182,7 +181,7 @@ def test_chunked_concatenation_is_order_preserving():
 
 def test_parallel_sweep_bit_identical_to_serial():
     _, _, op = build_problem("oned-continuous", 16)
-    basis = empty_basis(op.dim, op.gram)
+    basis = empty_basis(op.dim)
     model = empty_model(2, 1)
     for mu in [[-0.8], [-0.1], [0.5], [0.9]]:
         basis, model = extend_basis(basis, model, truth_solve(op, mu), op)

@@ -4,106 +4,14 @@ import numpy as np
 import pytest
 
 from rbkit.numerics import (
-    GramSpec,
     SingularSystemError,
     complement_project,
-    orthonormalize,
     pivoted_qr,
     smallest_symmetric_eigenvalue,
     solve_dense,
 )
 
 import oracles
-
-
-# ---------------------------------------------------------------------------
-# GramSpec
-
-
-def test_gram_identity_default():
-    g = GramSpec()
-    assert g.is_identity
-    v = np.array([3.0, 4.0])
-    assert g.norm(v) == 5.0
-    assert g.inner(v, v) == 25.0
-
-
-def test_gram_explicit_spd_norms_match_definition():
-    rng = np.random.default_rng(0)
-    G = oracles.random_spd(12, rng)
-    g = GramSpec(matrix=G)
-    v = rng.standard_normal(12)
-    assert g.inner(v, v) == pytest.approx(v @ G @ v, rel=1e-13)
-    # sqrt_apply maps the G-norm onto the Euclidean norm
-    assert np.linalg.norm(g.sqrt_apply(v)) == pytest.approx(g.norm(v), rel=1e-12)
-    # invsqrt_apply realizes the dual norm: ||L^-1 f|| = sqrt(f^T G^-1 f)
-    f = rng.standard_normal(12)
-    dual = np.sqrt(f @ np.linalg.solve(G, f))
-    assert np.linalg.norm(g.invsqrt_apply(f)) == pytest.approx(dual, rel=1e-12)
-
-
-def test_gram_riesz_representer():
-    rng = np.random.default_rng(1)
-    G = oracles.random_spd(9, rng)
-    g = GramSpec(matrix=G)
-    f = rng.standard_normal(9)
-    r = g.riesz(f)
-    # (r, v)_G = f . v for arbitrary v
-    for _ in range(5):
-        v = rng.standard_normal(9)
-        assert g.inner(r, v) == pytest.approx(float(f @ v), rel=1e-11)
-
-
-def test_gram_rejects_nonsymmetric_and_indefinite():
-    with pytest.raises(ValueError):
-        GramSpec(matrix=np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        GramSpec(matrix=np.array([[1.0, 0.0], [0.0, -1.0]]))
-
-
-# ---------------------------------------------------------------------------
-# orthonormalize
-
-
-def test_orthonormalize_already_orthonormal():
-    e1 = np.array([1.0, 0.0, 0.0])
-    e2 = np.array([0.0, 1.0, 0.0])
-    basis, coeffs, kept = orthonormalize([e1, e2])
-    assert np.allclose(basis, np.eye(3)[:, :2])
-    assert np.allclose(coeffs, np.eye(2))
-    assert kept == [0, 1]
-
-
-def test_orthonormalize_drops_exact_duplicate():
-    e1 = np.array([1.0, 0.0])
-    basis, _, kept = orthonormalize([e1, e1], drop_tol=1e-10)
-    assert basis.shape == (2, 1)
-    assert kept == [0]
-
-
-def test_orthonormalize_random_with_explicit_gram():
-    rng = np.random.default_rng(2)
-    G = oracles.random_spd(50, rng, cond=50.0)
-    gram = GramSpec(matrix=G)
-    vectors = [rng.standard_normal(50) for _ in range(20)]
-    basis, coeffs, kept = orthonormalize(vectors, gram)
-    assert kept == list(range(20))
-    assert np.linalg.norm(basis.T @ G @ basis - np.eye(20)) < 1e-12 * 20
-    recon = basis @ coeffs
-    for j, v in enumerate(vectors):
-        assert np.linalg.norm(recon[:, j] - v) <= 1e-10 * np.linalg.norm(v)
-
-
-def test_orthonormalize_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        orthonormalize([np.array([1.0, np.nan])])
-
-
-def test_orthonormalize_coeffs_upper_triangular():
-    rng = np.random.default_rng(3)
-    vectors = [rng.standard_normal(8) for _ in range(5)]
-    _, coeffs, _ = orthonormalize(vectors)
-    assert np.allclose(coeffs, np.triu(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +155,9 @@ def test_smallest_eig_matches_bisection_oracle():
 def test_smallest_eig_rayleigh_lower_bound():
     rng = np.random.default_rng(10)
     A = rng.standard_normal((15, 15))
-    G = oracles.random_spd(15, rng)
-    gram = GramSpec(matrix=G)
-    lam = smallest_symmetric_eigenvalue(A, gram)
+    lam = smallest_symmetric_eigenvalue(A)
     S = 0.5 * (A + A.T)
     for _ in range(10):
         w = rng.standard_normal(15)
         w /= np.linalg.norm(w)
-        assert (w @ S @ w) / (w @ G @ w) >= lam - 1e-8 * np.linalg.norm(A)
+        assert (w @ S @ w) / (w @ w) >= lam - 1e-8 * np.linalg.norm(A)
