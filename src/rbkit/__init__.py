@@ -31,9 +31,6 @@ from .estimators import (
     EstimateValue,
     RieszData,
     StableFactors,
-    estimator_classical,
-    estimator_lebesgue,
-    estimator_stable,
     make_estimator,
     residual_norm_oracle,
 )

@@ -30,6 +30,7 @@ from .harness import (
     validate,
 )
 from .numerics import SingularSystemError
+from .rbm import VALIDATE_MODES
 from .truth import PROBLEM_IDS, problem_spec
 
 
@@ -54,7 +55,7 @@ def _add_run_parser(sub):
     p.add_argument("--output-dir")
     p.add_argument("--checkpoints", type=_int_list,
                    help="basis sizes at which to emit field/trace files")
-    p.add_argument("--validate", choices=("none", "argmax", "full"))
+    p.add_argument("--validate", choices=VALIDATE_MODES)
     p.add_argument("--no-field-errors", action="store_true",
                    help="skip true-error columns in field files")
     p.add_argument("--workers", type=int)

@@ -9,9 +9,11 @@
 * lebesgue: residual-free; the sum of absolute snapshot-basis (Lagrange)
   coefficients of the reduced solution.
 
-Also here: the coercivity lower-bound plug-in, a truth-space residual-norm
-oracle used by the tests, and the scalar loss-of-significance demo that
-motivates the stable evaluation.
+This module holds each indicator's offline data and the greedy-facing
+drivers; the formulas themselves live once, in ``kernels``.  Also here: the
+coercivity lower-bound plug-in, a truth-space residual-norm oracle used by
+the tests, and the scalar loss-of-significance demo that motivates the
+stable evaluation.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,6 @@ import numpy as np
 from . import kernels
 from .numerics import (
     DEFAULT_DROP_TOL,
-    DEFAULT_RANK_TOL,
     complement_project,
     pivoted_qr,
     smallest_symmetric_eigenvalue,
@@ -33,12 +34,7 @@ __all__ = [
     "StableFactors",
     "EstimateValue",
     "build_riesz_data",
-    "estimator_classical",
     "build_stable_factors",
-    "stable_factors_from_matrices",
-    "estimator_stable",
-    "stable_value",
-    "estimator_lebesgue",
     "coercivity_lower_bound",
     "residual_norm_oracle",
     "float_demo",
@@ -82,28 +78,22 @@ class RieszData:
 
 @dataclass
 class StableFactors:
-    """Pivoted-QR factors of the Riesz matrix and the precomputed online
-    products; nothing stored here scales with the truth dimension except the
-    factors themselves (kept for testing; the online formula touches only
-    ``w_coords``, ``qtc`` and ``rzt``)."""
+    """Pivoted-QR range basis ``Q`` of the Riesz matrix, its rank, and the
+    precomputed online products; only ``Q`` scales with the truth dimension
+    (kept for testing; the online formula touches only ``w_coords``, ``qtc``
+    and ``rzt``)."""
 
     Q: np.ndarray
-    R: np.ndarray
-    perm: np.ndarray
     rank: int
     w_coords: np.ndarray  # (k, Q_f), k <= Q_f
     qtc: np.ndarray  # (rank, Q_f)
     rzt: np.ndarray  # (rank, N*Q_a)
-    Q_a: int
 
 
 @dataclass
 class EstimateValue:
     value: float
     clamped: bool = False
-    alpha_used: float = 1.0
-    term_perp: float | None = None
-    term_par: float | None = None
 
 
 def build_riesz_data(op, basis, prev=None):
@@ -154,38 +144,10 @@ def build_riesz_data(op, basis, prev=None):
     return RieszData(C=C, L=L, cc=cc, cl=cl, ll=ll, Q_a=Qa)
 
 
-def _interleave(theta_a_vals, u_hat):
-    """Residual coefficient vector c[m*Q_a + q] = theta_a^q * u_m."""
-    return np.outer(np.asarray(u_hat, dtype=float), theta_a_vals).ravel()
-
-
-def _thetas_at(op, mu):
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    theta_a = np.array([th(mu) for th in op.theta_a])
-    theta_f = np.array([th(mu) for th in op.theta_f])
-    return theta_a, theta_f
-
-
-def estimator_classical(riesz, op, mu, u_hat, alpha_lb):
-    """Classical estimate from the precomputed tables (expanded quadratic)."""
-    if alpha_lb <= 0:
-        raise ValueError("alpha_lb must be positive")
-    theta_a, theta_f = _thetas_at(op, mu)
-    c = _interleave(theta_a, u_hat)
-    quad = theta_f @ riesz.cc @ theta_f + c @ riesz.ll @ c - 2.0 * (
-        theta_f @ riesz.cl @ c
-    )
-    clamped = quad < 0.0
-    value = float(np.sqrt(max(quad, 0.0)) / alpha_lb)
-    return EstimateValue(value=value, clamped=bool(clamped), alpha_used=alpha_lb)
-
-
-def stable_factors_from_matrices(L, C, rank_tol_rel=DEFAULT_RANK_TOL,
-                                 drop_tol=DEFAULT_DROP_TOL, Q_a=1):
-    """Pivoted-QR factors and online products from raw Riesz matrices;
-    exposed separately so rank-deficiency behavior can be exercised on
-    hand-built column sets."""
-    Q, R, perm, rank = pivoted_qr(L, rank_tol_rel)
+def build_stable_factors(L, C):
+    """Pivoted-QR factors and online products from the Riesz matrices
+    ``L`` (operator columns) and ``C`` (load columns)."""
+    Q, R, perm, rank = pivoted_qr(L)
     if L.shape[1]:
         invperm = np.empty_like(perm)
         invperm[perm] = np.arange(perm.shape[0])
@@ -195,7 +157,8 @@ def stable_factors_from_matrices(L, C, rank_tol_rel=DEFAULT_RANK_TOL,
     qtc = Q.T @ C
 
     # orthonormal basis for the span of the complement parts of the load
-    # representers; drop directions smaller than drop_tol times the load norm
+    # representers; drop directions smaller than DEFAULT_DROP_TOL times the
+    # load norm
     w_cols = []
     c_perp = np.empty_like(C)
     for j in range(C.shape[1]):
@@ -207,51 +170,11 @@ def stable_factors_from_matrices(L, C, rank_tol_rel=DEFAULT_RANK_TOL,
         for wc in w_cols:
             r -= (wc @ r) * wc
         rnorm = np.linalg.norm(r)
-        if rnorm > drop_tol * max(np.linalg.norm(C[:, j]), 1e-300):
+        if rnorm > DEFAULT_DROP_TOL * max(np.linalg.norm(C[:, j]), 1e-300):
             w_cols.append(r / rnorm)
     W = np.column_stack(w_cols) if w_cols else np.zeros((C.shape[0], 0))
     w_coords = W.T @ c_perp
-    return StableFactors(
-        Q=Q, R=R, perm=perm, rank=rank, w_coords=w_coords, qtc=qtc, rzt=rzt, Q_a=Q_a
-    )
-
-
-def build_stable_factors(riesz, rank_tol_rel=DEFAULT_RANK_TOL,
-                         drop_tol=DEFAULT_DROP_TOL):
-    return stable_factors_from_matrices(
-        riesz.L, riesz.C, rank_tol_rel, drop_tol, Q_a=riesz.Q_a
-    )
-
-
-def stable_value(factors, theta_f, c, alpha_lb):
-    """Online stable evaluation from an explicit residual-coefficient vector."""
-    t1 = factors.w_coords @ theta_f
-    t2 = factors.qtc @ theta_f - factors.rzt @ c
-    term_perp = float(np.linalg.norm(t1))
-    term_par = float(np.linalg.norm(t2))
-    value = float(np.sqrt(term_perp**2 + term_par**2) / alpha_lb)
-    return EstimateValue(
-        value=value,
-        clamped=False,
-        alpha_used=alpha_lb,
-        term_perp=term_perp,
-        term_par=term_par,
-    )
-
-
-def estimator_stable(factors, op, mu, u_hat, alpha_lb):
-    """Robust residual estimate via the Pythagorean split of the residual."""
-    if alpha_lb <= 0:
-        raise ValueError("alpha_lb must be positive")
-    theta_a, theta_f = _thetas_at(op, mu)
-    c = _interleave(theta_a, u_hat)
-    return stable_value(factors, theta_f, c, alpha_lb)
-
-
-def estimator_lebesgue(c):
-    """Residual-free indicator: sum of absolute Lagrange coefficients."""
-    value = float(np.sum(np.abs(np.asarray(c, dtype=float))))
-    return EstimateValue(value=value, clamped=False, alpha_used=1.0)
+    return StableFactors(Q=Q, rank=rank, w_coords=w_coords, qtc=qtc, rzt=rzt)
 
 
 def coercivity_lower_bound(op, mu, mode="unit", floor=1e-12, with_flag=False):
@@ -331,17 +254,38 @@ class _EstimatorBase:
     #: is unresolved (clamped at zero).  None for indicators that never clamp.
     clamped = None
 
-    def __init__(self, alpha_mode="unit", alpha_floor=1e-12):
+    def __init__(self, alpha_mode="unit"):
         self.alpha_mode = alpha_mode
-        self.alpha_floor = alpha_floor
 
     def alpha_values(self, op, train):
         if self.alpha_mode == "unit":
             return np.ones(train.shape[0])
         return np.array([
-            coercivity_lower_bound(op, mu, self.alpha_mode, self.alpha_floor)
-            for mu in train
+            coercivity_lower_bound(op, mu, self.alpha_mode) for mu in train
         ])
+
+    def value_at(self, op, mu, u_hat, alpha_lb):
+        """The indicator at one parameter ``mu`` for a given reduced solution
+        ``u_hat``: the sweep's formula from ``kernels`` on a one-row batch,
+        with the offline data of the last ``refresh``."""
+        if alpha_lb <= 0:
+            raise ValueError("alpha_lb must be positive")
+        u = np.asarray(u_hat, dtype=float)[None, :]
+        theta_f = op.theta_f_values([mu])
+        c = kernels.residual_coefficients(op.theta_a_values([mu]), u)
+        alpha = np.array([float(alpha_lb)])
+        clamped = [False]
+        if self.kind == "classical":
+            rz = self.riesz
+            values, clamped = kernels.classical_values(
+                theta_f, c, alpha, rz.cc, rz.cl, rz.ll)
+        elif self.kind == "stable":
+            fc = self.factors
+            values = kernels.stable_values(
+                theta_f, c, alpha, fc.w_coords, fc.qtc, fc.rzt)
+        else:
+            values = kernels.lebesgue_values(u, self.chol_coeffs)
+        return EstimateValue(float(values[0]), bool(clamped[0]))
 
     def refresh(self, op, basis, model):
         raise NotImplementedError
@@ -353,8 +297,8 @@ class _EstimatorBase:
 class ClassicalEstimator(_EstimatorBase):
     kind = "classical"
 
-    def __init__(self, alpha_mode="unit", alpha_floor=1e-12):
-        super().__init__(alpha_mode, alpha_floor)
+    def __init__(self, alpha_mode="unit"):
+        super().__init__(alpha_mode)
         self.riesz = None
 
     def refresh(self, op, basis, model):
@@ -375,23 +319,18 @@ class ClassicalEstimator(_EstimatorBase):
         self.clamped = clamped
         return values
 
-    def value_at(self, op, mu, u_hat, alpha_lb):
-        return estimator_classical(self.riesz, op, mu, u_hat, alpha_lb)
-
 
 class StableEstimator(_EstimatorBase):
     kind = "stable"
 
-    def __init__(self, alpha_mode="unit", alpha_floor=1e-12,
-                 rank_tol_rel=DEFAULT_RANK_TOL):
-        super().__init__(alpha_mode, alpha_floor)
-        self.rank_tol_rel = rank_tol_rel
+    def __init__(self, alpha_mode="unit"):
+        super().__init__(alpha_mode)
         self.riesz = None
         self.factors = None
 
     def refresh(self, op, basis, model):
         self.riesz = build_riesz_data(op, basis, prev=self.riesz)
-        self.factors = build_stable_factors(self.riesz, self.rank_tol_rel)
+        self.factors = build_stable_factors(self.riesz.L, self.riesz.C)
 
     def sweep(self, op, basis, model, theta_a, theta_f, alpha, workers=1):
         fc = self.factors
@@ -403,9 +342,6 @@ class StableEstimator(_EstimatorBase):
             )
 
         return _run_chunked(run, theta_a.shape[0], workers)
-
-    def value_at(self, op, mu, u_hat, alpha_lb):
-        return estimator_stable(self.factors, op, mu, u_hat, alpha_lb)
 
 
 class LebesgueEstimator(_EstimatorBase):
@@ -430,14 +366,13 @@ class LebesgueEstimator(_EstimatorBase):
         return _run_chunked(run, theta_a.shape[0], workers)
 
 
-def make_estimator(kind, alpha_mode="unit", alpha_floor=1e-12,
-                   rank_tol_rel=DEFAULT_RANK_TOL):
+def make_estimator(kind, alpha_mode="unit"):
     if alpha_mode not in ALPHA_MODES:
         raise ValueError(f"unknown alpha mode {alpha_mode!r}")
     if kind == "classical":
-        return ClassicalEstimator(alpha_mode, alpha_floor)
+        return ClassicalEstimator(alpha_mode)
     if kind == "stable":
-        return StableEstimator(alpha_mode, alpha_floor, rank_tol_rel)
+        return StableEstimator(alpha_mode)
     if kind == "lebesgue":
         return LebesgueEstimator()
     raise ValueError(f"unknown estimator kind {kind!r}")

@@ -20,6 +20,7 @@ import yaml
 from . import __version__, kernels
 from .estimators import ALPHA_MODES, ESTIMATOR_KINDS, float_demo, make_estimator
 from .rbm import (
+    VALIDATE_MODES,
     GreedyConfig,
     greedy,
     lagrange_coefficients,
@@ -93,7 +94,7 @@ class ExperimentConfig:
     validation_grid: list | None = None  # defaults to the training grid
     output_dir: str = "runs/out"
     checkpoints: list = field(default_factory=list)
-    validate: str = "none"  # none | argmax | full (per-sweep true errors)
+    validate: str = "none"  # one of VALIDATE_MODES (per-sweep true errors)
     validate_fields: bool = True  # true-error columns in field files
     workers: int = 1
 
@@ -104,6 +105,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown estimator kind {self.estimator_kind!r}")
         if self.alpha_mode not in ALPHA_MODES:
             raise ConfigError(f"unknown alpha mode {self.alpha_mode!r}")
+        if self.validate not in VALIDATE_MODES:
+            raise ConfigError(f"unknown validate mode {self.validate!r}")
         spec = problem_spec(self.problem)
         if not self.training_grid:
             scale = DESK_SCALE if self.nodes_per_dim <= 32 else PAPER_SCALE

@@ -53,18 +53,18 @@ def _mgs_coeffs(basis, v):
     return coeffs, w
 
 
-def pivoted_qr(B, rank_tol_rel=DEFAULT_RANK_TOL):
+def pivoted_qr(B, rank_tol=DEFAULT_RANK_TOL):
     """Column-pivoted reduced QR with a rank decision on the R diagonal.
 
     Returns ``(Q, R, perm, rank)`` with ``B[:, perm] = Q @ R``, ``Q`` holding
     exactly ``rank`` orthonormal columns and ``R`` upper triangular with
     nonincreasing diagonal magnitudes.  The rank counts diagonal entries with
-    ``|R_kk| > rank_tol_rel * |R_00|``.
+    ``|R_kk| > rank_tol * |R_00|``.
     """
     B = np.asarray(B, dtype=float)
     _check_finite(B, "B")
-    if not 0.0 < rank_tol_rel < 1.0:
-        raise ValueError("rank_tol_rel must lie in (0, 1)")
+    if not 0.0 < rank_tol < 1.0:
+        raise ValueError("rank_tol must lie in (0, 1)")
     if B.size == 0 or not np.any(B):
         ncols = B.shape[1] if B.ndim == 2 else 0
         return (
@@ -75,7 +75,7 @@ def pivoted_qr(B, rank_tol_rel=DEFAULT_RANK_TOL):
         )
     Q, R, perm = sla.qr(B, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
-    rank = int(np.count_nonzero(diag > rank_tol_rel * diag[0]))
+    rank = int(np.count_nonzero(diag > rank_tol * diag[0]))
     return Q[:, :rank], R[:rank, :], perm, rank
 
 

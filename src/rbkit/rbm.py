@@ -17,6 +17,7 @@ __all__ = [
     "DependentSnapshotError",
     "ReducedBasis",
     "ReducedModel",
+    "VALIDATE_MODES",
     "GreedyConfig",
     "GreedyRecord",
     "GreedyHistory",
@@ -64,13 +65,18 @@ class ReducedModel:
         return self.a_blocks.shape[1]
 
 
+#: Per-sweep true-error modes: none, at the argmax only, or over the whole
+#: training set.
+VALIDATE_MODES = ("none", "argmax", "full")
+
+
 @dataclass
 class GreedyConfig:
     eps_tol: float
     N_max: int
     training_set: np.ndarray  # (M, p)
     seed: int = 0
-    validate: str = "none"  # none | argmax | full
+    validate: str = "none"  # one of VALIDATE_MODES
 
     def __post_init__(self):
         if self.eps_tol <= 0:
@@ -80,7 +86,7 @@ class GreedyConfig:
         self.training_set = np.atleast_2d(np.asarray(self.training_set, dtype=float))
         if self.training_set.shape[0] == 0:
             raise ValueError("training set must be nonempty")
-        if self.validate not in ("none", "argmax", "full"):
+        if self.validate not in VALIDATE_MODES:
             raise ValueError(f"unknown validate mode {self.validate!r}")
 
 

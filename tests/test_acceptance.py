@@ -11,17 +11,13 @@ import warnings
 import numpy as np
 import pytest
 
+from rbkit import kernels
 from rbkit.estimators import (
     build_riesz_data,
     build_stable_factors,
-    estimator_classical,
-    estimator_lebesgue,
-    estimator_stable,
     float_demo,
     make_estimator,
     residual_norm_oracle,
-    stable_factors_from_matrices,
-    stable_value,
 )
 from rbkit.harness import (
     ExperimentConfig,
@@ -125,18 +121,18 @@ def test_criterion_2_estimator_equivalence_above_floor(oned32_stable):
     # to 1e-6 where its own rounding bound at that point is within 1e-6
     op, train, basis, model, history = oned32_stable
     t0 = time.perf_counter()
-    riesz = None
+    classical = make_estimator("classical")
     worst_rel = 0.0
     checked = []
     for rec in history.records[1:]:
         k = rec.n
         sub_b, sub_m = _sub_basis(basis, model, k)
-        riesz = build_riesz_data(op, sub_b, prev=riesz)
+        classical.refresh(op, sub_b, sub_m)  # hierarchical Riesz extension
         u_hat = rb_solve(sub_m, op, rec.mu)
-        if _classical_rounding_bound(riesz, op, rec.mu, u_hat,
+        if _classical_rounding_bound(classical.riesz, op, rec.mu, u_hat,
                                      rec.estimate) > 1e-6:
             continue
-        v1 = estimator_classical(riesz, op, rec.mu, u_hat, 1.0).value
+        v1 = classical.value_at(op, rec.mu, u_hat, 1.0).value
         rel = abs(v1 - rec.estimate) / rec.estimate
         worst_rel = max(worst_rel, rel)
         checked.append(rec.estimate)
@@ -187,25 +183,25 @@ def test_criterion_4_stable_matches_truth_space_oracle(oned32_stable,
     worst_abs = 0.0
     for pid in ("oned-continuous", "twod-first"):
         op, _, basis, model, _ = problem_bases_n10[pid]
-        # per-size offline data, reused across the random draws
-        factors = {}
-        riesz = None
-        for k in range(1, 11):
-            sub_b, _ = _sub_basis(basis, model, k)
-            riesz = build_riesz_data(op, sub_b, prev=riesz)
-            factors[k] = build_stable_factors(riesz)
         domain = op.spec.param_domain
+        draws = []
         for _ in range(50):
             mu = np.array([rng.uniform(lo, hi) for lo, hi in domain])
-            k = int(rng.integers(1, 11))
+            draws.append((int(rng.integers(1, 11)), mu))
+        # per-size offline data, extended hierarchically, then the random
+        # draws of that size
+        stable = make_estimator("stable")
+        for k in range(1, 11):
             sub_b, sub_m = _sub_basis(basis, model, k)
-            u_hat = rb_solve(sub_m, op, mu)
-            got = estimator_stable(factors[k], op, mu, u_hat, 1.0).value
-            ref = residual_norm_oracle(op, sub_b, mu, u_hat)
-            if ref >= 1e-8:
-                worst_rel = max(worst_rel, abs(got - ref) / ref)
-            else:
-                worst_abs = max(worst_abs, abs(got - ref))
+            stable.refresh(op, sub_b, sub_m)
+            for mu in (mu for size, mu in draws if size == k):
+                u_hat = rb_solve(sub_m, op, mu)
+                got = stable.value_at(op, mu, u_hat, 1.0).value
+                ref = residual_norm_oracle(op, sub_b, mu, u_hat)
+                if ref >= 1e-8:
+                    worst_rel = max(worst_rel, abs(got - ref) / ref)
+                else:
+                    worst_abs = max(worst_abs, abs(got - ref))
     elapsed = time.perf_counter() - t0
     ok = worst_rel <= 1e-10 and worst_abs <= 1e-13 and elapsed < 120.0
     _report(4, ok, f"100 random (mu, N) pairs on two problems: worst rel "
@@ -219,11 +215,11 @@ def test_criterion_5_rank_deficiency_robustness(oned32_stable):
     N, Qa = 8, 2
     sub_b, sub_m = _sub_basis(basis, model, N)
     riesz = build_riesz_data(op, sub_b)
-    clean = stable_factors_from_matrices(riesz.L, riesz.C, Q_a=Qa)
+    clean = build_stable_factors(riesz.L, riesz.C)
     # inject a duplicate snapshot's Riesz columns
     dup_cols = riesz.L[:, (N - 1) * Qa:]
     L_dup = np.column_stack([riesz.L, dup_cols])
-    dup = stable_factors_from_matrices(L_dup, riesz.C, Q_a=Qa)
+    dup = build_stable_factors(L_dup, riesz.C)
     rank_ok = dup.rank < L_dup.shape[1] and dup.rank == oracles.svd_rank(L_dup)
     rng = np.random.default_rng(7)
     worst_rel = 0.0
@@ -236,8 +232,10 @@ def test_criterion_5_rank_deficiency_robustness(oned32_stable):
         split = rng.uniform(0.2, 0.8)
         c_dup = np.concatenate([c, split * c[(N - 1) * Qa:]])
         c_dup[(N - 1) * Qa:N * Qa] *= 1.0 - split
-        v_clean = stable_value(clean, theta_f, c, 1.0).value
-        v_dup = stable_value(dup, theta_f, c_dup, 1.0).value
+        v_clean = kernels.stable_values(theta_f[None], c[None], np.ones(1),
+                                        clean.w_coords, clean.qtc, clean.rzt)[0]
+        v_dup = kernels.stable_values(theta_f[None], c_dup[None], np.ones(1),
+                                      dup.w_coords, dup.qtc, dup.rzt)[0]
         worst_rel = max(worst_rel, abs(v_dup - v_clean) / v_clean)
     ok = rank_ok and worst_rel <= 1e-12
     _report(5, ok, f"duplicated columns: rank {dup.rank} < {L_dup.shape[1]} "
@@ -268,10 +266,14 @@ def test_criterion_6_kronecker_cardinality(oned32_stable, oned32_classical,
             bound_c = max(1e-8, N * eps * cond)
             bound_leb = max(1e-8, N * N * eps * cond)
             dev_c = dev_leb = 0.0
+            lebesgue = make_estimator("lebesgue")
+            lebesgue.refresh(op, basis, model)
             for n, mu in enumerate(basis.sample_set):
-                c = lagrange_coefficients(basis, rb_solve(model, op, mu))
+                u_hat = rb_solve(model, op, mu)
+                c = lagrange_coefficients(basis, u_hat)
                 dev_c = max(dev_c, np.max(np.abs(c - np.eye(N)[:, n])))
-                dev_leb = max(dev_leb, abs(estimator_lebesgue(c).value - 1.0))
+                leb = lebesgue.value_at(op, mu, u_hat, 1.0).value
+                dev_leb = max(dev_leb, abs(leb - 1.0))
                 checked += 1
             ok &= bool(dev_c <= bound_c and dev_leb <= bound_leb)
             lines.append(

@@ -278,7 +278,8 @@ def test_cli_config_errors_exit_2(tmp_path):
     assert cli_main(["run", str(bad)]) == 2
     assert cli_main(["validate", str(tmp_path / "missing")]) == 2
     # unknown values are caught with the config, before any solve runs
-    for key, value in [("estimator_kind", "nope"), ("alpha_mode", "bogus")]:
+    for key, value in [("estimator_kind", "nope"), ("alpha_mode", "bogus"),
+                       ("validate", "bogus")]:
         bad.write_text(yaml.safe_dump({
             "problem": "oned-continuous", "nodes_per_dim": 12,
             "training_grid": [16], "N_max": 2,

@@ -133,7 +133,7 @@ def test_kernels_match_per_point_on_greedy_state(saturated_state):
     )
     assert 0 < clamped.sum() < ta.shape[0]
 
-    fc = build_stable_factors(riesz)
+    fc = build_stable_factors(riesz.L, riesz.C)
     args = (ta, tf, alpha, *blocks, fc.w_coords, fc.qtc, fc.rzt)
     assert np.array_equal(kernels.stable_sweep(*args), oracles.stable_sweep_loop(*args))
 

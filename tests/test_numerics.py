@@ -63,7 +63,7 @@ def test_pivoted_qr_zero_matrix():
 
 def test_pivoted_qr_bad_tolerance():
     with pytest.raises(ValueError):
-        pivoted_qr(np.eye(2), rank_tol_rel=2.0)
+        pivoted_qr(np.eye(2), rank_tol=2.0)
 
 
 # ---------------------------------------------------------------------------
