@@ -66,9 +66,9 @@ class RieszData:
 
     C: np.ndarray  # (dim, Q_f)
     L: np.ndarray  # (dim, N*Q_a)
-    cc: np.ndarray  # (Q_f, Q_f)
-    cl: np.ndarray  # (Q_f, N*Q_a)
-    ll: np.ndarray  # (N*Q_a, N*Q_a)
+    cc: np.ndarray | None  # (Q_f, Q_f); the tables are None when not built
+    cl: np.ndarray | None  # (Q_f, N*Q_a)
+    ll: np.ndarray | None  # (N*Q_a, N*Q_a)
     Q_a: int
 
     @property
@@ -96,52 +96,45 @@ class EstimateValue:
     clamped: bool = False
 
 
-def build_riesz_data(op, basis, prev=None):
+def build_riesz_data(op, basis, prev=None, tables=True):
     """Build (or hierarchically extend) the Riesz representers and tables.
 
     With ``prev`` from the same operator and the leading basis columns, the
-    existing table entries are reused bit-identically and only the rows and
-    columns for the newly appended snapshots are computed.
+    existing columns and table entries are reused bit-identically and only
+    those for the newly appended snapshots are computed.  With
+    ``tables=False`` only the representers ``C`` and ``L`` are built and the
+    tables are None: the stable form reads no tables.
     """
     if basis.size == 0:
         raise ValueError("basis must be nonempty")
     Qa = len(op.a_components)
-    F = np.column_stack(op.f_components)
-    N = basis.size
-
-    if prev is not None and prev.basis_size <= N and prev.Q_a == Qa:
-        C = prev.C
-        n_old = prev.basis_size
-    else:
-        C = F
-        prev = None
-        n_old = 0
-
-    new_cols = []
-    for m in range(n_old, N):
-        xi_m = basis.xi[:, m]
-        for Aq in op.a_components:
-            new_cols.append(Aq @ xi_m)
+    reuse = (prev is not None and prev.basis_size <= basis.size
+             and prev.Q_a == Qa and (prev.ll is not None or not tables))
+    n_old = prev.basis_size if reuse else 0
+    new_cols = [Aq @ basis.xi[:, m]
+                for m in range(n_old, basis.size) for Aq in op.a_components]
     Lnew = np.column_stack(new_cols) if new_cols else np.zeros((basis.xi.shape[0], 0))
-
-    if prev is None:
-        L = Lnew
-        cc = C.T @ C
-        cl = C.T @ L
-        ll = L.T @ L
-    else:
+    if reuse:
+        C = prev.C
         L = np.column_stack([prev.L, Lnew]) if Lnew.size else prev.L
-        cc = prev.cc
-        cl = np.hstack([prev.cl, C.T @ Lnew])
-        k_old = prev.L.shape[1]
-        k = L.shape[1]
-        ll = np.zeros((k, k))
-        ll[:k_old, :k_old] = prev.ll
-        cross = prev.L.T @ Lnew
-        ll[:k_old, k_old:] = cross
-        ll[k_old:, :k_old] = cross.T
-        ll[k_old:, k_old:] = Lnew.T @ Lnew
-    return RieszData(C=C, L=L, cc=cc, cl=cl, ll=ll, Q_a=Qa)
+    else:
+        C = np.column_stack(op.f_components)
+        L = Lnew
+    if not tables:
+        return RieszData(C=C, L=L, cc=None, cl=None, ll=None, Q_a=Qa)
+    if not reuse:
+        return RieszData(C=C, L=L, cc=C.T @ C, cl=C.T @ L, ll=L.T @ L, Q_a=Qa)
+
+    k_old = prev.L.shape[1]
+    k = L.shape[1]
+    ll = np.zeros((k, k))
+    ll[:k_old, :k_old] = prev.ll
+    cross = prev.L.T @ Lnew
+    ll[:k_old, k_old:] = cross
+    ll[k_old:, :k_old] = cross.T
+    ll[k_old:, k_old:] = Lnew.T @ Lnew
+    cl = np.hstack([prev.cl, C.T @ Lnew])
+    return RieszData(C=C, L=L, cc=prev.cc, cl=cl, ll=ll, Q_a=Qa)
 
 
 def build_stable_factors(L, C):
@@ -329,7 +322,7 @@ class StableEstimator(_EstimatorBase):
         self.factors = None
 
     def refresh(self, op, basis, model):
-        self.riesz = build_riesz_data(op, basis, prev=self.riesz)
+        self.riesz = build_riesz_data(op, basis, prev=self.riesz, tables=False)
         self.factors = build_stable_factors(self.riesz.L, self.riesz.C)
 
     def sweep(self, op, basis, model, theta_a, theta_f, alpha, workers=1):

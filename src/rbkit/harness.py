@@ -34,6 +34,7 @@ from .truth import (
     build_discretization,
     assemble_affine,
     problem_spec,
+    truth_solve_many,
 )
 
 __all__ = [
@@ -215,30 +216,10 @@ def _sub_basis(basis, model, k):
     return sub_basis, sub_model
 
 
-def _batched_truth(op, points, chunk=16):
-    """Truth solutions at many parameters, batched through LAPACK; rows of
-    NaN mark points where the assembled operator was singular."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    M = points.shape[0]
-    dim = op.dim
-    out = np.empty((M, dim))
-    comps = np.stack(op.a_components)
-    fcomps = np.stack(op.f_components)
-    for lo in range(0, M, chunk):
-        hi = min(lo + chunk, M)
-        ta = op.theta_a_values(points[lo:hi])
-        tf = op.theta_f_values(points[lo:hi])
-        A = np.tensordot(ta, comps, axes=1)
-        rhs = tf @ fcomps
-        try:
-            out[lo:hi] = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            for i in range(lo, hi):
-                try:
-                    out[i] = np.linalg.solve(A[i - lo], rhs[i - lo])
-                except np.linalg.LinAlgError:
-                    out[i] = np.nan
-    return out
+def _batched_truth(op, points):
+    """Validation truth solutions, one row per point, NaN where singular
+    (``truth_solve_many``; the benchmark traces this name)."""
+    return truth_solve_many(op, points)
 
 
 def validate(basis, model, op, points, truth_values=None):
@@ -329,6 +310,7 @@ def run_experiment(config):
     else:
         val_points = train
 
+    t_start = time.perf_counter()
     fields = {}
     lagrange = {}
     checkpoints = [k for k in config.checkpoints if 1 <= k <= basis.size]
@@ -357,15 +339,19 @@ def run_experiment(config):
         fields[k] = path
 
         if pdim == 1:
-            rows = []
+            u_hat = np.array([rb_solve(sub_m, op, mu) for mu in train])
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                for mu in train:
-                    c = lagrange_coefficients(sub_b, rb_solve(sub_m, op, mu))
-                    rows.append([float(mu[0])] + [float(v) for v in c])
+                coeffs = lagrange_coefficients(sub_b, u_hat)
             path = os.path.join(out_dir, f"lagrange_N{k}.csv")
-            _write_csv(path, ["mu1"] + [f"c{m + 1}" for m in range(k)], rows)
+            _write_csv(
+                path,
+                ["mu1"] + [f"c{m + 1}" for m in range(k)],
+                [[float(mu[0])] + [float(v) for v in c]
+                 for mu, c in zip(train, coeffs)],
+            )
             lagrange[k] = path
+    validation_seconds = time.perf_counter() - t_start
 
     metadata_path = os.path.join(out_dir, "metadata.json")
     meta = {
@@ -380,6 +366,7 @@ def run_experiment(config):
         "timings": {
             "greedy_seconds": greedy_seconds,
             "sweep_seconds": [r.seconds for r in history.records],
+            "validation_seconds": validation_seconds,
         },
     }
     with open(metadata_path, "w") as fh:

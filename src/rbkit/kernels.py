@@ -18,7 +18,10 @@ system, matrix-vector and dot products are stacked ``np.matmul`` calls (one
 gemv or dot per parameter), and the Lagrange back substitution and the |c| sum
 run column by column.  The values are therefore bit-identical to per-point
 evaluation and do not depend on how the training set is split, so a
-chunk-parallel sweep reproduces the serial one.
+chunk-parallel sweep reproduces the serial one.  ``lagrange_values`` is also
+the only triangular solve for Lagrange coefficients
+(``rbm.lagrange_coefficients`` calls it), so a written coefficient trace sums
+to the Lebesgue indicator bit for bit.
 
 The sweep kernels take precomputed theta tables, ``theta_a (M, Q_a)`` and
 ``theta_f (M, Q_f)``, the reduced blocks ``a_blocks (Q_a, N, N)`` and
@@ -34,6 +37,7 @@ __all__ = [
     "residual_coefficients",
     "classical_values",
     "stable_values",
+    "lagrange_values",
     "lebesgue_values",
     "classical_sweep",
     "stable_sweep",
@@ -109,13 +113,14 @@ def stable_values(theta_f, c, alpha, w_coords, qtc, rzt):
     return np.sqrt(_dot(t1, t1) + _dot(t2, t2)) / alpha
 
 
-def lebesgue_values(u, rs):
-    """Sum of absolute snapshot-basis (Lagrange) coefficients for rows of
+def lagrange_values(u, rs):
+    """Snapshot-basis (Lagrange) coefficients ``c (m, N)`` for rows of
     reduced solutions ``u (m, N)``.
 
     ``rs`` is the upper-triangular change-of-basis factor with
-    snapshots = basis @ rs; the Lagrange coefficients solve rs c = u by
-    back substitution.
+    snapshots = basis @ rs; the coefficients solve rs c = u by column back
+    substitution, elementwise across rows, so a row's result does not depend
+    on the batch it comes in.
     """
     N = u.shape[1]
     c = np.empty_like(u)
@@ -124,8 +129,15 @@ def lebesgue_values(u, rs):
         for k in range(m + 1, N):
             s -= rs[m, k] * c[:, k]
         c[:, m] = s / rs[m, m]
+    return c
+
+
+def lebesgue_values(u, rs):
+    """Sum of absolute Lagrange coefficients (``lagrange_values``) for rows
+    of reduced solutions ``u (m, N)``."""
+    c = lagrange_values(u, rs)
     acc = np.zeros(u.shape[0])
-    for m in range(N):
+    for m in range(u.shape[1]):
         acc += np.abs(c[:, m])
     return acc
 

@@ -8,10 +8,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
+from . import kernels
 from .numerics import DEFAULT_DROP_TOL, _mgs_coeffs, solve_dense
-from .truth import Snapshot, truth_solve
+from .truth import truth_solve, truth_solve_many
 
 __all__ = [
     "DependentSnapshotError",
@@ -135,9 +135,11 @@ def rb_solve(model, op, mu):
 
 
 def lagrange_coefficients(basis, u_hat):
-    """Snapshot-basis (cardinal Lagrange) coefficients c with R c = u_hat."""
+    """Snapshot-basis (cardinal Lagrange) coefficients c with R c = u_hat,
+    for one reduced solution ``(N,)`` or rows of them ``(m, N)``."""
     R = basis.chol_coeffs
-    if R.shape[0] != len(u_hat):
+    u_hat = np.asarray(u_hat, dtype=float)
+    if R.shape[0] != u_hat.shape[-1]:
         raise ValueError("coefficient length does not match basis size")
     cond = np.linalg.cond(R) if R.size else 0.0
     if cond > 1e12:
@@ -147,7 +149,7 @@ def lagrange_coefficients(basis, u_hat):
             RuntimeWarning,
             stacklevel=2,
         )
-    return sla.solve_triangular(R, np.asarray(u_hat, dtype=float), lower=False)
+    return kernels.lagrange_values(np.atleast_2d(u_hat), R).reshape(u_hat.shape)
 
 
 def reconstruct(basis, u_hat):
@@ -202,11 +204,13 @@ def extend_basis(basis, model, snapshot, op, drop_tol=DEFAULT_DROP_TOL):
 
 
 def _true_errors(op, basis, model, mus):
-    errs = np.empty(len(mus))
-    for i, mu in enumerate(mus):
-        u_truth = truth_solve(op, mu)
-        u_rb = reconstruct(basis, rb_solve(model, op, mu))
-        errs[i] = np.linalg.norm(u_truth.values - u_rb)
+    """Euclidean true error at each parameter; NaN where the truth operator
+    is singular."""
+    errs = np.full(len(mus), np.nan)
+    for i, (mu, u_truth) in enumerate(zip(mus, truth_solve_many(op, mus))):
+        if np.all(np.isfinite(u_truth)):
+            u_rb = reconstruct(basis, rb_solve(model, op, mu))
+            errs[i] = np.linalg.norm(u_truth - u_rb)
     return errs
 
 

@@ -4,12 +4,19 @@ operator assembly for the four built-in parametric test problems.
 All problems impose homogeneous Dirichlet conditions, handled by restricting
 the tensorized operators to interior grid nodes (boundary rows and columns
 eliminated), which keeps the affine decomposition exact.
+
+On interior nodes every operator component is a Kronecker sum
+``A^q = kron(Ax^q, I) + kron(I, Ay^q)`` of 1-D factors, so with ``U[i, j]``
+the value at ``(x_i, y_j)`` the system ``A(mu) u = f(mu)`` is the Sylvester
+equation ``Ax(mu) U + U Ay(mu)^T = F``.  The greedy's snapshots use the dense
+LU solve (``truth_solve``); validation sweeps solve the Sylvester form by
+Bartels-Stewart (``truth_solve_many``).
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
+import scipy.linalg as sla
 
 from .numerics import solve_dense
 
@@ -23,9 +30,11 @@ __all__ = [
     "problem_spec",
     "build_discretization",
     "assemble_affine",
+    "kron_sum",
     "assemble",
     "load_vector",
     "truth_solve",
+    "truth_solve_many",
     "true_error",
 ]
 
@@ -95,6 +104,9 @@ class AffineOperator:
     f_components: list  # Q_f interior vectors
     theta_a: list  # Q_a callables mu -> float
     theta_f: list  # Q_f callables mu -> float
+    #: Q_a pairs (Ax^q, Ay^q) with A^q = kron_sum(Ax^q, Ay^q); None for an
+    #: operator without Kronecker structure
+    kron_factors: list | None = None
 
     @property
     def dim(self):
@@ -161,16 +173,11 @@ def build_discretization(nodes_per_dim):
     )
 
 
-def _interior_ops(disc):
-    """Interior-restricted d_xx, d_yy and the diagonal coordinate scalings."""
-    nx = disc.nodes_per_dim
-    I1 = np.eye(nx)
-    Dxx = np.kron(disc.diff2, I1)
-    Dyy = np.kron(I1, disc.diff2)
-    idx = disc.interior
-    Dxx = Dxx[np.ix_(idx, idx)]
-    Dyy = Dyy[np.ix_(idx, idx)]
-    return Dxx, Dyy
+def kron_sum(Ax, Ay):
+    """Dense ``kron(Ax, I) + kron(I, Ay)`` in the ``k = i*ny + j`` order."""
+    A = np.kron(Ax, np.eye(Ay.shape[0]))
+    A += np.kron(np.eye(Ax.shape[0]), Ay)
+    return A
 
 
 def _sign(t):
@@ -178,15 +185,18 @@ def _sign(t):
 
 
 def assemble_affine(spec, disc):
-    """Assemble the parameter-independent components for a built-in problem."""
-    Dxx, Dyy = _interior_ops(disc)
+    """Assemble the parameter-independent components for a built-in problem:
+    the 1-D factor pairs and the dense components derived from them."""
+    D2 = disc.diff2[1:-1, 1:-1]
+    x = disc.nodes[1:-1]
+    Z = np.zeros_like(D2)
     X = disc.x_int
     Y = disc.y_int
     pid = spec.id
     if pid in ("oned-continuous", "oned-discontinuous"):
         # (1 + l(mu) x) u_xx + u_yy = e^{4xy}, l = identity or the
         # discontinuous sin((mu - sign(mu)) pi/2)
-        a_components = [Dxx + Dyy, X[:, None] * Dxx]
+        pairs = [(D2, D2), (x[:, None] * D2, Z)]
         f_components = [np.exp(4.0 * X * Y)]
         if pid == "oned-continuous":
             theta2 = lambda mu: float(mu[0])
@@ -196,14 +206,13 @@ def assemble_affine(spec, disc):
         theta_f = [lambda mu: 1.0]
     elif pid == "twod-first":
         # -u_xx - mu1 u_yy - mu2 u = -10 sin(8x(y-1))
-        n_int = Dxx.shape[0]
-        a_components = [-Dxx, -Dyy, -np.eye(n_int)]
+        pairs = [(-D2, Z), (Z, -D2), (-np.eye(D2.shape[0]), Z)]
         f_components = [-10.0 * np.sin(8.0 * X * (Y - 1.0))]
         theta_a = [lambda mu: 1.0, lambda mu: float(mu[0]), lambda mu: float(mu[1])]
         theta_f = [lambda mu: 1.0]
     elif pid == "twod-second":
-        # (1 + mu1 x) u_xx + (1 + mu2 y) u_yy = e^{4xy}
-        a_components = [Dxx + Dyy, X[:, None] * Dxx, Y[:, None] * Dyy]
+        # (1 + mu1 x) u_xx + (1 + mu2 y) u_yy = e^{4xy}; y has the nodes of x
+        pairs = [(D2, D2), (x[:, None] * D2, Z), (Z, x[:, None] * D2)]
         f_components = [np.exp(4.0 * X * Y)]
         theta_a = [lambda mu: 1.0, lambda mu: float(mu[0]), lambda mu: float(mu[1])]
         theta_f = [lambda mu: 1.0]
@@ -211,10 +220,11 @@ def assemble_affine(spec, disc):
         raise ValueError(f"unknown problem id {pid!r}")
     return AffineOperator(
         spec=spec,
-        a_components=a_components,
+        a_components=[kron_sum(Ax, Ay) for Ax, Ay in pairs],
         f_components=f_components,
         theta_a=theta_a,
         theta_f=theta_f,
+        kron_factors=pairs,
     )
 
 
@@ -241,6 +251,38 @@ def truth_solve(op, mu):
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     u = solve_dense(assemble(op, mu), load_vector(op, mu))
     return Snapshot(mu=mu, values=u)
+
+
+def truth_solve_many(op, mus):
+    """Truth solutions at many parameters, one row per point, through the
+    Sylvester form ``Ax(mu) U + U Ay(mu)^T = F(mu)`` of a Kronecker-sum
+    operator: real Schur forms of both factors and LAPACK ``trsyl``
+    (Bartels-Stewart).  A row is NaN where the operator is singular or
+    nearly so (``trsyl`` reports close eigenvalues of ``Ax`` and ``-Ay``, or
+    had to scale the solution down) or where the solution is not finite.
+    """
+    if op.kron_factors is None:
+        raise ValueError("operator has no Kronecker factors")
+    mus = np.atleast_2d(np.asarray(mus, dtype=float))
+    ta = op.theta_a_values(mus)
+    rhs = op.theta_f_values(mus) @ np.stack(op.f_components)
+    nx = op.kron_factors[0][0].shape[0]
+    ny = op.kron_factors[0][1].shape[0]
+    out = np.empty((mus.shape[0], nx * ny))
+    (trsyl,) = sla.get_lapack_funcs(("trsyl",), (out,))
+    for i in range(mus.shape[0]):
+        Ax = sum(t * Fx for t, (Fx, _) in zip(ta[i], op.kron_factors))
+        Ay = sum(t * Fy for t, (_, Fy) in zip(ta[i], op.kron_factors))
+        Tx, Qx = sla.schur(Ax, output="real")
+        Ty, Qy = sla.schur(Ay, output="real")
+        C = Qx.T @ rhs[i].reshape(nx, ny) @ Qy
+        Y, scale, info = trsyl(Tx, Ty, C, tranb="T")
+        U = Qx @ Y @ Qy.T
+        if info != 0 or scale != 1.0 or not np.all(np.isfinite(U)):
+            out[i] = np.nan
+        else:
+            out[i] = U.ravel()
+    return out
 
 
 def true_error(u_truth, u_rb):

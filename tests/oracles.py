@@ -153,3 +153,27 @@ def lebesgue_sweep_loop(theta_a, theta_f, a_blocks, f_blocks, rs):
             acc += abs(c[m])
         values[i] = acc
     return values
+
+
+# ---------------------------------------------------------------------------
+# Dense operator components built on the full tensor grid and restricted to
+# the interior nodes, without the 1-D Kronecker factors.
+
+
+def dense_components(pid, disc):
+    """The ``a_components`` of a built-in problem from the full-grid
+    ``d_xx = kron(D2, I)`` and ``d_yy = kron(I, D2)``, restricted to the
+    interior."""
+    nx = disc.nodes_per_dim
+    I1 = np.eye(nx)
+    idx = np.ix_(disc.interior, disc.interior)
+    Dxx = np.kron(disc.diff2, I1)[idx]
+    Dyy = np.kron(I1, disc.diff2)[idx]
+    X, Y = disc.x_int, disc.y_int
+    if pid in ("oned-continuous", "oned-discontinuous"):
+        return [Dxx + Dyy, X[:, None] * Dxx]
+    if pid == "twod-first":
+        return [-Dxx, -Dyy, -np.eye(Dxx.shape[0])]
+    if pid == "twod-second":
+        return [Dxx + Dyy, X[:, None] * Dxx, Y[:, None] * Dyy]
+    raise ValueError(pid)

@@ -323,6 +323,28 @@ def test_stable_rank_deficiency_duplicate_columns(oned, oned_basis):
         assert v_dup == pytest.approx(v_clean, rel=1e-12)
 
 
+def test_stable_refresh_matches_factors_from_full_riesz_data(oned, oned_basis):
+    # the greedy-style refresh extends only the Riesz columns, one snapshot
+    # at a time, without tables; its factors must equal those of a
+    # from-scratch RieszData
+    basis, model = oned_basis
+    from rbkit.harness import _sub_basis
+
+    stable = make_estimator("stable")
+    for k in range(1, basis.size + 1):
+        sub_b, sub_m = _sub_basis(basis, model, k)
+        stable.refresh(oned, sub_b, sub_m)
+        assert stable.riesz.ll is None
+        riesz = build_riesz_data(oned, sub_b)
+        full = build_stable_factors(riesz.L, riesz.C)
+        assert np.array_equal(stable.riesz.L, riesz.L)
+        assert np.array_equal(stable.riesz.C, riesz.C)
+        for name in ("Q", "w_coords", "qtc", "rzt"):
+            assert np.array_equal(getattr(stable.factors, name),
+                                  getattr(full, name)), (k, name)
+        assert stable.factors.rank == full.rank
+
+
 def test_stable_all_loads_in_range_gives_empty_complement():
     rng = np.random.default_rng(21)
     L = rng.standard_normal((30, 6))

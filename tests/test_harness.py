@@ -9,11 +9,13 @@ import pytest
 import yaml
 
 from rbkit.cli import main as cli_main
+from rbkit.estimators import make_estimator
 from rbkit.harness import (
     ConfigError,
     DESK_SCALE,
     ExperimentConfig,
     OUTPUT_DIR_ENV,
+    _sub_basis,
     build_problem,
     load_run,
     make_training_grid,
@@ -21,7 +23,14 @@ from rbkit.harness import (
     run_float_demo,
     validate,
 )
-from rbkit.rbm import empty_basis, empty_model, extend_basis
+from rbkit.rbm import (
+    GreedyConfig,
+    empty_basis,
+    empty_model,
+    extend_basis,
+    greedy,
+    rb_solve,
+)
 from rbkit.truth import truth_solve
 
 
@@ -149,6 +158,38 @@ def test_run_metadata_roundtrips_config(tmp_path):
         meta = json.load(fh)
     assert ExperimentConfig.from_dict(meta["config"]) == config
     assert meta["n_final"] == 4
+    assert meta["timings"]["validation_seconds"] > 0.0
+
+
+def test_lagrange_trace_sums_to_lebesgue_indicator(tmp_path):
+    # each lagrange_N*.csv row, |c_m| added in column order, is the Lebesgue
+    # indicator at that parameter bit for bit: both come from one back
+    # substitution
+    config = _small_config(tmp_path, estimator_kind="lebesgue", N_max=6,
+                           checkpoints=[3, 6])
+    arts = run_experiment(config)
+    # the run's own greedy state (load_run rebuilds the reduced blocks in
+    # one product, which rounds differently)
+    spec, _, op = build_problem(config.problem, config.nodes_per_dim)
+    train = make_training_grid(spec.param_domain, config.training_grid)
+    basis, model, _, _ = greedy(
+        GreedyConfig(eps_tol=config.eps_tol, N_max=config.N_max,
+                     training_set=train, seed=config.seed),
+        op, make_estimator("lebesgue"))
+    assert basis.size == 6
+    for k, path in arts.lagrange.items():
+        sub_b, sub_m = _sub_basis(basis, model, k)
+        lebesgue = make_estimator("lebesgue")
+        lebesgue.refresh(op, sub_b, sub_m)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert rows.shape == (24, k + 1)
+        for row in rows:
+            mu = row[:1]
+            acc = 0.0
+            for c in row[1:]:
+                acc += abs(c)
+            value = lebesgue.value_at(op, mu, rb_solve(sub_m, op, mu), 1.0).value
+            assert acc == value
 
 
 def test_rerun_history_byte_identical(tmp_path):

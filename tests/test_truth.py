@@ -4,17 +4,23 @@ assembly of the four built-in problems."""
 import numpy as np
 import pytest
 
+from rbkit.harness import validate
+from rbkit.rbm import _true_errors, empty_basis, empty_model, extend_basis
 from rbkit.truth import (
     PROBLEM_IDS,
     SIGN_AT_ZERO,
+    AffineOperator,
+    ProblemSpec,
     assemble,
     assemble_affine,
     build_discretization,
     chebyshev_grid,
+    kron_sum,
     load_vector,
     problem_spec,
     true_error,
     truth_solve,
+    truth_solve_many,
 )
 
 import oracles
@@ -182,6 +188,95 @@ def test_truth_solve_deterministic():
     u1 = truth_solve(op, [0.4]).values
     u2 = truth_solve(op, [0.4]).values
     assert np.array_equal(u1, u2)
+
+
+# ---------------------------------------------------------------------------
+# Kronecker factors and truth_solve_many
+
+
+@pytest.mark.parametrize("nodes", [12, 32])
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_components_match_dense_construction(pid, nodes):
+    disc = build_discretization(nodes)
+    op = assemble_affine(problem_spec(pid), disc)
+    ref = oracles.dense_components(pid, disc)
+    assert len(op.kron_factors) == len(ref) == op.spec.Q_a
+    for Aq, Rq in zip(op.a_components, ref):
+        assert np.array_equal(Aq, Rq)
+
+
+def _sample_points(spec, count, seed):
+    rng = np.random.default_rng(seed)
+    return np.array([[rng.uniform(lo, hi) for lo, hi in spec.param_domain]
+                     for _ in range(count)])
+
+
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_truth_solve_many_matches_dense_lu(pid):
+    spec = problem_spec(pid)
+    op = assemble_affine(spec, build_discretization(16))
+    mus = _sample_points(spec, 4, 13)
+    U = truth_solve_many(op, mus)
+    assert U.shape == (4, op.dim)
+    eps = np.finfo(float).eps
+    for mu, u in zip(mus, U):
+        u_lu = truth_solve(op, mu).values
+        assert np.linalg.norm(u - u_lu) <= 1e-12 * np.linalg.norm(u_lu)
+        # normwise backward residual on the scale of the solve's rounding
+        A = assemble(op, mu)
+        res = np.linalg.norm(load_vector(op, mu) - A @ u)
+        assert res <= 1e2 * eps * np.linalg.norm(A, 2) * np.linalg.norm(u)
+
+
+def _singular_kron_operator():
+    """Kronecker operator ``kron_sum(diag(1, 2) + mu I, diag(-1, 3))``: the
+    eigenvalue sums are 0 + mu, 4 + mu, 1 + mu and 5 + mu, so on [-1/2, 1] it
+    is exactly singular at mu = 0 and only there."""
+    pairs = [(np.diag([1.0, 2.0]), np.diag([-1.0, 3.0])),
+             (np.eye(2), np.zeros((2, 2)))]
+    return AffineOperator(
+        spec=ProblemSpec("kron-toy", 1, ((-0.5, 1.0),), Q_a=2, Q_f=1),
+        a_components=[kron_sum(Ax, Ay) for Ax, Ay in pairs],
+        f_components=[np.array([1.0, 2.0, 3.0, 4.0])],
+        theta_a=[lambda mu: 1.0, lambda mu: float(mu[0])],
+        theta_f=[lambda mu: 1.0],
+        kron_factors=pairs,
+    )
+
+
+def test_singular_point_gives_nan_rows_and_errors():
+    op = _singular_kron_operator()
+    mus = np.array([[0.0], [0.5]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(assemble(op, mus[0]), load_vector(op, mus[0]))
+    u_lu = np.linalg.solve(assemble(op, mus[1]), load_vector(op, mus[1]))
+
+    U = truth_solve_many(op, mus)
+    assert np.all(np.isnan(U[0]))
+    assert np.all(np.isfinite(U[1]))
+    assert np.linalg.norm(U[1] - u_lu) <= 1e-14 * np.linalg.norm(u_lu)
+
+    basis, model = empty_basis(op.dim), empty_model(2, 1)
+    for mu in ([0.25], [1.0]):
+        basis, model = extend_basis(basis, model, truth_solve(op, mu), op)
+    want = np.linalg.norm(u_lu - basis.xi @ np.linalg.solve(
+        basis.xi.T @ assemble(op, mus[1]) @ basis.xi,
+        basis.xi.T @ load_vector(op, mus[1])))
+    errs = _true_errors(op, basis, model, mus)
+    assert np.isnan(errs[0])
+    assert errs[1] == pytest.approx(want, rel=1e-12)
+    [(_, e0), (_, e1)] = validate(basis, model, op, mus)
+    assert np.isnan(e0)
+    assert e1 == pytest.approx(want, rel=1e-12)
+
+
+def test_truth_solve_many_needs_kron_factors():
+    op = _singular_kron_operator()
+    dense_only = AffineOperator(op.spec, op.a_components, op.f_components,
+                                op.theta_a, op.theta_f)
+    assert dense_only.kron_factors is None
+    with pytest.raises(ValueError):
+        truth_solve_many(dense_only, [[0.5]])
 
 
 # ---------------------------------------------------------------------------
