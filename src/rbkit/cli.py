@@ -22,6 +22,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     PAPER_SCALE,
+    _write_csv,
     default_training_counts,
     load_run,
     make_training_grid,
@@ -127,19 +128,16 @@ def _cmd_validate(args):
     spec = problem_spec(config.problem)
     counts = args.grid or config.validation_grid or config.training_grid
     points = make_training_grid(spec.param_domain, counts)
-    results = validate(basis, model, op, points)
+    errors = validate(basis, model, op, points)
     out_path = args.output or os.path.join(args.run_dir, "validate.csv")
-    from .harness import _write_csv
-
     mu_names = [f"mu{d + 1}" for d in range(spec.param_dim)]
     _write_csv(
         out_path,
         mu_names + ["true_error"],
-        [[float(v) for v in mu] + [err] for mu, err in results],
+        [[float(v) for v in mu] + [float(err)] for mu, err in zip(points, errors)],
     )
-    errors = np.array([err for _, err in results])
     finite = errors[np.isfinite(errors)]
-    print(f"validated {len(results)} points (N={basis.size})")
+    print(f"validated {len(errors)} points (N={basis.size})")
     if finite.size:
         print(f"  max true error: {finite.max():.6e}")
     print(f"written: {out_path}")

@@ -25,9 +25,9 @@ from .rbm import (
     greedy,
     lagrange_coefficients,
     rb_solve,
-    reconstruct,
     ReducedBasis,
     ReducedModel,
+    validate,
 )
 from .truth import (
     PROBLEM_IDS,
@@ -222,29 +222,6 @@ def _batched_truth(op, points):
     return truth_solve_many(op, points)
 
 
-def validate(basis, model, op, points, truth_values=None):
-    """True error at each point: truth solve, reduced solve, Euclidean gap.
-
-    Returns a list of ``(mu, error)`` in input order; singular truth solves
-    yield NaN errors instead of aborting the sweep.  ``truth_values`` can
-    carry precomputed truth solutions (one row per point) to avoid repeated
-    factorization when validating several bases on one grid.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.size == 0:
-        return []
-    if truth_values is None:
-        truth_values = _batched_truth(op, points)
-    out = []
-    for mu, u_truth in zip(points, truth_values):
-        if not np.all(np.isfinite(u_truth)):
-            out.append((mu, float("nan")))
-            continue
-        u_rb = reconstruct(basis, rb_solve(model, op, mu))
-        out.append((mu, float(np.linalg.norm(u_truth - u_rb))))
-    return out
-
-
 def _estimate_field(estimator_kind, op, basis, model, points, alpha_mode):
     """Estimator values over a point set for a (sub-)basis, rebuilding the
     offline data from scratch."""
@@ -303,6 +280,8 @@ def run_experiment(config):
         xi=basis.xi,
         chol_coeffs=basis.chol_coeffs,
         sample_set=np.array(basis.sample_set),
+        a_blocks=model.a_blocks,
+        f_blocks=model.f_blocks,
     )
 
     if config.validation_grid is not None:
@@ -323,8 +302,7 @@ def run_experiment(config):
         if config.validate_fields:
             if truth_cache is None:
                 truth_cache = _batched_truth(op, val_points)
-            errs = [e for _, e in validate(sub_b, sub_m, op, val_points,
-                                           truth_values=truth_cache)]
+            errs = validate(sub_b, sub_m, op, val_points, truth_values=truth_cache)
         else:
             errs = [None] * val_points.shape[0]
         path = os.path.join(out_dir, f"field_N{k}.csv")
@@ -384,22 +362,24 @@ def run_experiment(config):
 
 
 def load_run(run_dir):
-    """Reload config, operator, basis and reduced model from a saved run."""
+    """Reload config, operator, basis and the greedy's own reduced model from
+    a saved run."""
     metadata_path = os.path.join(run_dir, "metadata.json")
     with open(metadata_path) as fh:
         meta = json.load(fh)
     config = ExperimentConfig.from_dict(meta["config"])
     spec, disc, op = build_problem(config.problem, config.nodes_per_dim)
-    data = np.load(os.path.join(run_dir, "basis.npz"))
-    xi = data["xi"]
-    basis = ReducedBasis(
-        sample_set=[np.atleast_1d(mu) for mu in data["sample_set"]],
-        xi=xi,
-        chol_coeffs=data["chol_coeffs"],
-    )
-    a_blocks = np.stack([xi.T @ Aq @ xi for Aq in op.a_components])
-    f_blocks = np.stack([xi.T @ fq for fq in op.f_components])
-    model = ReducedModel(a_blocks=a_blocks, f_blocks=f_blocks)
+    basis_path = os.path.join(run_dir, "basis.npz")
+    with np.load(basis_path) as data:
+        if not {"a_blocks", "f_blocks"} <= set(data.files):
+            raise ConfigError(f"{basis_path} holds no reduced blocks (saved by "
+                              "an older rbkit); rerun the experiment")
+        basis = ReducedBasis(
+            sample_set=[np.atleast_1d(mu) for mu in data["sample_set"]],
+            xi=data["xi"],
+            chol_coeffs=data["chol_coeffs"],
+        )
+        model = ReducedModel(a_blocks=data["a_blocks"], f_blocks=data["f_blocks"])
     return config, op, basis, model
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "lagrange_coefficients",
     "extend_basis",
     "reconstruct",
+    "validate",
     "greedy",
 ]
 
@@ -203,11 +204,23 @@ def extend_basis(basis, model, snapshot, op, drop_tol=DEFAULT_DROP_TOL):
     return new_basis, ReducedModel(a_blocks=a_blocks, f_blocks=f_blocks)
 
 
-def _true_errors(op, basis, model, mus):
-    """Euclidean true error at each parameter; NaN where the truth operator
-    is singular."""
-    errs = np.full(len(mus), np.nan)
-    for i, (mu, u_truth) in enumerate(zip(mus, truth_solve_many(op, mus))):
+def validate(basis, model, op, points, truth_values=None):
+    """True error ``||u(mu) - xi u_hat(mu)||`` at each point, in input order.
+
+    The one true-error computation: the greedy's ``validate`` modes, the
+    field files and ``rbkit validate`` all call it.  A point where the
+    operator is singular (a NaN row from ``truth_solve_many``) gets a NaN
+    error.
+    ``truth_values`` can carry precomputed truth rows, one per point, to
+    validate several bases on one grid.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.size == 0:
+        return np.empty(0)
+    if truth_values is None:
+        truth_values = truth_solve_many(op, points)
+    errs = np.full(points.shape[0], np.nan)
+    for i, (mu, u_truth) in enumerate(zip(points, truth_values)):
         if np.all(np.isfinite(u_truth)):
             u_rb = reconstruct(basis, rb_solve(model, op, mu))
             errs[i] = np.linalg.norm(u_truth - u_rb)
@@ -273,12 +286,12 @@ def greedy(config, op, estimator, workers=1):
         record = GreedyRecord(
             n, train[best].copy(), float(values[best]), time.perf_counter() - t0
         )
-        if config.validate in ("argmax", "full"):
-            record.true_error_argmax = float(
-                _true_errors(op, basis, model, [train[best]])[0]
-            )
-        if config.validate == "full":
-            record.true_error_max = float(np.max(_true_errors(op, basis, model, train)))
+        if config.validate == "argmax":
+            record.true_error_argmax = float(validate(basis, model, op, train[best])[0])
+        elif config.validate == "full":
+            errs = validate(basis, model, op, train)
+            record.true_error_argmax = float(errs[best])
+            record.true_error_max = float(np.max(errs))
         record.seconds = time.perf_counter() - t0
         history.records.append(record)
         if record.estimate <= config.eps_tol:

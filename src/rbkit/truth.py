@@ -35,7 +35,6 @@ __all__ = [
     "load_vector",
     "truth_solve",
     "truth_solve_many",
-    "true_error",
 ]
 
 PROBLEM_IDS = ("oned-continuous", "oned-discontinuous", "twod-first", "twod-second")
@@ -283,10 +282,3 @@ def truth_solve_many(op, mus):
         else:
             out[i] = U.ravel()
     return out
-
-
-def true_error(u_truth, u_rb):
-    """Euclidean norm of the difference between a snapshot and an RB
-    reconstruction."""
-    values = u_truth.values if isinstance(u_truth, Snapshot) else np.asarray(u_truth)
-    return float(np.linalg.norm(values - np.asarray(u_rb)))

@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths in the package under test: rank via
 singular values, smallest eigenvalue via inertia bisection on an LDL^T
-factorization, norms via explicit summation.
+factorization, true errors via dense solves and an explicit Galerkin
+system.
 """
 
 import numpy as np
@@ -56,12 +57,17 @@ def smallest_eig_bisection(A, iters=200):
     return 0.5 * (lo + hi)
 
 
-def direct_norm(v):
-    """Euclidean norm by explicit summation."""
-    acc = 0.0
-    for x in np.asarray(v, dtype=float):
-        acc += x * x
-    return float(np.sqrt(acc))
+def true_error_reference(op, basis, mu):
+    """True error at mu from a dense ``np.linalg.solve`` truth solution and
+    the explicit Galerkin system ``xi^T A xi``, with neither the package's
+    truth solvers nor its stored reduced blocks."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    A = sum(th(mu) * Aq for th, Aq in zip(op.theta_a, op.a_components))
+    f = sum(th(mu) * fq for th, fq in zip(op.theta_f, op.f_components))
+    xi = basis.xi
+    u = np.linalg.solve(A, f)
+    u_hat = np.linalg.solve(xi.T @ A @ xi, xi.T @ f)
+    return float(np.linalg.norm(u - xi @ u_hat))
 
 
 # ---------------------------------------------------------------------------

@@ -305,10 +305,7 @@ def twod_desk_runs():
     errors = {}
     for kind in ("stable", "lebesgue"):
         _, _, basis, model, _ = runs[kind]
-        errs = np.array([
-            e for _, e in validate(basis, model, op, train,
-                                   truth_values=truth_cache)
-        ])
+        errs = validate(basis, model, op, train, truth_values=truth_cache)
         errors[kind] = float(np.nanmax(errs))
     return runs, errors, time.perf_counter() - t0
 

@@ -23,15 +23,10 @@ from rbkit.harness import (
     run_float_demo,
     validate,
 )
-from rbkit.rbm import (
-    GreedyConfig,
-    empty_basis,
-    empty_model,
-    extend_basis,
-    greedy,
-    rb_solve,
-)
+from rbkit.rbm import empty_basis, empty_model, extend_basis, rb_solve
 from rbkit.truth import truth_solve
+
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +163,7 @@ def test_lagrange_trace_sums_to_lebesgue_indicator(tmp_path):
     config = _small_config(tmp_path, estimator_kind="lebesgue", N_max=6,
                            checkpoints=[3, 6])
     arts = run_experiment(config)
-    # the run's own greedy state (load_run rebuilds the reduced blocks in
-    # one product, which rounds differently)
-    spec, _, op = build_problem(config.problem, config.nodes_per_dim)
-    train = make_training_grid(spec.param_domain, config.training_grid)
-    basis, model, _, _ = greedy(
-        GreedyConfig(eps_tol=config.eps_tol, N_max=config.N_max,
-                     training_set=train, seed=config.seed),
-        op, make_estimator("lebesgue"))
+    _, op, basis, model = load_run(arts.directory)
     assert basis.size == 6
     for k, path in arts.lagrange.items():
         sub_b, sub_m = _sub_basis(basis, model, k)
@@ -219,9 +207,64 @@ def test_load_run_reproduces_reduced_model(tmp_path):
     assert loaded_config == config
     assert basis.size == model.size
     errors = validate(basis, model, op, basis.sample_set)
-    for mu, err in errors:
+    for mu, err in zip(basis.sample_set, errors):
         u = truth_solve(op, mu).values
         assert err <= 1e-9 * np.linalg.norm(u)
+
+
+def _csv_columns(path):
+    """Columns of an artifact file as the strings written, keyed by header."""
+    with open(path) as fh:
+        header, *rows = [line.rstrip("\n").split(",") for line in fh]
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+@pytest.mark.parametrize("kind", ["lebesgue", "stable"])
+def test_cli_validate_reproduces_final_field_errors(tmp_path, kind):
+    # rbkit validate on a saved run measures the greedy's own reduced model,
+    # so it rewrites the final checkpoint's true errors string for string
+    out_dir = tmp_path / "run"
+    assert cli_main([
+        "run", "--problem", "oned-continuous", "--nodes-per-dim", "12",
+        "--training-grid", "24", "--estimator", kind, "--n-max", "6",
+        "--eps-tol", "1e-14", "--checkpoints", "6", "--output-dir", str(out_dir),
+    ]) == 0
+    with open(out_dir / "metadata.json") as fh:
+        assert json.load(fh)["n_final"] == 6
+    assert cli_main(["validate", str(out_dir)]) == 0
+    field = _csv_columns(out_dir / "field_N6.csv")
+    validated = _csv_columns(out_dir / "validate.csv")
+    assert validated["mu1"] == field["mu1"]
+    assert validated["true_error"] == field["true_error"]
+
+
+def test_greedy_argmax_error_matches_field_file(tmp_path):
+    # --validate argmax and the field files share one true-error path: the
+    # history row at n = k holds the field_Nk.csv error at its parameter
+    config = _small_config(tmp_path, N_max=6, checkpoints=[2, 4, 5],
+                           validate="argmax")
+    arts = run_experiment(config)
+    history = _csv_columns(arts.history)
+    for k, path in arts.fields.items():
+        field = _csv_columns(path)
+        row = history["n"].index(str(k))
+        mu = history["mu1"][row]
+        assert field["mu1"].count(mu) == 1
+        assert history["true_error_argmax"][row] == \
+            field["true_error"][field["mu1"].index(mu)]
+
+
+def test_cli_validate_rejects_run_without_reduced_blocks(tmp_path, capsys):
+    # a basis.npz saved before the reduced blocks were stored cannot give
+    # the greedy's reduced model; validate says so and exits 2
+    arts = run_experiment(_small_config(tmp_path))
+    with np.load(arts.basis) as data:
+        kept = {key: data[key] for key in ("xi", "chol_coeffs", "sample_set")}
+    np.savez_compressed(arts.basis, **kept)
+    with pytest.raises(ConfigError):
+        load_run(arts.directory)
+    assert cli_main(["validate", arts.directory]) == 2
+    assert "rerun" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +277,11 @@ def test_validate_snapshots_and_empty():
     model = empty_model(2, 1)
     for mu in [[-0.5], [0.5]]:
         basis, model = extend_basis(basis, model, truth_solve(op, mu), op)
-    results = validate(basis, model, op, basis.sample_set)
-    assert len(results) == 2
-    for mu, err in results:
+    errors = validate(basis, model, op, basis.sample_set)
+    assert errors.shape == (2,)
+    for mu, err in zip(basis.sample_set, errors):
         assert err <= 1e-9 * np.linalg.norm(truth_solve(op, mu).values)
-    assert validate(basis, model, op, np.zeros((0, 1))) == []
+    assert validate(basis, model, op, np.zeros((0, 1))).shape == (0,)
 
 
 def test_validate_against_manual_recomputation():
@@ -248,15 +291,9 @@ def test_validate_against_manual_recomputation():
     for mu in [[-0.5], [0.5]]:
         basis, model = extend_basis(basis, model, truth_solve(op, mu), op)
     mu = np.array([0.123])
-    [(_, err)] = validate(basis, model, op, [mu])
-    # manual recomputation, script-free: truth solve, 2x2 Galerkin system
-    from rbkit.truth import assemble, load_vector
-
-    u = np.linalg.solve(assemble(op, mu), load_vector(op, mu))
-    Xi = basis.xi
-    u_hat = np.linalg.solve(Xi.T @ assemble(op, mu) @ Xi, Xi.T @ load_vector(op, mu))
-    ref = np.linalg.norm(u - Xi @ u_hat)
-    assert err == pytest.approx(ref, rel=1e-10)
+    [err] = validate(basis, model, op, [mu])
+    assert err == pytest.approx(oracles.true_error_reference(op, basis, mu),
+                                rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
