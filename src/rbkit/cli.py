@@ -12,6 +12,7 @@ Exit codes: 0 on success, 2 on configuration errors, 3 on numerical failures,
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -125,8 +126,11 @@ def _cmd_float_demo(args):
 
 def _cmd_validate(args):
     config, op, basis, model = load_run(args.run_dir)
+    if args.grid is not None:
+        # re-checked by ExperimentConfig like a configured validation grid
+        config = dataclasses.replace(config, validation_grid=args.grid)
     spec = problem_spec(config.problem)
-    counts = args.grid or config.validation_grid or config.training_grid
+    counts = config.validation_grid or config.training_grid
     points = make_training_grid(spec.param_domain, counts)
     errors = validate(basis, model, op, points)
     out_path = args.output or os.path.join(args.run_dir, "validate.csv")

@@ -125,6 +125,8 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"validation_grid needs {spec.param_dim} counts"
                 )
+            if any(c < 1 for c in self.validation_grid):
+                raise ConfigError("validation grid counts must be at least 1")
         self.checkpoints = [int(k) for k in self.checkpoints]
 
     @classmethod
@@ -317,7 +319,7 @@ def run_experiment(config):
         fields[k] = path
 
         if pdim == 1:
-            u_hat = np.array([rb_solve(sub_m, op, mu) for mu in train])
+            u_hat = rb_solve(sub_m, op, train)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 coeffs = lagrange_coefficients(sub_b, u_hat)

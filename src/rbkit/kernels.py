@@ -1,14 +1,17 @@
-"""Batched kernels for the greedy sweep.
+"""Batched kernels for the reduced solve and the greedy sweep.
 
 One greedy sweep evaluates the reduced solve plus an error indicator at every
 training parameter, which dominates offline runtime once the training grid is
-large.  Each kernel walks the training set in fixed chunks of ``CHUNK``
-parameters, so its working memory is O(CHUNK N^2) whatever the grid size.
-Within a chunk, ``_reduced_solve`` assembles and solves the stacked reduced
-systems, and each indicator's formula (``classical_values``, ``stable_values``,
-``lebesgue_values``) post-processes the chunk.  Those three functions are the
-only copy of the indicator math: the estimators' one-point ``value_at`` calls
-them on a one-row batch.
+large.  ``reduced_solve`` is the one reduced assemble-and-solve in the
+package: the three sweeps and ``rbm.rb_solve`` (and through it validation,
+the field and Lagrange files) all call it, so every reduced solution the
+program writes is the one the sweep scored.  It walks the parameters in fixed
+chunks of ``CHUNK``, so its working memory is O(CHUNK N^2) whatever the grid
+size.  Each indicator's formula (``classical_values``, ``stable_values``,
+``lebesgue_values``) then post-processes all rows at once, in O(M N Q_a)
+memory.  Those three functions are
+the only copy of the indicator math: the estimators' one-point ``value_at``
+calls them on a one-row batch.
 
 Every parameter goes through the same BLAS/LAPACK calls, in the same order,
 as a per-point evaluation would give it (the test suite keeps that loop as the
@@ -17,16 +20,15 @@ order, the solve is a stacked ``np.linalg.solve`` with one right-hand side per
 system, matrix-vector and dot products are stacked ``np.matmul`` calls (one
 gemv or dot per parameter), and the Lagrange back substitution and the |c| sum
 run column by column.  The values are therefore bit-identical to per-point
-evaluation and do not depend on how the training set is split, so a
-chunk-parallel sweep reproduces the serial one.  ``lagrange_values`` is also
-the only triangular solve for Lagrange coefficients
-(``rbm.lagrange_coefficients`` calls it), so a written coefficient trace sums
-to the Lebesgue indicator bit for bit.
+evaluation and do not depend on how the parameters are batched.
+``lagrange_values`` is also the only triangular solve for Lagrange
+coefficients (``rbm.lagrange_coefficients`` calls it), so a written
+coefficient trace sums to the Lebesgue indicator bit for bit.
 
-The sweep kernels take precomputed theta tables, ``theta_a (M, Q_a)`` and
+The kernels take precomputed theta tables, ``theta_a (M, Q_a)`` and
 ``theta_f (M, Q_f)``, the reduced blocks ``a_blocks (Q_a, N, N)`` and
-``f_blocks (Q_f, N)``, and return one indicator value per parameter.  The
-residual-coefficient ordering is snapshot-major: ``c[m*Q_a + q]``.
+``f_blocks (Q_f, N)``; the sweeps return one indicator value per parameter.
+The residual-coefficient ordering is snapshot-major: ``c[m*Q_a + q]``.
 """
 
 import numpy as np
@@ -34,6 +36,7 @@ import numpy as np
 __all__ = [
     "CHUNK",
     "USE_JIT",
+    "reduced_solve",
     "residual_coefficients",
     "classical_values",
     "stable_values",
@@ -53,26 +56,31 @@ USE_JIT = False
 CHUNK = 256
 
 
-def _chunks(M):
+def reduced_solve(theta_a, theta_f, a_blocks, f_blocks):
+    """Reduced solutions ``u (M, N)``, one row per parameter.
+
+    An exactly singular reduced system raises ``np.linalg.LinAlgError``; a
+    near-singular one is solved, not refused.
+    """
+    M, Q_a = theta_a.shape
+    N = a_blocks.shape[1]
+    u = np.empty((M, N))
     for lo in range(0, M, CHUNK):
-        yield lo, min(lo + CHUNK, M)
-
-
-def _reduced_solve(theta_a, theta_f, a_blocks, f_blocks):
-    """Reduced solutions ``u (m, N)`` for a chunk of ``m`` parameters."""
-    m, N = theta_a.shape[0], a_blocks.shape[1]
-    A = np.zeros((m, N, N))
-    for q in range(a_blocks.shape[0]):
-        A += theta_a[:, q, None, None] * a_blocks[q]
-    rhs = np.zeros((m, N))
-    for q in range(f_blocks.shape[0]):
-        rhs += theta_f[:, q, None] * f_blocks[q]
-    return np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
+        hi = min(lo + CHUNK, M)
+        A = np.zeros((hi - lo, N, N))
+        for q in range(Q_a):
+            A += theta_a[lo:hi, q, None, None] * a_blocks[q]
+        rhs = np.zeros((hi - lo, N))
+        for q in range(f_blocks.shape[0]):
+            rhs += theta_f[lo:hi, q, None] * f_blocks[q]
+        u[lo:hi] = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
+    return u
 
 
 def residual_coefficients(theta_a, u):
     """``c[:, m*Q_a + q] = theta_a[:, q] * u[:, m]``."""
-    return (u[:, :, None] * theta_a[:, None, :]).reshape(u.shape[0], -1)
+    return (u[:, :, None] * theta_a[:, None, :]).reshape(
+        u.shape[0], u.shape[1] * theta_a.shape[1])
 
 
 def _vecmat(x, B):
@@ -144,34 +152,18 @@ def lebesgue_values(u, rs):
 
 def classical_sweep(theta_a, theta_f, alpha, a_blocks, f_blocks, cc, cl, ll):
     """``classical_values`` at every parameter; returns (values, clamped)."""
-    M = theta_a.shape[0]
-    values = np.empty(M)
-    clamped = np.zeros(M, dtype=np.bool_)
-    for lo, hi in _chunks(M):
-        ta, tf = theta_a[lo:hi], theta_f[lo:hi]
-        c = residual_coefficients(ta, _reduced_solve(ta, tf, a_blocks, f_blocks))
-        values[lo:hi], clamped[lo:hi] = classical_values(
-            tf, c, alpha[lo:hi], cc, cl, ll
-        )
-    return values, clamped
+    c = residual_coefficients(
+        theta_a, reduced_solve(theta_a, theta_f, a_blocks, f_blocks))
+    return classical_values(theta_f, c, alpha, cc, cl, ll)
 
 
 def stable_sweep(theta_a, theta_f, alpha, a_blocks, f_blocks, w_coords, qtc, rzt):
     """``stable_values`` at every parameter."""
-    M = theta_a.shape[0]
-    values = np.empty(M)
-    for lo, hi in _chunks(M):
-        ta, tf = theta_a[lo:hi], theta_f[lo:hi]
-        c = residual_coefficients(ta, _reduced_solve(ta, tf, a_blocks, f_blocks))
-        values[lo:hi] = stable_values(tf, c, alpha[lo:hi], w_coords, qtc, rzt)
-    return values
+    c = residual_coefficients(
+        theta_a, reduced_solve(theta_a, theta_f, a_blocks, f_blocks))
+    return stable_values(theta_f, c, alpha, w_coords, qtc, rzt)
 
 
 def lebesgue_sweep(theta_a, theta_f, a_blocks, f_blocks, rs):
     """``lebesgue_values`` at every parameter."""
-    M = theta_a.shape[0]
-    values = np.empty(M)
-    for lo, hi in _chunks(M):
-        u = _reduced_solve(theta_a[lo:hi], theta_f[lo:hi], a_blocks, f_blocks)
-        values[lo:hi] = lebesgue_values(u, rs)
-    return values
+    return lebesgue_values(reduced_solve(theta_a, theta_f, a_blocks, f_blocks), rs)

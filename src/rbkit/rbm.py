@@ -10,7 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .numerics import DEFAULT_DROP_TOL, _mgs_coeffs, solve_dense
+from .numerics import DEFAULT_DROP_TOL, _mgs_coeffs
+# unused here; kept because bench/tracing.py wraps ``rbkit.rbm.solve_dense``
+from .numerics import solve_dense  # noqa: F401
 from .truth import truth_solve, truth_solve_many
 
 __all__ = [
@@ -26,7 +28,6 @@ __all__ = [
     "rb_solve",
     "lagrange_coefficients",
     "extend_basis",
-    "reconstruct",
     "validate",
     "greedy",
 ]
@@ -124,15 +125,20 @@ def empty_model(Q_a, Q_f):
 
 
 def rb_solve(model, op, mu):
-    """Solve the reduced Galerkin system at mu in the orthonormal basis."""
+    """Reduced Galerkin solution in the orthonormal basis: ``(N,)`` for one
+    point ``mu (p,)``, ``(M, N)`` for rows ``mu (M, p)``.
+
+    The solve is ``kernels.reduced_solve``, the one the sweeps score, so a
+    row does not depend on the batch it comes in.  An exactly singular
+    reduced system raises ``np.linalg.LinAlgError``.
+    """
     if model.size == 0:
         raise ValueError("reduced model is empty")
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    theta_a = np.array([th(mu) for th in op.theta_a])
-    theta_f = np.array([th(mu) for th in op.theta_f])
-    A = np.tensordot(theta_a, model.a_blocks, axes=1)
-    rhs = theta_f @ model.f_blocks
-    return solve_dense(A, rhs)
+    mu = np.asarray(mu, dtype=float)
+    points = mu if mu.ndim == 2 else mu.reshape(1, -1)
+    u = kernels.reduced_solve(op.theta_a_values(points), op.theta_f_values(points),
+                              model.a_blocks, model.f_blocks)
+    return u if mu.ndim == 2 else u[0]
 
 
 def lagrange_coefficients(basis, u_hat):
@@ -151,11 +157,6 @@ def lagrange_coefficients(basis, u_hat):
             stacklevel=2,
         )
     return kernels.lagrange_values(np.atleast_2d(u_hat), R).reshape(u_hat.shape)
-
-
-def reconstruct(basis, u_hat):
-    """Truth-space vector of the reduced solution: xi @ u_hat."""
-    return basis.xi @ np.asarray(u_hat, dtype=float)
 
 
 def extend_basis(basis, model, snapshot, op, drop_tol=DEFAULT_DROP_TOL):
@@ -208,9 +209,12 @@ def validate(basis, model, op, points, truth_values=None):
     """True error ``||u(mu) - xi u_hat(mu)||`` at each point, in input order.
 
     The one true-error computation: the greedy's ``validate`` modes, the
-    field files and ``rbkit validate`` all call it.  A point where the
-    operator is singular (a NaN row from ``truth_solve_many``) gets a NaN
-    error.
+    field files and ``rbkit validate`` all call it.  The reduced solutions
+    come from one ``rb_solve`` call over all points, and the reconstruction
+    is one stacked product, so a point's error does not depend on the points
+    validated with it.  A point where the operator is singular (a NaN row
+    from ``truth_solve_many``) gets a NaN error; an exactly singular reduced
+    system raises ``np.linalg.LinAlgError``.
     ``truth_values`` can carry precomputed truth rows, one per point, to
     validate several bases on one grid.
     """
@@ -219,12 +223,8 @@ def validate(basis, model, op, points, truth_values=None):
         return np.empty(0)
     if truth_values is None:
         truth_values = truth_solve_many(op, points)
-    errs = np.full(points.shape[0], np.nan)
-    for i, (mu, u_truth) in enumerate(zip(points, truth_values)):
-        if np.all(np.isfinite(u_truth)):
-            u_rb = reconstruct(basis, rb_solve(model, op, mu))
-            errs[i] = np.linalg.norm(u_truth - u_rb)
-    return errs
+    u_rb = np.matmul(basis.xi, rb_solve(model, op, points)[:, :, None])[:, :, 0]
+    return np.linalg.norm(truth_values - u_rb, axis=1)
 
 
 def greedy(config, op, estimator, workers=1):

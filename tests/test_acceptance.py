@@ -194,8 +194,10 @@ def test_criterion_4_stable_matches_truth_space_oracle(oned32_stable,
         for k in range(1, 11):
             sub_b, sub_m = _sub_basis(basis, model, k)
             stable.refresh(op, sub_b, sub_m)
-            for mu in (mu for size, mu in draws if size == k):
-                u_hat = rb_solve(sub_m, op, mu)
+            pts = np.array([mu for size, mu in draws if size == k])
+            if not pts.size:
+                continue
+            for mu, u_hat in zip(pts, rb_solve(sub_m, op, pts)):
                 got = stable.value_at(op, mu, u_hat, 1.0).value
                 ref = residual_norm_oracle(op, sub_b, mu, u_hat)
                 if ref >= 1e-8:
@@ -268,8 +270,8 @@ def test_criterion_6_kronecker_cardinality(oned32_stable, oned32_classical,
             dev_c = dev_leb = 0.0
             lebesgue = make_estimator("lebesgue")
             lebesgue.refresh(op, basis, model)
-            for n, mu in enumerate(basis.sample_set):
-                u_hat = rb_solve(model, op, mu)
+            U = rb_solve(model, op, np.array(basis.sample_set))
+            for n, (mu, u_hat) in enumerate(zip(basis.sample_set, U)):
                 c = lagrange_coefficients(basis, u_hat)
                 dev_c = max(dev_c, np.max(np.abs(c - np.eye(N)[:, n])))
                 leb = lebesgue.value_at(op, mu, u_hat, 1.0).value
@@ -324,9 +326,10 @@ def test_criterion_8_reproduction_and_nesting(problem_bases_n10):
     worst = 0.0
     nesting_ok = True
     for pid, (op, train, basis, model, _) in problem_bases_n10.items():
-        for n, mu in enumerate(basis.sample_set):
+        U = rb_solve(model, op, np.array(basis.sample_set))
+        for mu, u_hat in zip(basis.sample_set, U):
             u = truth_solve(op, mu).values
-            u_rb = basis.xi @ rb_solve(model, op, mu)
+            u_rb = basis.xi @ u_hat
             worst = max(worst, np.linalg.norm(u - u_rb) / np.linalg.norm(u))
         # one further extension must leave the leading blocks untouched
         selected = {tuple(mu) for mu in basis.sample_set}
@@ -346,11 +349,9 @@ def test_criterion_9_discontinuous_lagrange_jump():
         "oned-discontinuous", 32, [512], "stable", 10
     )
     mus = train[:, 0]
-    coeffs = np.empty((len(mus), basis.size))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for i, mu in enumerate(train):
-            coeffs[i] = lagrange_coefficients(basis, rb_solve(model, op, mu))
+        coeffs = lagrange_coefficients(basis, rb_solve(model, op, train))
     cross = int(np.searchsorted(mus, 0.0))  # first index with mu > 0
     best = 0.0
     for m in range(basis.size):

@@ -158,25 +158,27 @@ def test_run_metadata_roundtrips_config(tmp_path):
 
 def test_lagrange_trace_sums_to_lebesgue_indicator(tmp_path):
     # each lagrange_N*.csv row, |c_m| added in column order, is the Lebesgue
-    # indicator at that parameter bit for bit: both come from one back
-    # substitution
+    # indicator the greedy's sweep gives at that parameter, bit for bit: both
+    # come from one reduced solve and one back substitution
     config = _small_config(tmp_path, estimator_kind="lebesgue", N_max=6,
                            checkpoints=[3, 6])
     arts = run_experiment(config)
     _, op, basis, model = load_run(arts.directory)
     assert basis.size == 6
+    train = make_training_grid(op.spec.param_domain, config.training_grid)
     for k, path in arts.lagrange.items():
         sub_b, sub_m = _sub_basis(basis, model, k)
         lebesgue = make_estimator("lebesgue")
         lebesgue.refresh(op, sub_b, sub_m)
+        swept = lebesgue.sweep(op, sub_b, sub_m, op.theta_a_values(train),
+                               op.theta_f_values(train), np.ones(len(train)))
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         assert rows.shape == (24, k + 1)
-        for row in rows:
-            mu = row[:1]
+        assert np.array_equal(rows[:, 0], train[:, 0])
+        for row, value in zip(rows, swept):
             acc = 0.0
             for c in row[1:]:
                 acc += abs(c)
-            value = lebesgue.value_at(op, mu, rb_solve(sub_m, op, mu), 1.0).value
             assert acc == value
 
 
@@ -267,6 +269,17 @@ def test_cli_validate_rejects_run_without_reduced_blocks(tmp_path, capsys):
     assert "rerun" in capsys.readouterr().err
 
 
+def test_cli_validate_singular_reduced_system_exits_3(tmp_path, capsys):
+    # an exactly singular reduced system is a numerical failure, not a NaN
+    arts = run_experiment(_small_config(tmp_path))
+    with np.load(arts.basis) as data:
+        kept = {key: data[key] for key in data.files}
+    kept["a_blocks"] = np.zeros_like(kept["a_blocks"])
+    np.savez_compressed(arts.basis, **kept)
+    assert cli_main(["validate", arts.directory]) == 3
+    assert "numerical error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -347,6 +360,29 @@ def test_cli_float_demo(tmp_path):
                    "--output", str(out)])
     assert rc == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{run}", "--grid", "5,5"],
+    ["validate", "{run}", "--grid", "-3"],
+    ["validate", "{run}", "--grid", "0"],
+    ["run", "--problem", "oned-continuous", "--nodes-per-dim", "12",
+     "--training-grid", "16", "--n-max", "2", "--validation-grid", "0",
+     "--checkpoints", "2", "--output-dir", "{run}-new"],
+])
+def test_cli_bad_validation_grid_exits_2(tmp_path, capsys, argv):
+    # a validation grid with the wrong dimension or a count below 1 is a
+    # configuration error, whether configured or given to validate --grid
+    run_dir = str(tmp_path / "run")
+    assert cli_main([
+        "run", "--problem", "oned-continuous", "--nodes-per-dim", "12",
+        "--training-grid", "16", "--n-max", "2", "--output-dir", run_dir,
+    ]) == 0
+    capsys.readouterr()
+    assert cli_main([a.format(run=run_dir) for a in argv]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(run_dir, "validate.csv"))
+    assert not os.path.exists(run_dir + "-new")
 
 
 def test_cli_config_errors_exit_2(tmp_path):

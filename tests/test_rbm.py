@@ -13,7 +13,8 @@ from rbkit.rbm import (
     greedy,
     lagrange_coefficients,
     rb_solve,
-    reconstruct,
+    validate,
+    ReducedModel,
 )
 from rbkit.estimators import make_estimator
 from rbkit.harness import build_problem, make_training_grid
@@ -42,14 +43,14 @@ def oned_basis(oned):
 
 
 # ---------------------------------------------------------------------------
-# rb_solve / reconstruct
+# rb_solve
 
 
 def test_rb_solve_reproduces_single_snapshot(oned):
     mu = [0.3]
     snap = truth_solve(oned, mu)
     basis, model = _build_basis(oned, [mu])
-    u_rb = reconstruct(basis, rb_solve(model, oned, mu))
+    u_rb = basis.xi @ rb_solve(model, oned, mu)
     assert np.linalg.norm(u_rb - snap.values) <= 1e-10 * np.linalg.norm(snap.values)
 
 
@@ -68,13 +69,21 @@ def test_rb_solve_zero_load(oned, oned_basis):
 
 def test_rb_solve_galerkin_orthogonality(oned):
     basis, model = _build_basis(oned, [[-0.8], [-0.3], [0.1], [0.5], [0.9]])
-    mu = [0.23]
-    u_hat = rb_solve(model, oned, mu)
-    r = load_vector(oned, mu) - assemble(oned, mu) @ reconstruct(basis, u_hat)
-    # the residual of the reduced solution is orthogonal to the reduced space
-    defect = basis.xi.T @ r
-    scale = np.linalg.norm(load_vector(oned, mu))
-    assert np.max(np.abs(defect)) <= 1e-10 * scale
+    # more points than one kernel chunk, so the batch spans a chunk boundary
+    pts = np.linspace(-0.99, 0.99, 260)[:, None]
+    U = rb_solve(model, oned, pts)
+    assert U.shape == (260, basis.size)
+    for mu, u_hat in zip(pts[::13], U[::13]):
+        r = load_vector(oned, mu) - assemble(oned, mu) @ (basis.xi @ u_hat)
+        # the residual of the reduced solution is orthogonal to the reduced space
+        defect = basis.xi.T @ r
+        scale = np.linalg.norm(load_vector(oned, mu))
+        assert np.max(np.abs(defect)) <= 1e-10 * scale
+    # a point's reduced solution and true error do not depend on its batch
+    errs = validate(basis, model, oned, pts)
+    for i, mu in enumerate(pts):
+        assert np.array_equal(U[i], rb_solve(model, oned, mu))
+        assert errs[i] == validate(basis, model, oned, pts[i:i + 1])[0]
 
 
 def test_rb_solve_empty_model_raises(oned):
@@ -82,16 +91,23 @@ def test_rb_solve_empty_model_raises(oned):
         rb_solve(empty_model(2, 1), oned, [0.0])
 
 
-def test_reconstruct_trivial(oned_basis):
-    basis, _ = oned_basis
-    n = basis.size
-    assert np.array_equal(reconstruct(basis, np.eye(n)[:, 0]), basis.xi[:, 0])
-    assert np.array_equal(reconstruct(basis, np.zeros(n)), np.zeros(basis.xi.shape[0]))
-    rng = np.random.default_rng(0)
-    u, v = rng.standard_normal(n), rng.standard_normal(n)
-    lhs = reconstruct(basis, u + v)
-    rhs = reconstruct(basis, u) + reconstruct(basis, v)
-    assert np.linalg.norm(lhs - rhs) <= 1e-14 * max(np.linalg.norm(lhs), 1.0)
+def test_rb_solve_singular_decision(oned, oned_basis):
+    # a near-singular reduced system is solved, as the greedy's sweep solves
+    # it; an exactly singular one raises in rb_solve and validate
+    near = ReducedModel(a_blocks=np.array([np.diag([1.0, 1e-20]), np.zeros((2, 2))]),
+                        f_blocks=np.array([[1.0, 1.0]]))
+    theta = np.array([th(np.array([0.3])) for th in oned.theta_a])
+    u_hat = rb_solve(near, oned, [0.3])
+    assert np.array_equal(u_hat, np.linalg.solve(theta[0] * near.a_blocks[0],
+                                                 near.f_blocks[0]))
+    assert np.all(np.isfinite(u_hat))
+    basis, model = oned_basis
+    zero = ReducedModel(a_blocks=np.zeros_like(model.a_blocks),
+                        f_blocks=model.f_blocks)
+    with pytest.raises(np.linalg.LinAlgError):
+        rb_solve(zero, oned, [0.3])
+    with pytest.raises(np.linalg.LinAlgError):
+        validate(basis, zero, oned, [[0.3], [0.5]])
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +348,7 @@ def test_greedy_lebesgue_builds_usable_basis(oned):
     # the built space approximates an unseen parameter reasonably well
     mu = [0.37]
     u = truth_solve(oned, mu).values
-    u_rb = reconstruct(basis, rb_solve(model, oned, mu))
+    u_rb = basis.xi @ rb_solve(model, oned, mu)
     assert np.linalg.norm(u - u_rb) <= 1e-2 * np.linalg.norm(u)
 
 
