@@ -22,9 +22,8 @@ from .estimators import ALPHA_MODES, ESTIMATOR_KINDS
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    PAPER_SCALE,
+    _read_yaml,
     _write_csv,
-    default_training_counts,
     load_run,
     make_training_grid,
     run_experiment,
@@ -58,44 +57,19 @@ def _add_run_parser(sub):
     p.add_argument("--checkpoints", type=_int_list,
                    help="basis sizes at which to emit field/trace files")
     p.add_argument("--validate", choices=VALIDATE_MODES)
-    p.add_argument("--no-field-errors", action="store_true",
-                   help="skip true-error columns in field files")
     p.add_argument("--workers", type=int)
-    p.add_argument("--paper-scale", action="store_true",
-                   help="use the full-resolution profile (50 nodes per "
-                        "direction, full training grids)")
     return p
 
 
 def _config_from_args(args):
-    data = {}
-    if args.config:
-        cfg = ExperimentConfig.from_yaml(args.config)
-        data = cfg.to_dict()
-    overrides = {
-        "problem": args.problem,
-        "nodes_per_dim": args.nodes_per_dim,
-        "training_grid": args.training_grid,
-        "estimator_kind": args.estimator_kind,
-        "eps_tol": args.eps_tol,
-        "N_max": args.N_max,
-        "seed": args.seed,
-        "alpha_mode": args.alpha_mode,
-        "validation_grid": args.validation_grid,
-        "output_dir": args.output_dir,
-        "checkpoints": args.checkpoints,
-        "validate": args.validate,
-        "workers": args.workers,
-    }
-    if args.no_field_errors:
-        overrides["validate_fields"] = False
-    data.update({k: v for k, v in overrides.items() if v is not None})
-    if args.paper_scale:
-        data["nodes_per_dim"] = PAPER_SCALE["nodes_per_dim"]
-        if "problem" in data:
-            data["training_grid"] = default_training_counts(
-                data["problem"], paper_scale=True
-            )
+    # flags override the file's entries before the defaults are filled in,
+    # so --nodes-per-dim 50 also picks the paper-scale training grid
+    data = _read_yaml(args.config) if args.config else {}
+    # every run flag's dest is an ExperimentConfig field name
+    for f in dataclasses.fields(ExperimentConfig):
+        value = getattr(args, f.name)
+        if value is not None:
+            data[f.name] = value
     if "problem" not in data:
         raise ConfigError("give a config file or --problem")
     return ExperimentConfig.from_dict(data)

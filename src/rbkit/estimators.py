@@ -22,7 +22,8 @@ import numpy as np
 
 from . import kernels
 from .numerics import (
-    DEFAULT_DROP_TOL,
+    DROP_TOL,
+    _mgs_coeffs,
     complement_project,
     pivoted_qr,
     smallest_symmetric_eigenvalue,
@@ -50,6 +51,10 @@ __all__ = [
 #: accepts.
 ESTIMATOR_KINDS = ("classical", "stable", "lebesgue")
 ALPHA_MODES = ("unit", "exact-eig")
+
+#: Floor of the ``exact-eig`` coercivity lower bound; a smaller eigenvalue
+#: is reported as degenerate.
+ALPHA_FLOOR = 1e-12
 
 
 @dataclass
@@ -150,41 +155,35 @@ def build_stable_factors(L, C):
     qtc = Q.T @ C
 
     # orthonormal basis for the span of the complement parts of the load
-    # representers; drop directions smaller than DEFAULT_DROP_TOL times the
-    # load norm
-    w_cols = []
+    # representers; drop directions smaller than DROP_TOL times the load norm
+    W = np.zeros((C.shape[0], 0))
     c_perp = np.empty_like(C)
     for j in range(C.shape[1]):
-        w = complement_project(Q, C[:, j])
-        c_perp[:, j] = w
-        r = w.copy()
-        for wc in w_cols:
-            r -= (wc @ r) * wc
-        for wc in w_cols:
-            r -= (wc @ r) * wc
+        c_perp[:, j] = complement_project(Q, C[:, j])
+        _, r = _mgs_coeffs(W, c_perp[:, j])
         rnorm = np.linalg.norm(r)
-        if rnorm > DEFAULT_DROP_TOL * max(np.linalg.norm(C[:, j]), 1e-300):
-            w_cols.append(r / rnorm)
-    W = np.column_stack(w_cols) if w_cols else np.zeros((C.shape[0], 0))
+        if rnorm > DROP_TOL * max(np.linalg.norm(C[:, j]), 1e-300):
+            W = np.column_stack([W, r / rnorm])
     w_coords = W.T @ c_perp
     return StableFactors(Q=Q, rank=rank, w_coords=w_coords, qtc=qtc, rzt=rzt)
 
 
-def coercivity_lower_bound(op, mu, mode="unit", floor=1e-12, with_flag=False):
+def coercivity_lower_bound(op, mu, mode="unit", with_flag=False):
     """Lower bound for the stability constant at mu.
 
     ``unit`` returns 1 (the estimator degenerates to the plain residual dual
     norm); ``exact-eig`` computes the smallest eigenvalue of the symmetrized
-    assembled operator, floored at ``floor``.  With ``with_flag=True`` the
-    return is ``(value, degenerate)`` where the flag marks a floored result.
+    assembled operator, floored at ``ALPHA_FLOOR``.  With ``with_flag=True``
+    the return is ``(value, degenerate)`` where the flag marks a floored
+    result.
     """
     if mode == "unit":
         return (1.0, False) if with_flag else 1.0
     if mode != "exact-eig":
         raise ValueError(f"unknown alpha mode {mode!r}")
     lam = smallest_symmetric_eigenvalue(assemble(op, mu))
-    degenerate = lam < floor
-    value = max(lam, floor)
+    degenerate = lam < ALPHA_FLOOR
+    value = max(lam, ALPHA_FLOOR)
     return (value, degenerate) if with_flag else value
 
 

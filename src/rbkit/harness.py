@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from . import __version__, kernels
+from . import __version__
 from .estimators import ALPHA_MODES, ESTIMATOR_KINDS, float_demo, make_estimator
 from .rbm import (
     VALIDATE_MODES,
@@ -43,7 +43,6 @@ __all__ = [
     "RunArtifacts",
     "DESK_SCALE",
     "PAPER_SCALE",
-    "default_training_counts",
     "make_training_grid",
     "build_problem",
     "run_experiment",
@@ -55,9 +54,9 @@ __all__ = [
 #: Environment variable that overrides the configured output directory.
 OUTPUT_DIR_ENV = "RBKIT_OUTPUT_DIR"
 
+#: Default training grids: desk scale up to 32 nodes per direction, paper
+#: scale above.
 DESK_SCALE = {
-    "nodes_per_dim": 32,
-    "N_max": 40,
     "training": {
         "oned-continuous": [512],
         "oned-discontinuous": [512],
@@ -67,8 +66,6 @@ DESK_SCALE = {
 }
 
 PAPER_SCALE = {
-    "nodes_per_dim": 50,
-    "N_max": 40,
     "training": {
         "oned-continuous": [512],
         "oned-discontinuous": [512],
@@ -80,6 +77,15 @@ PAPER_SCALE = {
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
+
+
+def _read_yaml(path):
+    """The mapping of a YAML config file, before defaults are filled in."""
+    with open(path) as fh:
+        data = yaml.safe_load(fh)
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path} must contain a mapping")
+    return data
 
 
 @dataclass
@@ -96,12 +102,19 @@ class ExperimentConfig:
     output_dir: str = "runs/out"
     checkpoints: list = field(default_factory=list)
     validate: str = "none"  # one of VALIDATE_MODES (per-sweep true errors)
-    validate_fields: bool = True  # true-error columns in field files
     workers: int = 1
 
     def __post_init__(self):
         if self.problem not in PROBLEM_IDS:
             raise ConfigError(f"unknown problem {self.problem!r}")
+        if self.nodes_per_dim < 3:
+            raise ConfigError("nodes_per_dim must be at least 3")
+        if not self.eps_tol > 0:
+            raise ConfigError("eps_tol must be positive")
+        if self.N_max < 1:
+            raise ConfigError("N_max must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.estimator_kind not in ESTIMATOR_KINDS:
             raise ConfigError(f"unknown estimator kind {self.estimator_kind!r}")
         if self.alpha_mode not in ALPHA_MODES:
@@ -144,11 +157,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_yaml(cls, path):
-        with open(path) as fh:
-            data = yaml.safe_load(fh)
-        if not isinstance(data, dict):
-            raise ConfigError(f"config file {path} must contain a mapping")
-        return cls.from_dict(data)
+        return cls.from_dict(_read_yaml(path))
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -163,11 +172,6 @@ class RunArtifacts:
     fields: dict  # N -> path
     lagrange: dict  # N -> path
     basis: str
-
-
-def default_training_counts(problem, paper_scale=False):
-    scale = PAPER_SCALE if paper_scale else DESK_SCALE
-    return list(scale["training"][problem])
 
 
 def make_training_grid(domain, counts):
@@ -295,18 +299,13 @@ def run_experiment(config):
     fields = {}
     lagrange = {}
     checkpoints = [k for k in config.checkpoints if 1 <= k <= basis.size]
-    truth_cache = None
+    truth = _batched_truth(op, val_points) if checkpoints else None
     for k in checkpoints:
         sub_b, sub_m = _sub_basis(basis, model, k)
         est_field = _estimate_field(
             config.estimator_kind, op, sub_b, sub_m, val_points, config.alpha_mode
         )
-        if config.validate_fields:
-            if truth_cache is None:
-                truth_cache = _batched_truth(op, val_points)
-            errs = validate(sub_b, sub_m, op, val_points, truth_values=truth_cache)
-        else:
-            errs = [None] * val_points.shape[0]
+        errs = validate(sub_b, sub_m, op, val_points, truth_values=truth)
         path = os.path.join(out_dir, f"field_N{k}.csv")
         _write_csv(
             path,
@@ -336,11 +335,7 @@ def run_experiment(config):
     metadata_path = os.path.join(out_dir, "metadata.json")
     meta = {
         "config": config.to_dict(),
-        "versions": {
-            "rbkit": __version__,
-            "numpy": np.__version__,
-            "jit": bool(kernels.USE_JIT),
-        },
+        "versions": {"rbkit": __version__, "numpy": np.__version__},
         "n_final": basis.size,
         "saturated": history.saturated,
         "timings": {
@@ -369,6 +364,8 @@ def load_run(run_dir):
     metadata_path = os.path.join(run_dir, "metadata.json")
     with open(metadata_path) as fh:
         meta = json.load(fh)
+    # a run saved while field errors could be switched off still loads
+    meta["config"].pop("validate_fields", None)
     config = ExperimentConfig.from_dict(meta["config"])
     spec, disc, op = build_problem(config.problem, config.nodes_per_dim)
     basis_path = os.path.join(run_dir, "basis.npz")

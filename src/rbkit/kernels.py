@@ -2,16 +2,17 @@
 
 One greedy sweep evaluates the reduced solve plus an error indicator at every
 training parameter, which dominates offline runtime once the training grid is
-large.  ``reduced_solve`` is the one reduced assemble-and-solve in the
-package: the three sweeps and ``rbm.rb_solve`` (and through it validation,
-the field and Lagrange files) all call it, so every reduced solution the
-program writes is the one the sweep scored.  It walks the parameters in fixed
-chunks of ``CHUNK``, so its working memory is O(CHUNK N^2) whatever the grid
-size.  Each indicator's formula (``classical_values``, ``stable_values``,
-``lebesgue_values``) then post-processes all rows at once, in O(M N Q_a)
-memory.  Those three functions are
-the only copy of the indicator math: the estimators' one-point ``value_at``
-calls them on a one-row batch.
+large.  ``_solve_chunks`` is the one reduced assemble-and-solve in the
+package: the three sweeps and ``reduced_solve`` (and through it
+``rbm.rb_solve``, validation, the field and Lagrange files) all use it, so
+every reduced solution the program writes is the one the sweep scored.  It
+walks the parameters in fixed chunks of ``CHUNK``.  The classical and stable
+sweeps apply their formula (``classical_values``, ``stable_values``) to a
+chunk's solutions inside the same loop, so their working memory is
+O(CHUNK N (N + Q_a)) whatever the grid size; the Lebesgue sweep applies
+``lebesgue_values`` to all rows at once.  The three formulas are the only
+copy of the indicator math: the estimators' one-point ``value_at`` calls
+them on a one-row batch.
 
 Every parameter goes through the same BLAS/LAPACK calls, in the same order,
 as a per-point evaluation would give it (the test suite keeps that loop as the
@@ -47,24 +48,19 @@ __all__ = [
     "lebesgue_sweep",
 ]
 
-#: There is a single, uncompiled backend.  The flag stays because run
-#: metadata (``metadata.json``) and benchmark machine records store it, and
-#: comparisons across versions read it there.
+#: There is a single, uncompiled backend.  The flag stays because benchmark
+#: machine records store it, and comparisons across versions read it there.
 USE_JIT = False
 
 #: Parameters per batched call; bounds the stacked reduced systems in memory.
 CHUNK = 256
 
 
-def reduced_solve(theta_a, theta_f, a_blocks, f_blocks):
-    """Reduced solutions ``u (M, N)``, one row per parameter.
-
-    An exactly singular reduced system raises ``np.linalg.LinAlgError``; a
-    near-singular one is solved, not refused.
-    """
+def _solve_chunks(theta_a, theta_f, a_blocks, f_blocks):
+    """Yield ``(lo, hi, u)``: the reduced solutions ``u (hi - lo, N)`` of
+    parameters ``lo:hi``, ``CHUNK`` parameters at a time."""
     M, Q_a = theta_a.shape
     N = a_blocks.shape[1]
-    u = np.empty((M, N))
     for lo in range(0, M, CHUNK):
         hi = min(lo + CHUNK, M)
         A = np.zeros((hi - lo, N, N))
@@ -73,7 +69,18 @@ def reduced_solve(theta_a, theta_f, a_blocks, f_blocks):
         rhs = np.zeros((hi - lo, N))
         for q in range(f_blocks.shape[0]):
             rhs += theta_f[lo:hi, q, None] * f_blocks[q]
-        u[lo:hi] = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
+        yield lo, hi, np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
+
+
+def reduced_solve(theta_a, theta_f, a_blocks, f_blocks):
+    """Reduced solutions ``u (M, N)``, one row per parameter.
+
+    An exactly singular reduced system raises ``np.linalg.LinAlgError``; a
+    near-singular one is solved, not refused.
+    """
+    u = np.empty((theta_a.shape[0], a_blocks.shape[1]))
+    for lo, hi, u_chunk in _solve_chunks(theta_a, theta_f, a_blocks, f_blocks):
+        u[lo:hi] = u_chunk
     return u
 
 
@@ -152,18 +159,27 @@ def lebesgue_values(u, rs):
 
 def classical_sweep(theta_a, theta_f, alpha, a_blocks, f_blocks, cc, cl, ll):
     """``classical_values`` at every parameter; returns (values, clamped)."""
-    c = residual_coefficients(
-        theta_a, reduced_solve(theta_a, theta_f, a_blocks, f_blocks))
-    return classical_values(theta_f, c, alpha, cc, cl, ll)
+    values = np.empty(theta_a.shape[0])
+    clamped = np.empty(theta_a.shape[0], dtype=bool)
+    for lo, hi, u in _solve_chunks(theta_a, theta_f, a_blocks, f_blocks):
+        c = residual_coefficients(theta_a[lo:hi], u)
+        values[lo:hi], clamped[lo:hi] = classical_values(
+            theta_f[lo:hi], c, alpha[lo:hi], cc, cl, ll)
+    return values, clamped
 
 
 def stable_sweep(theta_a, theta_f, alpha, a_blocks, f_blocks, w_coords, qtc, rzt):
     """``stable_values`` at every parameter."""
-    c = residual_coefficients(
-        theta_a, reduced_solve(theta_a, theta_f, a_blocks, f_blocks))
-    return stable_values(theta_f, c, alpha, w_coords, qtc, rzt)
+    values = np.empty(theta_a.shape[0])
+    for lo, hi, u in _solve_chunks(theta_a, theta_f, a_blocks, f_blocks):
+        c = residual_coefficients(theta_a[lo:hi], u)
+        values[lo:hi] = stable_values(
+            theta_f[lo:hi], c, alpha[lo:hi], w_coords, qtc, rzt)
+    return values
 
 
 def lebesgue_sweep(theta_a, theta_f, a_blocks, f_blocks, rs):
-    """``lebesgue_values`` at every parameter."""
+    """``lebesgue_values`` at every parameter, applied to all rows at once:
+    its back substitution costs O(N^2) numpy calls per batch, so chunking it
+    would only add call overhead."""
     return lebesgue_values(reduced_solve(theta_a, theta_f, a_blocks, f_blocks), rs)

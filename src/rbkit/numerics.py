@@ -18,12 +18,12 @@ __all__ = [
     "smallest_symmetric_eigenvalue",
 ]
 
-#: Default tolerance for dropping a nearly dependent vector during
+#: Tolerance for dropping a nearly dependent vector during
 #: orthonormalization, relative to the vector's original norm.
-DEFAULT_DROP_TOL = 1e-10
+DROP_TOL = 1e-10
 
-#: Default relative diagonal threshold for the rank decision in pivoted QR.
-DEFAULT_RANK_TOL = 1e-10
+#: Relative diagonal threshold for the rank decision in pivoted QR.
+RANK_TOL = 1e-10
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -53,18 +53,16 @@ def _mgs_coeffs(basis, v):
     return coeffs, w
 
 
-def pivoted_qr(B, rank_tol=DEFAULT_RANK_TOL):
+def pivoted_qr(B):
     """Column-pivoted reduced QR with a rank decision on the R diagonal.
 
     Returns ``(Q, R, perm, rank)`` with ``B[:, perm] = Q @ R``, ``Q`` holding
     exactly ``rank`` orthonormal columns and ``R`` upper triangular with
     nonincreasing diagonal magnitudes.  The rank counts diagonal entries with
-    ``|R_kk| > rank_tol * |R_00|``.
+    ``|R_kk| > RANK_TOL * |R_00|``.
     """
     B = np.asarray(B, dtype=float)
     _check_finite(B, "B")
-    if not 0.0 < rank_tol < 1.0:
-        raise ValueError("rank_tol must lie in (0, 1)")
     if B.size == 0 or not np.any(B):
         ncols = B.shape[1] if B.ndim == 2 else 0
         return (
@@ -75,7 +73,7 @@ def pivoted_qr(B, rank_tol=DEFAULT_RANK_TOL):
         )
     Q, R, perm = sla.qr(B, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
-    rank = int(np.count_nonzero(diag > rank_tol * diag[0]))
+    rank = int(np.count_nonzero(diag > RANK_TOL * diag[0]))
     return Q[:, :rank], R[:rank, :], perm, rank
 
 

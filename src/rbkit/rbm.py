@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .numerics import DEFAULT_DROP_TOL, _mgs_coeffs
+from .numerics import DROP_TOL, _mgs_coeffs
 # unused here; kept because bench/tracing.py wraps ``rbkit.rbm.solve_dense``
 from .numerics import solve_dense  # noqa: F401
 from .truth import truth_solve, truth_solve_many
@@ -159,12 +159,13 @@ def lagrange_coefficients(basis, u_hat):
     return kernels.lagrange_values(np.atleast_2d(u_hat), R).reshape(u_hat.shape)
 
 
-def extend_basis(basis, model, snapshot, op, drop_tol=DEFAULT_DROP_TOL):
+def extend_basis(basis, model, snapshot, op):
     """Append one snapshot: orthonormalize it against the basis and grow the
     reduced blocks by one row and one column, leaving old entries untouched.
 
     Raises :class:`DependentSnapshotError` when the snapshot adds no stable
-    new direction; the greedy driver treats that as a stopping signal.
+    new direction (its remainder is below ``DROP_TOL`` times its norm); the
+    greedy driver treats that as a stopping signal.
     """
     for mu_prev in basis.sample_set:
         if np.array_equal(mu_prev, snapshot.mu):
@@ -173,7 +174,7 @@ def extend_basis(basis, model, snapshot, op, drop_tol=DEFAULT_DROP_TOL):
     orig = float(np.linalg.norm(v))
     coeffs, w = _mgs_coeffs(basis.xi, v)
     wnorm = float(np.linalg.norm(w))
-    if orig == 0.0 or wnorm < drop_tol * orig:
+    if orig == 0.0 or wnorm < DROP_TOL * orig:
         raise DependentSnapshotError(
             f"snapshot at mu={snapshot.mu} is dependent on the current basis "
             f"(projection residual {wnorm:.3e} vs norm {orig:.3e})"

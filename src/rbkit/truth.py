@@ -13,7 +13,7 @@ LU solve (``truth_solve``); validation sweeps solve the Sylvester form by
 Bartels-Stewart (``truth_solve_many``).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -83,29 +83,34 @@ class TruthDiscretization:
 
     nodes_per_dim: int
     nodes: np.ndarray  # 1-D node vector, length nodes_per_dim
-    diff1: np.ndarray  # first-derivative matrix on the full node set
     diff2: np.ndarray  # second-derivative matrix on the full node set
-    interior: np.ndarray  # indices of interior nodes in the flattened grid
     x_int: np.ndarray  # x coordinate at each interior node
     y_int: np.ndarray  # y coordinate at each interior node
 
     @property
     def interior_dim(self):
-        return self.interior.shape[0]
+        return self.x_int.shape[0]
 
 
 @dataclass
 class AffineOperator:
-    """Affine decomposition: sum_q theta_a^q(mu) A^q and sum_q theta_f^q(mu) f^q."""
+    """Affine decomposition: sum_q theta_a^q(mu) A^q and sum_q theta_f^q(mu) f^q.
+
+    The operator is given by its Q_a factor pairs ``(Ax^q, Ay^q)``; the dense
+    components ``A^q = kron_sum(Ax^q, Ay^q)`` are derived from them.  A dense
+    matrix ``A`` without Kronecker structure is the pair
+    ``(A, np.zeros((1, 1)))``, whose Kronecker sum is ``A`` exactly.
+    """
 
     spec: ProblemSpec
-    a_components: list  # Q_a interior matrices
+    kron_factors: list  # Q_a pairs (Ax^q, Ay^q)
     f_components: list  # Q_f interior vectors
     theta_a: list  # Q_a callables mu -> float
     theta_f: list  # Q_f callables mu -> float
-    #: Q_a pairs (Ax^q, Ay^q) with A^q = kron_sum(Ax^q, Ay^q); None for an
-    #: operator without Kronecker structure
-    kron_factors: list | None = None
+    a_components: list = field(init=False)  # Q_a interior matrices
+
+    def __post_init__(self):
+        self.a_components = [kron_sum(Ax, Ay) for Ax, Ay in self.kron_factors]
 
     @property
     def dim(self):
@@ -151,24 +156,15 @@ def build_discretization(nodes_per_dim):
     """
     if nodes_per_dim < 3:
         raise ValueError("need at least 3 nodes per direction")
-    n = nodes_per_dim - 1
-    x, D = chebyshev_grid(n)
-    D2 = D @ D
-    nx = nodes_per_dim
-    # flattened index k = i*nx + j for (x_i, y_j)
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(nx), indexing="ij")
-    mask = (ii > 0) & (ii < nx - 1) & (jj > 0) & (jj < nx - 1)
-    interior = np.flatnonzero(mask.ravel())
-    X = x[ii.ravel()[interior]]
-    Y = x[jj.ravel()[interior]]
+    x, D = chebyshev_grid(nodes_per_dim - 1)
+    inner = x[1:-1]
+    # interior index k = i*inner.size + j for (x_i, y_j), x_i and y_j interior
     return TruthDiscretization(
         nodes_per_dim=nodes_per_dim,
         nodes=x,
-        diff1=D,
-        diff2=D2,
-        interior=interior,
-        x_int=X,
-        y_int=Y,
+        diff2=D @ D,
+        x_int=np.repeat(inner, inner.size),
+        y_int=np.tile(inner, inner.size),
     )
 
 
@@ -184,8 +180,8 @@ def _sign(t):
 
 
 def assemble_affine(spec, disc):
-    """Assemble the parameter-independent components for a built-in problem:
-    the 1-D factor pairs and the dense components derived from them."""
+    """Assemble the parameter-independent components for a built-in problem,
+    stated once as 1-D factor pairs."""
     D2 = disc.diff2[1:-1, 1:-1]
     x = disc.nodes[1:-1]
     Z = np.zeros_like(D2)
@@ -219,11 +215,10 @@ def assemble_affine(spec, disc):
         raise ValueError(f"unknown problem id {pid!r}")
     return AffineOperator(
         spec=spec,
-        a_components=[kron_sum(Ax, Ay) for Ax, Ay in pairs],
+        kron_factors=pairs,
         f_components=f_components,
         theta_a=theta_a,
         theta_f=theta_f,
-        kron_factors=pairs,
     )
 
 
@@ -260,8 +255,6 @@ def truth_solve_many(op, mus):
     nearly so (``trsyl`` reports close eigenvalues of ``Ax`` and ``-Ay``, or
     had to scale the solution down) or where the solution is not finite.
     """
-    if op.kron_factors is None:
-        raise ValueError("operator has no Kronecker factors")
     mus = np.atleast_2d(np.asarray(mus, dtype=float))
     ta = op.theta_a_values(mus)
     rhs = op.theta_f_values(mus) @ np.stack(op.f_components)

@@ -172,7 +172,11 @@ def dense_components(pid, disc):
     interior."""
     nx = disc.nodes_per_dim
     I1 = np.eye(nx)
-    idx = np.ix_(disc.interior, disc.interior)
+    # flattened index k = i*nx + j for (x_i, y_j)
+    ii, jj = np.meshgrid(np.arange(nx), np.arange(nx), indexing="ij")
+    mask = (ii > 0) & (ii < nx - 1) & (jj > 0) & (jj < nx - 1)
+    interior = np.flatnonzero(mask.ravel())
+    idx = np.ix_(interior, interior)
     Dxx = np.kron(disc.diff2, I1)[idx]
     Dyy = np.kron(I1, disc.diff2)[idx]
     X, Y = disc.x_int, disc.y_int

@@ -73,7 +73,7 @@ def _toy_operator(dim=30, Q_a=1, Q_f=1, seed=0):
                for q in range(Q_f)]
     return AffineOperator(
         spec=spec,
-        a_components=a_components,
+        kron_factors=[(A, np.zeros((1, 1))) for A in a_components],
         f_components=f_components,
         theta_a=theta_a,
         theta_f=theta_f,
@@ -148,7 +148,7 @@ def test_classical_zero_load_zero_solution(oned, oned_basis):
     basis, _ = oned_basis
     op0 = AffineOperator(
         spec=oned.spec,
-        a_components=oned.a_components,
+        kron_factors=oned.kron_factors,
         f_components=[np.zeros(oned.dim)],
         theta_a=oned.theta_a,
         theta_f=[lambda mu: 0.0],
@@ -386,7 +386,7 @@ def test_scale_equivariance(oned, oned_basis):
     s = 37.5
     op_s = AffineOperator(
         spec=oned.spec,
-        a_components=oned.a_components,
+        kron_factors=oned.kron_factors,
         f_components=[s * fq for fq in oned.f_components],
         theta_a=oned.theta_a,
         theta_f=oned.theta_f,
@@ -441,7 +441,7 @@ def test_coercivity_exact_eig_identity_operator():
     spec = ProblemSpec("toy", 1, ((-1.0, 1.0),), Q_a=1, Q_f=1)
     op = AffineOperator(
         spec=spec,
-        a_components=[np.eye(8)],
+        kron_factors=[(np.eye(8), np.zeros((1, 1)))],
         f_components=[np.ones(8)],
         theta_a=[lambda mu: 1.0],
         theta_f=[lambda mu: 1.0],
@@ -453,7 +453,7 @@ def test_coercivity_floor_and_flag():
     spec = ProblemSpec("toy", 1, ((-1.0, 1.0),), Q_a=1, Q_f=1)
     op = AffineOperator(
         spec=spec,
-        a_components=[-np.eye(5)],
+        kron_factors=[(-np.eye(5), np.zeros((1, 1)))],
         f_components=[np.ones(5)],
         theta_a=[lambda mu: 1.0],
         theta_f=[lambda mu: 1.0],
@@ -474,7 +474,7 @@ def test_coercivity_smaller_toward_degenerate_corner():
     assert degenerate
     op_c = AffineOperator(
         spec=op.spec,
-        a_components=[-Aq for Aq in op.a_components],
+        kron_factors=[(-Ax, -Ay) for Ax, Ay in op.kron_factors],
         f_components=[-fq for fq in op.f_components],
         theta_a=op.theta_a,
         theta_f=op.theta_f,

@@ -1,6 +1,8 @@
 """Tests for configuration handling, training grids, experiment runs and
 artifact files, and the command-line interface."""
 
+import argparse
+import dataclasses
 import json
 import os
 
@@ -8,11 +10,13 @@ import numpy as np
 import pytest
 import yaml
 
+from rbkit import cli
 from rbkit.cli import main as cli_main
 from rbkit.estimators import make_estimator
 from rbkit.harness import (
     ConfigError,
     DESK_SCALE,
+    PAPER_SCALE,
     ExperimentConfig,
     OUTPUT_DIR_ENV,
     _sub_basis,
@@ -67,6 +71,25 @@ def test_grid_dimension_mismatch():
 def test_config_defaults_to_desk_scale_training():
     cfg = ExperimentConfig(problem="twod-first")
     assert cfg.training_grid == DESK_SCALE["training"]["twod-first"]
+
+
+def test_config_above_32_nodes_uses_paper_scale_training(tmp_path):
+    cfg = ExperimentConfig(problem="twod-second", nodes_per_dim=50)
+    assert cfg.training_grid == PAPER_SCALE["training"]["twod-second"]
+    # a flag overrides the file before the default grid is picked
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"problem": "twod-second"}))
+    args = cli.build_parser().parse_args(["run", str(path),
+                                          "--nodes-per-dim", "50"])
+    assert cli._config_from_args(args) == cfg
+
+
+def test_every_config_field_has_one_run_flag():
+    run = cli._add_run_parser(argparse.ArgumentParser().add_subparsers())
+    dests = [a.dest for a in run._actions
+             if a.option_strings and a.dest != "help"]
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert sorted(dests) == sorted(fields)
 
 
 def test_config_unknown_key_rejected():
@@ -256,6 +279,39 @@ def test_greedy_argmax_error_matches_field_file(tmp_path):
             field["true_error"][field["mu1"].index(mu)]
 
 
+def test_greedy_full_validation_matches_validate(tmp_path):
+    # --validate full records, at each step, the maximum of rbm.validate over
+    # the training set and its value at the selected point
+    out_dir = tmp_path / "run"
+    assert cli_main([
+        "run", "--problem", "oned-continuous", "--nodes-per-dim", "12",
+        "--training-grid", "24", "--estimator", "stable", "--n-max", "5",
+        "--eps-tol", "1e-14", "--validate", "full", "--output-dir", str(out_dir),
+    ]) == 0
+    config, op, basis, model = load_run(out_dir)
+    train = make_training_grid(op.spec.param_domain, config.training_grid)
+    history = _csv_columns(out_dir / "history.csv")
+    assert history["n"] == ["0", "1", "2", "3", "4"]
+    for row, n in enumerate(history["n"][1:], start=1):
+        sub_b, sub_m = _sub_basis(basis, model, int(n))
+        errs = validate(sub_b, sub_m, op, train)
+        [best] = np.flatnonzero(train[:, 0] == float(history["mu1"][row]))
+        assert float(history["true_error_max"][row]) == np.max(errs)
+        assert float(history["true_error_argmax"][row]) == errs[best]
+
+
+def test_load_run_accepts_saved_validate_fields_key(tmp_path):
+    arts = run_experiment(_small_config(tmp_path))
+    with open(arts.metadata) as fh:
+        meta = json.load(fh)
+    meta["config"]["validate_fields"] = True
+    with open(arts.metadata, "w") as fh:
+        json.dump(meta, fh)
+    config, _, basis, _ = load_run(arts.directory)
+    assert config == _small_config(tmp_path)
+    assert basis.size == 4
+
+
 def test_cli_validate_rejects_run_without_reduced_blocks(tmp_path, capsys):
     # a basis.npz saved before the reduced blocks were stored cannot give
     # the greedy's reduced model; validate says so and exits 2
@@ -393,7 +449,8 @@ def test_cli_config_errors_exit_2(tmp_path):
     assert cli_main(["validate", str(tmp_path / "missing")]) == 2
     # unknown values are caught with the config, before any solve runs
     for key, value in [("estimator_kind", "nope"), ("alpha_mode", "bogus"),
-                       ("validate", "bogus")]:
+                       ("validate", "bogus"), ("eps_tol", 0.0), ("N_max", 0),
+                       ("nodes_per_dim", 2), ("seed", -1)]:
         bad.write_text(yaml.safe_dump({
             "problem": "oned-continuous", "nodes_per_dim": 12,
             "training_grid": [16], "N_max": 2,

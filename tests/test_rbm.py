@@ -58,7 +58,7 @@ def test_rb_solve_zero_load(oned, oned_basis):
     basis, model = oned_basis
     op0 = AffineOperator(
         spec=oned.spec,
-        a_components=oned.a_components,
+        kron_factors=oned.kron_factors,
         f_components=oned.f_components,
         theta_a=oned.theta_a,
         theta_f=[lambda mu: 0.0],

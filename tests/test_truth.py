@@ -226,6 +226,12 @@ def test_truth_solve_many_matches_dense_lu(pid):
         assert res <= 1e2 * eps * np.linalg.norm(A, 2) * np.linalg.norm(u)
 
 
+def test_kron_sum_with_zero_one_by_one_factor_is_the_matrix():
+    # a dense component without Kronecker structure is the pair (A, 0_{1x1})
+    A = np.random.default_rng(5).standard_normal((6, 6))
+    assert np.array_equal(kron_sum(A, np.zeros((1, 1))), A)
+
+
 def _singular_kron_operator():
     """Kronecker operator ``kron_sum(diag(1, 2) + mu I, diag(-1, 3))``: the
     eigenvalue sums are 0 + mu, 4 + mu, 1 + mu and 5 + mu, so on [-1/2, 1] it
@@ -234,11 +240,10 @@ def _singular_kron_operator():
              (np.eye(2), np.zeros((2, 2)))]
     return AffineOperator(
         spec=ProblemSpec("kron-toy", 1, ((-0.5, 1.0),), Q_a=2, Q_f=1),
-        a_components=[kron_sum(Ax, Ay) for Ax, Ay in pairs],
+        kron_factors=pairs,
         f_components=[np.array([1.0, 2.0, 3.0, 4.0])],
         theta_a=[lambda mu: 1.0, lambda mu: float(mu[0])],
         theta_f=[lambda mu: 1.0],
-        kron_factors=pairs,
     )
 
 
@@ -261,13 +266,3 @@ def test_singular_point_gives_nan_rows_and_errors():
     assert np.isnan(errs[0])
     assert errs[1] == pytest.approx(
         oracles.true_error_reference(op, basis, mus[1]), rel=1e-12)
-
-
-def test_truth_solve_many_needs_kron_factors():
-    op = _singular_kron_operator()
-    dense_only = AffineOperator(op.spec, op.a_components, op.f_components,
-                                op.theta_a, op.theta_f)
-    assert dense_only.kron_factors is None
-    with pytest.raises(ValueError):
-        truth_solve_many(dense_only, [[0.5]])
-
