@@ -9,7 +9,6 @@ solution's Lagrange coefficients.
 
 __version__ = "0.1.0"
 
-from .numerics import SingularSystemError
 from .truth import (
     AffineOperator,
     ProblemSpec,

@@ -9,6 +9,7 @@ only, which is the one artifact allowed to differ between reruns.
 
 import dataclasses
 import json
+import numbers
 import os
 import time
 import warnings
@@ -41,8 +42,7 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "RunArtifacts",
-    "DESK_SCALE",
-    "PAPER_SCALE",
+    "TRAINING_GRIDS",
     "make_training_grid",
     "build_problem",
     "run_experiment",
@@ -54,29 +54,30 @@ __all__ = [
 #: Environment variable that overrides the configured output directory.
 OUTPUT_DIR_ENV = "RBKIT_OUTPUT_DIR"
 
-#: Default training grids: desk scale up to 32 nodes per direction, paper
-#: scale above.
-DESK_SCALE = {
-    "training": {
-        "oned-continuous": [512],
-        "oned-discontinuous": [512],
-        "twod-first": [65, 33],
-        "twod-second": [80, 80],
-    },
-}
-
-PAPER_SCALE = {
-    "training": {
-        "oned-continuous": [512],
-        "oned-discontinuous": [512],
-        "twod-first": [129, 65],
-        "twod-second": [160, 160],
-    },
+#: Default training-grid counts per problem: (desk scale, up to 32 nodes per
+#: direction; paper scale, above).
+TRAINING_GRIDS = {
+    "oned-continuous": ([512], [512]),
+    "oned-discontinuous": ([512], [512]),
+    "twod-first": ([65, 33], [129, 65]),
+    "twod-second": ([80, 80], [160, 160]),
 }
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _int_entries(name, values):
+    """A fresh list of the integers in a config entry; strings, floats and
+    bools are rejected, not coerced."""
+    if not isinstance(values, (list, tuple)) or not all(map(_is_int, values)):
+        raise ConfigError(f"{name} must be a list of integers, got {values!r}")
+    return [int(v) for v in values]
 
 
 def _read_yaml(path):
@@ -98,7 +99,7 @@ class ExperimentConfig:
     N_max: int = 40
     seed: int = 0
     alpha_mode: str = "unit"
-    validation_grid: list | None = None  # defaults to the training grid
+    validation_grid: list | None = None  # None: the training grid
     output_dir: str = "runs/out"
     checkpoints: list = field(default_factory=list)
     validate: str = "none"  # one of VALIDATE_MODES (per-sweep true errors)
@@ -107,6 +108,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.problem not in PROBLEM_IDS:
             raise ConfigError(f"unknown problem {self.problem!r}")
+        for name in ("nodes_per_dim", "N_max", "seed", "workers"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}")
+        if isinstance(self.eps_tol, bool) or not isinstance(self.eps_tol, numbers.Real):
+            raise ConfigError(f"eps_tol must be a number, got {self.eps_tol!r}")
         if self.nodes_per_dim < 3:
             raise ConfigError("nodes_per_dim must be at least 3")
         if not self.eps_tol > 0:
@@ -121,26 +128,25 @@ class ExperimentConfig:
             raise ConfigError(f"unknown alpha mode {self.alpha_mode!r}")
         if self.validate not in VALIDATE_MODES:
             raise ConfigError(f"unknown validate mode {self.validate!r}")
-        spec = problem_spec(self.problem)
+        pdim = problem_spec(self.problem).param_dim
         if not self.training_grid:
-            scale = DESK_SCALE if self.nodes_per_dim <= 32 else PAPER_SCALE
-            self.training_grid = list(scale["training"][self.problem])
-        self.training_grid = [int(c) for c in self.training_grid]
-        if len(self.training_grid) != spec.param_dim:
-            raise ConfigError(
-                f"training_grid needs {spec.param_dim} counts for {self.problem}"
-            )
+            desk, paper = TRAINING_GRIDS[self.problem]
+            self.training_grid = desk if self.nodes_per_dim <= 32 else paper
+        self.training_grid = _int_entries("training_grid", self.training_grid)
+        if len(self.training_grid) != pdim:
+            raise ConfigError(f"training_grid needs {pdim} counts for {self.problem}")
         if any(c < 2 for c in self.training_grid):
             raise ConfigError("training grid counts must be at least 2")
-        if self.validation_grid is not None:
-            self.validation_grid = [int(c) for c in self.validation_grid]
-            if len(self.validation_grid) != spec.param_dim:
-                raise ConfigError(
-                    f"validation_grid needs {spec.param_dim} counts"
-                )
-            if any(c < 1 for c in self.validation_grid):
-                raise ConfigError("validation grid counts must be at least 1")
-        self.checkpoints = [int(k) for k in self.checkpoints]
+        if self.validation_grid is None:
+            self.validation_grid = self.training_grid
+        self.validation_grid = _int_entries("validation_grid", self.validation_grid)
+        if len(self.validation_grid) != pdim:
+            raise ConfigError(f"validation_grid needs {pdim} counts")
+        if any(c < 1 for c in self.validation_grid):
+            raise ConfigError("validation grid counts must be at least 1")
+        self.checkpoints = _int_entries("checkpoints", self.checkpoints)
+        if any(k < 1 for k in self.checkpoints):
+            raise ConfigError(f"checkpoints must be at least 1, got {self.checkpoints}")
 
     @classmethod
     def from_dict(cls, data):
@@ -228,15 +234,15 @@ def _batched_truth(op, points):
     return truth_solve_many(op, points)
 
 
-def _estimate_field(estimator_kind, op, basis, model, points, alpha_mode):
-    """Estimator values over a point set for a (sub-)basis, rebuilding the
-    offline data from scratch."""
-    est = make_estimator(estimator_kind, alpha_mode=alpha_mode)
+def _estimate_field(config, op, basis, model, points):
+    """The configured estimator's values over a point set for a (sub-)basis,
+    rebuilding the offline data from scratch."""
+    est = make_estimator(config.estimator_kind, alpha_mode=config.alpha_mode)
     est.refresh(op, basis, model)
     ta = op.theta_a_values(points)
     tf = op.theta_f_values(points)
     alpha = est.alpha_values(op, points)
-    return est.sweep(op, basis, model, ta, tf, alpha)
+    return est.sweep(op, basis, model, ta, tf, alpha, config.workers)
 
 
 def run_experiment(config):
@@ -290,21 +296,15 @@ def run_experiment(config):
         f_blocks=model.f_blocks,
     )
 
-    if config.validation_grid is not None:
-        val_points = make_training_grid(spec.param_domain, config.validation_grid)
-    else:
-        val_points = train
-
+    val_points = make_training_grid(spec.param_domain, config.validation_grid)
     t_start = time.perf_counter()
     fields = {}
     lagrange = {}
-    checkpoints = [k for k in config.checkpoints if 1 <= k <= basis.size]
+    checkpoints = [k for k in config.checkpoints if k <= basis.size]
     truth = _batched_truth(op, val_points) if checkpoints else None
     for k in checkpoints:
         sub_b, sub_m = _sub_basis(basis, model, k)
-        est_field = _estimate_field(
-            config.estimator_kind, op, sub_b, sub_m, val_points, config.alpha_mode
-        )
+        est_field = _estimate_field(config, op, sub_b, sub_m, val_points)
         errs = validate(sub_b, sub_m, op, val_points, truth_values=truth)
         path = os.path.join(out_dir, f"field_N{k}.csv")
         _write_csv(

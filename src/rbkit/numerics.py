@@ -11,7 +11,6 @@ import numpy as np
 import scipy.linalg as sla
 
 __all__ = [
-    "SingularSystemError",
     "pivoted_qr",
     "complement_project",
     "solve_dense",
@@ -24,14 +23,6 @@ DROP_TOL = 1e-10
 
 #: Relative diagonal threshold for the rank decision in pivoted QR.
 RANK_TOL = 1e-10
-
-
-class SingularSystemError(np.linalg.LinAlgError):
-    """A linear system is singular to working precision."""
-
-    def __init__(self, message, pivot=None):
-        super().__init__(message)
-        self.pivot = pivot
 
 
 def _check_finite(a, name):
@@ -96,8 +87,8 @@ def complement_project(Q, v):
 def solve_dense(A, b):
     """Solve a dense square system by LU with partial pivoting.
 
-    Raises :class:`SingularSystemError` carrying the offending pivot
-    magnitude when A is singular to working precision.
+    Raises ``np.linalg.LinAlgError`` naming the offending pivot magnitude
+    when A is singular to working precision.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -112,10 +103,8 @@ def solve_dense(A, b):
     diag = np.abs(np.diag(lu))
     pivot_min = float(diag.min()) if diag.size else 0.0
     if pivot_min <= np.finfo(float).eps * max(diag.max(initial=0.0), 1.0) * A.shape[0]:
-        raise SingularSystemError(
-            f"matrix singular to working precision (pivot {pivot_min:.3e})",
-            pivot=pivot_min,
-        )
+        raise np.linalg.LinAlgError(
+            f"matrix singular to working precision (pivot {pivot_min:.3e})")
     return sla.lu_solve((lu, piv), b, check_finite=False)
 
 

@@ -268,6 +268,8 @@ def greedy(config, op, estimator, workers=1):
     theta_a = op.theta_a_values(train)
     theta_f = op.theta_f_values(train)
     alpha = estimator.alpha_values(op, train)
+    # the truth rows do not depend on the basis: solve them once
+    truth = truth_solve_many(op, train) if config.validate == "full" else None
 
     n = 1
     while n < config.N_max:
@@ -290,7 +292,7 @@ def greedy(config, op, estimator, workers=1):
         if config.validate == "argmax":
             record.true_error_argmax = float(validate(basis, model, op, train[best])[0])
         elif config.validate == "full":
-            errs = validate(basis, model, op, train)
+            errs = validate(basis, model, op, train, truth_values=truth)
             record.true_error_argmax = float(errs[best])
             record.true_error_max = float(np.max(errs))
         record.seconds = time.perf_counter() - t0

@@ -37,7 +37,16 @@ __all__ = [
     "truth_solve_many",
 ]
 
-PROBLEM_IDS = ("oned-continuous", "oned-discontinuous", "twod-first", "twod-second")
+#: Parameter domain of each built-in problem, ``((lo, hi), ...)`` per
+#: parameter dimension.
+_PARAM_DOMAINS = {
+    "oned-continuous": ((-0.995, 0.995),),
+    "oned-discontinuous": ((-0.995, 0.995),),
+    "twod-first": ((0.1, 4.0), (0.0, 2.0)),
+    "twod-second": ((-0.99, 0.99), (-0.99, 0.99)),
+}
+
+PROBLEM_IDS = tuple(_PARAM_DOMAINS)
 
 #: sign convention used in the discontinuous coefficient at mu = 0.  The
 #: training grids never place a point exactly at 0, so any total extension
@@ -71,10 +80,11 @@ class ProblemSpec:
     """Identity and parameter-domain description of a test problem."""
 
     id: str
-    param_dim: int
     param_domain: tuple  # ((lo, hi), ...) per parameter dimension
-    Q_a: int
-    Q_f: int
+
+    @property
+    def param_dim(self):
+        return len(self.param_domain)
 
 
 @dataclass
@@ -118,16 +128,25 @@ class AffineOperator:
 
     def theta_a_values(self, mus):
         """Evaluate all theta_a over an (M, p) array of parameters -> (M, Q_a)."""
-        mus = np.atleast_2d(np.asarray(mus, dtype=float))
-        return np.column_stack([
-            np.array([th(mu) for mu in mus]) for th in self.theta_a
-        ])
+        return _theta_table(self.theta_a, mus)
 
     def theta_f_values(self, mus):
-        mus = np.atleast_2d(np.asarray(mus, dtype=float))
-        return np.column_stack([
-            np.array([th(mu) for mu in mus]) for th in self.theta_f
-        ])
+        """Evaluate all theta_f over an (M, p) array of parameters -> (M, Q_f)."""
+        return _theta_table(self.theta_f, mus)
+
+
+def _theta_table(thetas, mus):
+    mus = np.atleast_2d(np.asarray(mus, dtype=float))
+    return np.column_stack([np.array([th(mu) for mu in mus]) for th in thetas])
+
+
+def _affine_sum(weights, terms):
+    """``sum_q weights[q] * terms[q]``, accumulated from zeros in q order (the
+    order fixes the rounding of every assembled operator and load)."""
+    out = np.zeros_like(terms[0])
+    for w, X in zip(weights, terms):
+        out += w * X
+    return out
 
 
 @dataclass
@@ -139,13 +158,9 @@ class Snapshot:
 
 
 def problem_spec(problem_id):
-    if problem_id in ("oned-continuous", "oned-discontinuous"):
-        return ProblemSpec(problem_id, 1, ((-0.995, 0.995),), Q_a=2, Q_f=1)
-    if problem_id == "twod-first":
-        return ProblemSpec(problem_id, 2, ((0.1, 4.0), (0.0, 2.0)), Q_a=3, Q_f=1)
-    if problem_id == "twod-second":
-        return ProblemSpec(problem_id, 2, ((-0.99, 0.99), (-0.99, 0.99)), Q_a=3, Q_f=1)
-    raise ValueError(f"unknown problem id {problem_id!r}")
+    if problem_id not in _PARAM_DOMAINS:
+        raise ValueError(f"unknown problem id {problem_id!r}")
+    return ProblemSpec(problem_id, _PARAM_DOMAINS[problem_id])
 
 
 def build_discretization(nodes_per_dim):
@@ -225,19 +240,13 @@ def assemble_affine(spec, disc):
 def assemble(op, mu):
     """Full operator matrix at mu: sum_q theta_a^q(mu) A^q."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    A = np.zeros_like(op.a_components[0])
-    for th, Aq in zip(op.theta_a, op.a_components):
-        A += th(mu) * Aq
-    return A
+    return _affine_sum([th(mu) for th in op.theta_a], op.a_components)
 
 
 def load_vector(op, mu):
     """Load vector at mu: sum_q theta_f^q(mu) f^q."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    f = np.zeros_like(op.f_components[0])
-    for th, fq in zip(op.theta_f, op.f_components):
-        f += th(mu) * fq
-    return f
+    return _affine_sum([th(mu) for th in op.theta_f], op.f_components)
 
 
 def truth_solve(op, mu):
@@ -257,17 +266,16 @@ def truth_solve_many(op, mus):
     """
     mus = np.atleast_2d(np.asarray(mus, dtype=float))
     ta = op.theta_a_values(mus)
-    rhs = op.theta_f_values(mus) @ np.stack(op.f_components)
-    nx = op.kron_factors[0][0].shape[0]
-    ny = op.kron_factors[0][1].shape[0]
+    tf = op.theta_f_values(mus)
+    Fx, Fy = zip(*op.kron_factors)
+    nx, ny = Fx[0].shape[0], Fy[0].shape[0]
     out = np.empty((mus.shape[0], nx * ny))
     (trsyl,) = sla.get_lapack_funcs(("trsyl",), (out,))
     for i in range(mus.shape[0]):
-        Ax = sum(t * Fx for t, (Fx, _) in zip(ta[i], op.kron_factors))
-        Ay = sum(t * Fy for t, (_, Fy) in zip(ta[i], op.kron_factors))
-        Tx, Qx = sla.schur(Ax, output="real")
-        Ty, Qy = sla.schur(Ay, output="real")
-        C = Qx.T @ rhs[i].reshape(nx, ny) @ Qy
+        Tx, Qx = sla.schur(_affine_sum(ta[i], Fx), output="real")
+        Ty, Qy = sla.schur(_affine_sum(ta[i], Fy), output="real")
+        F = _affine_sum(tf[i], op.f_components)
+        C = Qx.T @ F.reshape(nx, ny) @ Qy
         Y, scale, info = trsyl(Tx, Ty, C, tranb="T")
         U = Qx @ Y @ Qy.T
         if info != 0 or scale != 1.0 or not np.all(np.isfinite(U)):

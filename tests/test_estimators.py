@@ -60,7 +60,7 @@ def _stable_row(factors, theta_f, c):
 def _toy_operator(dim=30, Q_a=1, Q_f=1, seed=0):
     """Small synthetic affine operator with well-conditioned components."""
     rng = np.random.default_rng(seed)
-    spec = ProblemSpec("toy", 1, ((-1.0, 1.0),), Q_a=Q_a, Q_f=Q_f)
+    spec = ProblemSpec("toy", ((-1.0, 1.0),))
     a_components = [
         rng.standard_normal((dim, dim)) + (3.0 + q) * dim ** 0.5 * np.eye(dim)
         for q in range(Q_a)
@@ -438,7 +438,7 @@ def test_coercivity_unit_mode(oned):
 
 
 def test_coercivity_exact_eig_identity_operator():
-    spec = ProblemSpec("toy", 1, ((-1.0, 1.0),), Q_a=1, Q_f=1)
+    spec = ProblemSpec("toy", ((-1.0, 1.0),))
     op = AffineOperator(
         spec=spec,
         kron_factors=[(np.eye(8), np.zeros((1, 1)))],
@@ -450,7 +450,7 @@ def test_coercivity_exact_eig_identity_operator():
 
 
 def test_coercivity_floor_and_flag():
-    spec = ProblemSpec("toy", 1, ((-1.0, 1.0),), Q_a=1, Q_f=1)
+    spec = ProblemSpec("toy", ((-1.0, 1.0),))
     op = AffineOperator(
         spec=spec,
         kron_factors=[(-np.eye(5), np.zeros((1, 1)))],

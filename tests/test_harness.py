@@ -10,15 +10,14 @@ import numpy as np
 import pytest
 import yaml
 
-from rbkit import cli
+from rbkit import cli, rbm
 from rbkit.cli import main as cli_main
 from rbkit.estimators import make_estimator
 from rbkit.harness import (
     ConfigError,
-    DESK_SCALE,
-    PAPER_SCALE,
     ExperimentConfig,
     OUTPUT_DIR_ENV,
+    TRAINING_GRIDS,
     _sub_basis,
     build_problem,
     load_run,
@@ -28,7 +27,7 @@ from rbkit.harness import (
     validate,
 )
 from rbkit.rbm import empty_basis, empty_model, extend_basis, rb_solve
-from rbkit.truth import truth_solve
+from rbkit.truth import truth_solve, truth_solve_many
 
 import oracles
 
@@ -70,12 +69,12 @@ def test_grid_dimension_mismatch():
 
 def test_config_defaults_to_desk_scale_training():
     cfg = ExperimentConfig(problem="twod-first")
-    assert cfg.training_grid == DESK_SCALE["training"]["twod-first"]
+    assert cfg.training_grid == TRAINING_GRIDS["twod-first"][0]
 
 
 def test_config_above_32_nodes_uses_paper_scale_training(tmp_path):
     cfg = ExperimentConfig(problem="twod-second", nodes_per_dim=50)
-    assert cfg.training_grid == PAPER_SCALE["training"]["twod-second"]
+    assert cfg.training_grid == TRAINING_GRIDS["twod-second"][1]
     # a flag overrides the file before the default grid is picked
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({"problem": "twod-second"}))
@@ -300,6 +299,33 @@ def test_greedy_full_validation_matches_validate(tmp_path):
         assert float(history["true_error_argmax"][row]) == errs[best]
 
 
+def test_greedy_full_validation_solves_truth_once(tmp_path, monkeypatch):
+    # the training grid's truth rows do not depend on the basis
+    calls = []
+
+    def counting(op, points):
+        calls.append(len(points))
+        return truth_solve_many(op, points)
+
+    monkeypatch.setattr(rbm, "truth_solve_many", counting)
+    run_experiment(_small_config(tmp_path, N_max=5, eps_tol=1e-14,
+                                 validate="full", checkpoints=[]))
+    assert calls == [24]
+
+
+def test_metadata_records_resolved_validation_grid(tmp_path):
+    arts = run_experiment(_small_config(tmp_path))
+    with open(arts.metadata) as fh:
+        meta = json.load(fh)
+    assert meta["config"]["validation_grid"] == [24]
+    # a run saved with the unresolved default still loads
+    meta["config"]["validation_grid"] = None
+    with open(arts.metadata, "w") as fh:
+        json.dump(meta, fh)
+    config, _, _, _ = load_run(arts.directory)
+    assert config.validation_grid == config.training_grid == [24]
+
+
 def test_load_run_accepts_saved_validate_fields_key(tmp_path):
     arts = run_experiment(_small_config(tmp_path))
     with open(arts.metadata) as fh:
@@ -441,7 +467,7 @@ def test_cli_bad_validation_grid_exits_2(tmp_path, capsys, argv):
     assert not os.path.exists(run_dir + "-new")
 
 
-def test_cli_config_errors_exit_2(tmp_path):
+def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert cli_main(["run"]) == 2  # no problem given
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump({"problem": "oned-continuous", "zzz": 1}))
@@ -450,11 +476,18 @@ def test_cli_config_errors_exit_2(tmp_path):
     # unknown values are caught with the config, before any solve runs
     for key, value in [("estimator_kind", "nope"), ("alpha_mode", "bogus"),
                        ("validate", "bogus"), ("eps_tol", 0.0), ("N_max", 0),
-                       ("nodes_per_dim", 2), ("seed", -1)]:
+                       ("nodes_per_dim", 2), ("seed", -1),
+                       ("training_grid", ["a"]), ("validation_grid", ["b"]),
+                       ("checkpoints", ["x"]), ("checkpoints", [0]),
+                       ("checkpoints", [-3]), ("N_max", 2.5),
+                       ("nodes_per_dim", 8.7), ("seed", 1.5),
+                       ("eps_tol", "1e-10")]:  # PyYAML reads 1e-10 as a string
         bad.write_text(yaml.safe_dump({
             "problem": "oned-continuous", "nodes_per_dim": 12,
             "training_grid": [16], "N_max": 2,
             "output_dir": str(tmp_path / "out"), key: value,
         }))
-        assert cli_main(["run", str(bad)]) == 2, key
+        assert cli_main(["run", str(bad)]) == 2, (key, value)
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and (key in err or repr(value) in err)
     assert not (tmp_path / "out").exists()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rbkit.numerics import (
-    SingularSystemError,
     complement_project,
     pivoted_qr,
     smallest_symmetric_eigenvalue,
@@ -121,9 +120,8 @@ def test_solve_random_residual():
 
 def test_solve_singular_raises_with_pivot():
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularSystemError) as err:
+    with pytest.raises(np.linalg.LinAlgError, match=r"\(pivot \d\.\d{3}e[+-]\d+\)"):
         solve_dense(A, np.ones(2))
-    assert err.value.pivot is not None
 
 
 # ---------------------------------------------------------------------------

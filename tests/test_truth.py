@@ -74,8 +74,14 @@ def test_parameter_domains():
     assert problem_spec("oned-discontinuous").param_domain == ((-0.995, 0.995),)
     assert problem_spec("twod-first").param_domain == ((0.1, 4.0), (0.0, 2.0))
     assert problem_spec("twod-second").param_domain == ((-0.99, 0.99), (-0.99, 0.99))
-    assert problem_spec("twod-first").Q_a == 3
-    assert problem_spec("oned-continuous").Q_a == 2
+    assert [problem_spec(pid).param_dim for pid in PROBLEM_IDS] == [1, 1, 2, 2]
+
+
+def test_affine_component_counts():
+    disc = build_discretization(8)
+    ops = [assemble_affine(problem_spec(pid), disc) for pid in PROBLEM_IDS]
+    assert [len(op.kron_factors) for op in ops] == [2, 2, 3, 3]
+    assert [len(op.f_components) for op in ops] == [1, 1, 1, 1]
 
 
 def test_unknown_problem_id():
@@ -198,7 +204,7 @@ def test_components_match_dense_construction(pid, nodes):
     disc = build_discretization(nodes)
     op = assemble_affine(problem_spec(pid), disc)
     ref = oracles.dense_components(pid, disc)
-    assert len(op.kron_factors) == len(ref) == op.spec.Q_a
+    assert len(op.kron_factors) == len(ref)
     for Aq, Rq in zip(op.a_components, ref):
         assert np.array_equal(Aq, Rq)
 
@@ -239,7 +245,7 @@ def _singular_kron_operator():
     pairs = [(np.diag([1.0, 2.0]), np.diag([-1.0, 3.0])),
              (np.eye(2), np.zeros((2, 2)))]
     return AffineOperator(
-        spec=ProblemSpec("kron-toy", 1, ((-0.5, 1.0),), Q_a=2, Q_f=1),
+        spec=ProblemSpec("kron-toy", ((-0.5, 1.0),)),
         kron_factors=pairs,
         f_components=[np.array([1.0, 2.0, 3.0, 4.0])],
         theta_a=[lambda mu: 1.0, lambda mu: float(mu[0])],
