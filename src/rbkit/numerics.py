@@ -87,8 +87,10 @@ def complement_project(Q, v):
 def solve_dense(A, b):
     """Solve a dense square system by LU with partial pivoting.
 
-    Raises ``np.linalg.LinAlgError`` naming the offending pivot magnitude
-    when A is singular to working precision.
+    A may be overwritten by its LU factors, as LAPACK's ``overwrite_a``
+    does: a column-major float64 A is factored in place, any other A is
+    copied first.  Raises ``np.linalg.LinAlgError`` naming the offending
+    pivot magnitude when A is singular to working precision.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -99,7 +101,7 @@ def solve_dense(A, b):
     with warnings.catch_warnings():
         # the pivot check below raises a richer error than scipy's warning
         warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(A, check_finite=False)
+        lu, piv = sla.lu_factor(A, overwrite_a=True, check_finite=False)
     diag = np.abs(np.diag(lu))
     pivot_min = float(diag.min()) if diag.size else 0.0
     if pivot_min <= np.finfo(float).eps * max(diag.max(initial=0.0), 1.0) * A.shape[0]:

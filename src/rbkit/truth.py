@@ -9,8 +9,10 @@ On interior nodes every operator component is a Kronecker sum
 ``A^q = kron(Ax^q, I) + kron(I, Ay^q)`` of 1-D factors, so with ``U[i, j]``
 the value at ``(x_i, y_j)`` the system ``A(mu) u = f(mu)`` is the Sylvester
 equation ``Ax(mu) U + U Ay(mu)^T = F``.  The greedy's snapshots use the dense
-LU solve (``truth_solve``); validation sweeps solve the Sylvester form by
-Bartels-Stewart (``truth_solve_many``).
+LU solve (``truth_solve``): ``assemble`` writes A(mu) straight from the 1-D
+factors into one column-major matrix, and ``solve_dense`` factors it in
+place.  Validation sweeps solve the Sylvester form by Bartels-Stewart
+(``truth_solve_many``).
 """
 
 from dataclasses import dataclass, field
@@ -184,10 +186,38 @@ def build_discretization(nodes_per_dim):
 
 
 def kron_sum(Ax, Ay):
-    """Dense ``kron(Ax, I) + kron(I, Ay)`` in the ``k = i*ny + j`` order."""
-    A = np.kron(Ax, np.eye(Ay.shape[0]))
-    A += np.kron(np.eye(Ax.shape[0]), Ay)
-    return A
+    """Dense ``kron(Ax, I) + kron(I, Ay)`` in the ``k = i*ny + j`` order.
+
+    Row-major: ``extend_basis`` and ``build_riesz_data`` multiply these
+    matrices, and the bits of a BLAS product depend on the layout.
+    """
+    return _kron_affine_sum([1.0], [(Ax, Ay)], order="C")
+
+
+def _kron_affine_sum(weights, pairs, order):
+    """Dense ``sum_q weights[q] * kron_sum(*pairs[q])`` in a new array of the
+    given memory order, written block by block from the 1-D factors.
+
+    Block (i, k) is ``Sx[i, k] I`` for i != k, with ``Sx`` the weighted sum
+    of the ``Ax^q``, and diagonal block i is the weighted sum of
+    ``Ay^q + Ax^q[i, i] I``.  Each entry is accumulated from zeros in q order
+    from the same products as the weighted sum of the dense components, so
+    the result equals it bit for bit, with +0 at every zero.
+    """
+    Fx, Fy = zip(*pairs)
+    nx, ny = Fx[0].shape[0], Fy[0].shape[0]
+    out = np.zeros((nx * ny, nx * ny), order=order)
+    # blocks[i, j, k, l] is entry (i*ny + j, k*ny + l) of out, a view
+    if order == "F":
+        blocks = out.T.reshape(nx, ny, nx, ny).transpose(2, 3, 0, 1)
+    else:
+        blocks = out.reshape(nx, ny, nx, ny)
+    j, i = np.arange(ny), np.arange(nx)
+    blocks[:, j, :, j] = _affine_sum(weights, Fx)  # diagonal blocks: next line
+    eye = np.eye(ny)
+    blocks[i, :, i, :] = _affine_sum(
+        weights, [Ay + Ax.diagonal()[:, None, None] * eye for Ax, Ay in pairs])
+    return out
 
 
 def _sign(t):
@@ -238,9 +268,11 @@ def assemble_affine(spec, disc):
 
 
 def assemble(op, mu):
-    """Full operator matrix at mu: sum_q theta_a^q(mu) A^q."""
+    """Full operator matrix at mu, sum_q theta_a^q(mu) A^q, written from the
+    1-D factors in column-major order (the layout LAPACK factors in place);
+    equal bit for bit to the weighted sum of ``op.a_components``."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    return _affine_sum([th(mu) for th in op.theta_a], op.a_components)
+    return _kron_affine_sum([th(mu) for th in op.theta_a], op.kron_factors, order="F")
 
 
 def load_vector(op, mu):
@@ -250,7 +282,8 @@ def load_vector(op, mu):
 
 
 def truth_solve(op, mu):
-    """High-fidelity solve of the assembled system at mu."""
+    """High-fidelity solve of the assembled system at mu; the LU overwrites
+    the assembled matrix."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     u = solve_dense(assemble(op, mu), load_vector(op, mu))
     return Snapshot(mu=mu, values=u)

@@ -166,6 +166,14 @@ def lebesgue_sweep_loop(theta_a, theta_f, a_blocks, f_blocks, rs):
 # the interior nodes, without the 1-D Kronecker factors.
 
 
+def kron_sum(Ax, Ay):
+    """Dense ``kron(Ax, I) + kron(I, Ay)`` from two ``np.kron`` products, the
+    reference for ``rbkit.truth.kron_sum``."""
+    A = np.kron(Ax, np.eye(Ay.shape[0]))
+    A += np.kron(np.eye(Ax.shape[0]), Ay)
+    return A
+
+
 def dense_components(pid, disc):
     """The ``a_components`` of a built-in problem from the full-grid
     ``d_xx = kron(D2, I)`` and ``d_yy = kron(I, D2)``, restricted to the

@@ -113,7 +113,7 @@ def test_solve_random_residual():
     rng = np.random.default_rng(8)
     A = rng.standard_normal((30, 30)) + 6.0 * np.eye(30)
     b = rng.standard_normal(30)
-    x = solve_dense(A, b)
+    x = solve_dense(A.copy(), b)  # solve_dense may overwrite A
     res = np.linalg.norm(A @ x - b)
     assert res <= 1e-10 * (np.linalg.norm(A) * np.linalg.norm(x) + np.linalg.norm(b))
 

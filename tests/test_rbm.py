@@ -16,7 +16,7 @@ from rbkit.rbm import (
     validate,
     ReducedModel,
 )
-from rbkit.estimators import make_estimator
+from rbkit.estimators import ClassicalEstimator, make_estimator
 from rbkit.harness import build_problem, make_training_grid
 from rbkit.truth import AffineOperator, assemble, load_vector, truth_solve
 
@@ -352,15 +352,29 @@ def test_greedy_lebesgue_builds_usable_basis(oned):
     assert np.linalg.norm(u - u_rb) <= 1e-2 * np.linalg.norm(u)
 
 
-def test_greedy_stops_saturated_on_fully_clamped_sweep():
-    # at 32 nodes and 128 training points the classical quadratic at N = 21
-    # is negative at every unselected point; the clamped zeros must neither
-    # be recorded nor satisfy eps_tol
-    _, _, op = build_problem("oned-continuous", 32)
-    cfg, est = _greedy_setup(op, count=128, N_max=30, eps_tol=1e-16,
-                             kind="classical")
-    basis, _, history, est = greedy(cfg, op, est)
+class _ClampsFromSize(ClassicalEstimator):
+    """Classical estimator whose sweeps, once the basis has ``size``
+    columns, report every point clamped at zero: what the kernel reports
+    when the expanded quadratic is negative everywhere."""
+
+    def __init__(self, size):
+        super().__init__()
+        self.size = size
+
+    def sweep(self, op, basis, model, theta_a, theta_f, alpha, workers=1):
+        values = super().sweep(op, basis, model, theta_a, theta_f, alpha, workers)
+        if basis.size >= self.size:
+            self.clamped = np.ones_like(self.clamped)
+            values = np.zeros_like(values)
+        return values
+
+
+def test_greedy_stops_saturated_on_fully_clamped_sweep(oned):
+    # the clamped zeros must neither be recorded nor satisfy eps_tol
+    cfg, _ = _greedy_setup(oned, N_max=30, eps_tol=1e-16)
+    basis, _, history, est = greedy(cfg, oned, _ClampsFromSize(4))
     assert history.saturated
+    assert basis.size == 4
     assert len(history.records) == basis.size  # the clamped sweep is not recorded
     assert np.all(history.estimates > 0.0)
     selected = np.isin(cfg.training_set[:, 0],

@@ -1,8 +1,11 @@
 """Tests for the Chebyshev collocation discretization and the affine
 assembly of the four built-in problems."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from rbkit.rbm import empty_basis, empty_model, extend_basis, validate
 from rbkit.truth import (
@@ -205,8 +208,9 @@ def test_components_match_dense_construction(pid, nodes):
     op = assemble_affine(problem_spec(pid), disc)
     ref = oracles.dense_components(pid, disc)
     assert len(op.kron_factors) == len(ref)
-    for Aq, Rq in zip(op.a_components, ref):
+    for (Ax, Ay), Aq, Rq in zip(op.kron_factors, op.a_components, ref):
         assert np.array_equal(Aq, Rq)
+        assert np.array_equal(Aq, oracles.kron_sum(Ax, Ay))
 
 
 def _sample_points(spec, count, seed):
@@ -236,6 +240,84 @@ def test_kron_sum_with_zero_one_by_one_factor_is_the_matrix():
     # a dense component without Kronecker structure is the pair (A, 0_{1x1})
     A = np.random.default_rng(5).standard_normal((6, 6))
     assert np.array_equal(kron_sum(A, np.zeros((1, 1))), A)
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (3, 5), (6, 1), (7, 7)])
+def test_kron_sum_matches_two_kron_construction(nx, ny):
+    rng = np.random.default_rng(nx * 10 + ny)
+    Ax = rng.standard_normal((nx, nx))
+    Ay = rng.standard_normal((ny, ny))
+    Ax[0, -1] = Ay[-1, 0] = -0.0
+    A = kron_sum(Ax, Ay)
+    assert np.array_equal(A, oracles.kron_sum(Ax, Ay))
+    assert A.flags.c_contiguous
+    assert not np.any(np.signbit(A[A == 0.0]))
+
+
+def _dense_affine_sum(op, mu):
+    """``sum(th(mu) * A^q)`` over components from the two-``np.kron``
+    construction, C-ordered."""
+    return sum(th(mu) * oracles.kron_sum(Ax, Ay)
+               for th, (Ax, Ay) in zip(op.theta_a, op.kron_factors))
+
+
+def _assert_is_dense_affine_sum(op, mu):
+    A = assemble(op, mu)
+    assert np.array_equal(A, _dense_affine_sum(op, mu))
+    assert A.flags.f_contiguous
+    assert not np.any(np.signbit(A[A == 0.0]))
+
+
+@pytest.mark.parametrize("nodes", [12, 32, 50])
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_assemble_is_the_dense_affine_sum(pid, nodes):
+    # the domain's lower corner gives twod-first a zero weight (mu2 = 0)
+    spec = problem_spec(pid)
+    op = assemble_affine(spec, build_discretization(nodes))
+    corner = np.array([lo for lo, _ in spec.param_domain])
+    for mu in [corner, *_sample_points(spec, 1, nodes)]:
+        _assert_is_dense_affine_sum(op, mu)
+
+
+def test_assemble_hand_built_dense_operator():
+    rng = np.random.default_rng(9)
+    comps = [rng.standard_normal((6, 6)) for _ in range(2)]
+    comps[0][0, 1] = comps[1][0, 1] = -0.0
+    op = AffineOperator(
+        spec=ProblemSpec("dense-toy", ((0.0, 1.0),)),
+        kron_factors=[(A, np.zeros((1, 1))) for A in comps],
+        f_components=[np.ones(6)],
+        theta_a=[lambda mu: 1.0, lambda mu: float(mu[0])],
+        theta_f=[lambda mu: 1.0],
+    )
+    for mu in ([0.0], [0.3]):
+        _assert_is_dense_affine_sum(op, mu)
+
+
+@pytest.mark.parametrize("nodes", [12, 32])
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_truth_solve_matches_lu_of_c_ordered_operator(pid, nodes):
+    spec = problem_spec(pid)
+    op = assemble_affine(spec, build_discretization(nodes))
+    for mu in _sample_points(spec, 2, nodes):
+        A = np.ascontiguousarray(_dense_affine_sum(op, mu))
+        want = sla.lu_solve(sla.lu_factor(A), load_vector(op, mu))
+        assert np.array_equal(truth_solve(op, mu).values, want)
+
+
+def test_truth_solve_allocates_one_operator():
+    # assemble writes A(mu) into one column-major buffer and the LU factors
+    # it in place, so the peak stays near one dim x dim matrix
+    spec = problem_spec("twod-second")
+    op = assemble_affine(spec, build_discretization(32))
+    mu = _sample_points(spec, 1, 4)[0]
+    tracemalloc.start()
+    try:
+        truth_solve(op, mu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * op.dim**2 * 8
 
 
 def _singular_kron_operator():
