@@ -116,8 +116,8 @@ def build_riesz_data(op, basis, prev=None, tables=True):
     reuse = (prev is not None and prev.basis_size <= basis.size
              and prev.Q_a == Qa and (prev.ll is not None or not tables))
     n_old = prev.basis_size if reuse else 0
-    new_cols = [Aq @ basis.xi[:, m]
-                for m in range(n_old, basis.size) for Aq in op.a_components]
+    new_cols = [op.apply(q, basis.xi[:, m])
+                for m in range(n_old, basis.size) for q in range(Qa)]
     Lnew = np.column_stack(new_cols) if new_cols else np.zeros((basis.xi.shape[0], 0))
     if reuse:
         C = prev.C

@@ -196,9 +196,9 @@ def extend_basis(basis, model, snapshot, op):
     Qf = len(op.f_components)
     a_blocks = np.zeros((Qa, N + 1, N + 1))
     a_blocks[:, :N, :N] = model.a_blocks
-    for q, Aq in enumerate(op.a_components):
-        a_blocks[q, :, N] = new_xi.T @ (Aq @ xi_new)
-        a_blocks[q, N, :N] = xi_new @ (Aq @ basis.xi)
+    for q in range(Qa):
+        a_blocks[q, :, N] = new_xi.T @ op.apply(q, xi_new)
+        a_blocks[q, N, :N] = xi_new @ op.apply(q, basis.xi)
     f_blocks = np.zeros((Qf, N + 1))
     f_blocks[:, :N] = model.f_blocks
     for q, fq in enumerate(op.f_components):

@@ -108,10 +108,14 @@ class TruthDiscretization:
 class AffineOperator:
     """Affine decomposition: sum_q theta_a^q(mu) A^q and sum_q theta_f^q(mu) f^q.
 
-    The operator is given by its Q_a factor pairs ``(Ax^q, Ay^q)``; the dense
+    The operator is given by its Q_a factor pairs ``(Ax^q, Ay^q)``; the
     components ``A^q = kron_sum(Ax^q, Ay^q)`` are derived from them.  A dense
     matrix ``A`` without Kronecker structure is the pair
     ``(A, np.zeros((1, 1)))``, whose Kronecker sum is ``A`` exactly.
+
+    A component whose two factors are both diagonal is stored as its
+    diagonal, a ``dim`` vector; every other one as the dense row-major
+    ``kron_sum``.  Products with a component go through ``apply``.
     """
 
     spec: ProblemSpec
@@ -119,14 +123,32 @@ class AffineOperator:
     f_components: list  # Q_f interior vectors
     theta_a: list  # Q_a callables mu -> float
     theta_f: list  # Q_f callables mu -> float
-    a_components: list = field(init=False)  # Q_a interior matrices
+    a_components: list = field(init=False)  # Q_a diagonals or dense matrices
 
     def __post_init__(self):
-        self.a_components = [kron_sum(Ax, Ay) for Ax, Ay in self.kron_factors]
+        self.a_components = [
+            np.add.outer(Ax.diagonal(), Ay.diagonal()).ravel()
+            if _is_diagonal(Ax) and _is_diagonal(Ay) else kron_sum(Ax, Ay)
+            for Ax, Ay in self.kron_factors
+        ]
 
     @property
     def dim(self):
-        return self.a_components[0].shape[0]
+        Ax, Ay = self.kron_factors[0]
+        return Ax.shape[0] * Ay.shape[0]
+
+    def apply(self, q, V):
+        """``A^q V`` for a ``dim`` vector or a ``(dim, N)`` block.
+
+        A diagonal component scales the rows of ``V``.  Each row of a
+        diagonal matrix has one nonzero, so the BLAS product of the dense
+        matrix is that one rounded product, and the two forms agree bit for
+        bit; a dense component is multiplied with ``@``.
+        """
+        Aq = self.a_components[q]
+        if Aq.ndim == 1:
+            return Aq[:, None] * V if V.ndim == 2 else Aq * V
+        return Aq @ V
 
     def theta_a_values(self, mus):
         """Evaluate all theta_a over an (M, p) array of parameters -> (M, Q_a)."""
@@ -135,6 +157,10 @@ class AffineOperator:
     def theta_f_values(self, mus):
         """Evaluate all theta_f over an (M, p) array of parameters -> (M, Q_f)."""
         return _theta_table(self.theta_f, mus)
+
+
+def _is_diagonal(M):
+    return np.count_nonzero(M) == np.count_nonzero(M.diagonal())
 
 
 def _theta_table(thetas, mus):
@@ -270,7 +296,8 @@ def assemble_affine(spec, disc):
 def assemble(op, mu):
     """Full operator matrix at mu, sum_q theta_a^q(mu) A^q, written from the
     1-D factors in column-major order (the layout LAPACK factors in place);
-    equal bit for bit to the weighted sum of ``op.a_components``."""
+    equal bit for bit to the weighted sum of the dense ``kron_sum`` of each
+    factor pair."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     return _kron_affine_sum([th(mu) for th in op.theta_a], op.kron_factors, order="F")
 
@@ -296,6 +323,12 @@ def truth_solve_many(op, mus):
     (Bartels-Stewart).  A row is NaN where the operator is singular or
     nearly so (``trsyl`` reports close eigenvalues of ``Ax`` and ``-Ay``, or
     had to scale the solution down) or where the solution is not finite.
+
+    Each factor's Schur form is computed once per distinct tuple of the
+    theta weights of its nonzero terms: a zero term adds only zeros to an
+    accumulation that starts at +0, so that tuple fixes every bit of the
+    factor.  On a tensor grid each factor then takes as many Schur forms as
+    its axis has points, and on the oned problems ``Ay`` takes one.
     """
     mus = np.atleast_2d(np.asarray(mus, dtype=float))
     ta = op.theta_a_values(mus)
@@ -304,9 +337,10 @@ def truth_solve_many(op, mus):
     nx, ny = Fx[0].shape[0], Fy[0].shape[0]
     out = np.empty((mus.shape[0], nx * ny))
     (trsyl,) = sla.get_lapack_funcs(("trsyl",), (out,))
+    schur_x, schur_y = _SchurCache(Fx), _SchurCache(Fy)
     for i in range(mus.shape[0]):
-        Tx, Qx = sla.schur(_affine_sum(ta[i], Fx), output="real")
-        Ty, Qy = sla.schur(_affine_sum(ta[i], Fy), output="real")
+        Tx, Qx = schur_x.get(ta[i])
+        Ty, Qy = schur_y.get(ta[i])
         F = _affine_sum(tf[i], op.f_components)
         C = Qx.T @ F.reshape(nx, ny) @ Qy
         Y, scale, info = trsyl(Tx, Ty, C, tranb="T")
@@ -316,3 +350,20 @@ def truth_solve_many(op, mus):
         else:
             out[i] = U.ravel()
     return out
+
+
+class _SchurCache:
+    """Real Schur forms of ``sum_q w[q] * factors[q]``, keyed on the weights
+    of the nonzero factors; it lives for one ``truth_solve_many`` call."""
+
+    def __init__(self, factors):
+        self.factors = factors
+        self.nonzero = [q for q, M in enumerate(factors) if np.any(M)]
+        self.forms = {}
+
+    def get(self, weights):
+        key = tuple(weights[self.nonzero])
+        if key not in self.forms:
+            self.forms[key] = sla.schur(_affine_sum(weights, self.factors),
+                                        output="real")
+        return self.forms[key]

@@ -60,9 +60,11 @@ def smallest_eig_bisection(A, iters=200):
 def true_error_reference(op, basis, mu):
     """True error at mu from a dense ``np.linalg.solve`` truth solution and
     the explicit Galerkin system ``xi^T A xi``, with neither the package's
-    truth solvers nor its stored reduced blocks."""
+    truth solvers nor its stored components or reduced blocks: the operator
+    is built from the 1-D factors by ``kron_sum`` below."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    A = sum(th(mu) * Aq for th, Aq in zip(op.theta_a, op.a_components))
+    A = sum(th(mu) * kron_sum(Ax, Ay)
+            for th, (Ax, Ay) in zip(op.theta_a, op.kron_factors))
     f = sum(th(mu) * fq for th, fq in zip(op.theta_f, op.f_components))
     xi = basis.xi
     u = np.linalg.solve(A, f)

@@ -1,6 +1,8 @@
 """Tests for the three greedy objectives, their offline data, the coercivity
 plug-in, the truth-space residual oracle, and the scalar cancellation demo."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from rbkit.truth import (
     assemble,
     assemble_affine,
     build_discretization,
+    kron_sum,
     load_vector,
     problem_spec,
     truth_solve,
@@ -123,6 +126,23 @@ def test_riesz_tables_match_direct_recomputation(oned, oned_basis):
         for q in range(2):
             want = oned.a_components[q] @ basis.xi[:, m]
             assert np.array_equal(riesz.L[:, m * 2 + q], want)
+
+
+def test_diagonal_component_gives_the_dense_bits():
+    # twod-first's reaction term is stored as its diagonal; the reduced
+    # blocks and Riesz columns equal those of the dense row-major matrix
+    _, _, op = build_problem("twod-first", 16)
+    dense = dataclasses.replace(op)
+    dense.a_components = [kron_sum(Ax, Ay) for Ax, Ay in op.kron_factors]
+    assert op.a_components[2].ndim == 1 and dense.a_components[2].ndim == 2
+    mus = [[0.5, 1.5], [3.0, 0.2], [1.7, 1.0], [0.1, 2.0]]
+    basis, model = _build_basis(op, mus)
+    basis_d, model_d = _build_basis(dense, mus)
+    assert np.array_equal(basis.xi, basis_d.xi)
+    assert np.array_equal(model.a_blocks, model_d.a_blocks)
+    riesz, riesz_d = build_riesz_data(op, basis), build_riesz_data(dense, basis)
+    assert np.array_equal(riesz.L, riesz_d.L)
+    assert np.array_equal(riesz.ll, riesz_d.ll)
 
 
 def test_riesz_hierarchical_extension_bit_identical(oned, oned_basis):

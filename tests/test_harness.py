@@ -5,11 +5,14 @@ import argparse
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import rbkit
 from rbkit import cli, rbm
 from rbkit.cli import main as cli_main
 from rbkit.estimators import make_estimator
@@ -405,6 +408,15 @@ def test_run_float_demo_rows(tmp_path):
 
 # ---------------------------------------------------------------------------
 # CLI
+
+
+def test_python_m_rbkit_help():
+    src = os.path.dirname(os.path.dirname(rbkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "rbkit", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: rbkit")
 
 
 def test_cli_run_and_validate(tmp_path, capsys):

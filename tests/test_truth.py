@@ -1,6 +1,7 @@
 """Tests for the Chebyshev collocation discretization and the affine
 assembly of the four built-in problems."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -201,16 +202,58 @@ def test_truth_solve_deterministic():
 # Kronecker factors and truth_solve_many
 
 
-@pytest.mark.parametrize("nodes", [12, 32])
+@pytest.mark.parametrize("nodes", [12, 32, 50])
 @pytest.mark.parametrize("pid", PROBLEM_IDS)
 def test_components_match_dense_construction(pid, nodes):
+    # apply gives the bits of the two-np.kron matrix times V, for a vector
+    # and for blocks, whichever form stores the component
     disc = build_discretization(nodes)
     op = assemble_affine(problem_spec(pid), disc)
     ref = oracles.dense_components(pid, disc)
     assert len(op.kron_factors) == len(ref)
-    for (Ax, Ay), Aq, Rq in zip(op.kron_factors, op.a_components, ref):
-        assert np.array_equal(Aq, Rq)
-        assert np.array_equal(Aq, oracles.kron_sum(Ax, Ay))
+    rng = np.random.default_rng(nodes)
+    Vs = [rng.standard_normal(op.dim)]
+    Vs += [rng.standard_normal((op.dim, n)) for n in (1, 2, 7, 20)]
+    for q, ((Ax, Ay), Rq) in enumerate(zip(op.kron_factors, ref)):
+        K = oracles.kron_sum(Ax, Ay)
+        assert np.array_equal(K, Rq)
+        if op.a_components[q].ndim == 2:
+            assert np.array_equal(op.a_components[q], Rq)
+        for V in Vs:
+            assert np.array_equal(op.apply(q, V), K @ V)
+
+
+def test_diagonal_component_is_stored_as_its_diagonal():
+    # twod-first's reaction term (-I, 0) has two diagonal factors
+    op = assemble_affine(problem_spec("twod-first"), build_discretization(12))
+    assert [Aq.shape for Aq in op.a_components] == [
+        (op.dim, op.dim), (op.dim, op.dim), (op.dim,)]
+    assert op.a_components[2].nbytes == op.dim * 8
+    assert np.array_equal(op.a_components[2], -np.ones(op.dim))
+    # a hand-built pair with distinct diagonals on a 3 x 2 grid
+    Ax, Ay = np.diag([1.0, -2.0, 3.5]), np.diag([0.25, 7.0])
+    toy = AffineOperator(spec=ProblemSpec("diag-toy", ((0.0, 1.0),)),
+                         kron_factors=[(Ax, Ay)], f_components=[np.ones(6)],
+                         theta_a=[lambda mu: 1.0], theta_f=[lambda mu: 1.0])
+    assert toy.dim == 6 and toy.a_components[0].shape == (6,)
+    V = np.random.default_rng(3).standard_normal((6, 4))
+    assert np.array_equal(toy.apply(0, V), oracles.kron_sum(Ax, Ay) @ V)
+
+
+def test_assemble_affine_allocates_only_the_dense_components():
+    # twod-first holds two dense components; its diagonal one is a vector.
+    # Each kron_sum also holds three (nx, ny, ny) diagonal-block arrays
+    # while it writes, 0.1 dim^2 at nx = ny = 30.
+    spec = problem_spec("twod-first")
+    disc = build_discretization(32)
+    tracemalloc.start()
+    try:
+        op = assemble_affine(spec, disc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nx = disc.nodes_per_dim - 2
+    assert peak <= (2 * op.dim**2 + 4 * nx**3) * 8
 
 
 def _sample_points(spec, count, seed):
@@ -234,6 +277,27 @@ def test_truth_solve_many_matches_dense_lu(pid):
         A = assemble(op, mu)
         res = np.linalg.norm(load_vector(op, mu) - A @ u)
         assert res <= 1e2 * eps * np.linalg.norm(A, 2) * np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_truth_solve_many_caches_schur_forms_bit_exactly(pid, monkeypatch):
+    # a 4 x 3 tensor grid (a 5-point line for the oned problems): each factor
+    # takes one Schur form per value of the weights of its nonzero terms
+    spec = problem_spec(pid)
+    op = assemble_affine(spec, build_discretization(12))
+    counts = (4, 3) if spec.param_dim == 2 else (5,)
+    axes = [np.linspace(lo, hi, n)
+            for (lo, hi), n in zip(spec.param_domain, counts)]
+    mus = np.array(list(itertools.product(*axes)))
+    per_point = np.vstack([truth_solve_many(op, mu[None]) for mu in mus])
+    calls = []
+    schur = sla.schur
+    monkeypatch.setattr(sla, "schur",
+                        lambda *a, **k: calls.append(1) or schur(*a, **k))
+    U = truth_solve_many(op, mus)
+    assert np.array_equal(U, per_point)
+    # oned: Ay is the same matrix at every point
+    assert len(calls) == (7 if spec.param_dim == 2 else 6)
 
 
 def test_kron_sum_with_zero_one_by_one_factor_is_the_matrix():
