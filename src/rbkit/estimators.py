@@ -102,35 +102,30 @@ class EstimateValue:
 
 
 def build_riesz_data(op, basis, prev=None, tables=True):
-    """Build (or hierarchically extend) the Riesz representers and tables.
+    """The Riesz representers of a basis and their tables.
 
-    With ``prev`` from the same operator and the leading basis columns, the
-    existing columns and table entries are reused bit-identically and only
-    those for the newly appended snapshots are computed.  With
-    ``tables=False`` only the representers ``C`` and ``L`` are built and the
-    tables are None: the stable form reads no tables.
+    The operator columns ``L`` are the basis's own ``images``; nothing here
+    multiplies a component.  With ``prev`` from the same operator and the
+    leading basis columns, the existing table entries are reused
+    bit-identically and only those for the newly appended snapshots are
+    computed.  With ``tables=False`` only the representers ``C`` and ``L``
+    are given and the tables are None: the stable form reads no tables.
     """
     if basis.size == 0:
         raise ValueError("basis must be nonempty")
-    Qa = len(op.a_components)
-    reuse = (prev is not None and prev.basis_size <= basis.size
-             and prev.Q_a == Qa and (prev.ll is not None or not tables))
-    n_old = prev.basis_size if reuse else 0
-    new_cols = [op.apply(q, basis.xi[:, m])
-                for m in range(n_old, basis.size) for q in range(Qa)]
-    Lnew = np.column_stack(new_cols) if new_cols else np.zeros((basis.xi.shape[0], 0))
-    if reuse:
-        C = prev.C
-        L = np.column_stack([prev.L, Lnew]) if Lnew.size else prev.L
-    else:
-        C = np.column_stack(op.f_components)
-        L = Lnew
+    Qa = len(op.kron_factors)
+    C = np.column_stack(op.f_components)
+    L = basis.images
     if not tables:
         return RieszData(C=C, L=L, cc=None, cl=None, ll=None, Q_a=Qa)
-    if not reuse:
+    if (prev is None or prev.ll is None or prev.Q_a != Qa
+            or prev.basis_size > basis.size):
         return RieszData(C=C, L=L, cc=C.T @ C, cl=C.T @ L, ll=L.T @ L, Q_a=Qa)
 
     k_old = prev.L.shape[1]
+    # a contiguous copy: the table products then run on the layout, and so
+    # give the bits, of the new columns stacked on their own
+    Lnew = np.ascontiguousarray(L[:, k_old:])
     k = L.shape[1]
     ll = np.zeros((k, k))
     ll[:k_old, :k_old] = prev.ll
@@ -366,5 +361,8 @@ def make_estimator(kind, alpha_mode="unit"):
     if kind == "stable":
         return StableEstimator(alpha_mode)
     if kind == "lebesgue":
+        if alpha_mode != "unit":
+            raise ValueError(f"alpha mode {alpha_mode!r} has no effect on the "
+                             "lebesgue estimator, which reads no stability constant")
         return LebesgueEstimator()
     raise ValueError(f"unknown estimator kind {kind!r}")

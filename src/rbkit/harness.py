@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .estimators import ALPHA_MODES, ESTIMATOR_KINDS, float_demo, make_estimator
+from .estimators import float_demo, make_estimator
 from .rbm import (
     VALIDATE_MODES,
     GreedyConfig,
@@ -122,10 +122,12 @@ class ExperimentConfig:
             raise ConfigError("N_max must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if self.estimator_kind not in ESTIMATOR_KINDS:
-            raise ConfigError(f"unknown estimator kind {self.estimator_kind!r}")
-        if self.alpha_mode not in ALPHA_MODES:
-            raise ConfigError(f"unknown alpha mode {self.alpha_mode!r}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be at least 1, got {self.workers}")
+        try:
+            make_estimator(self.estimator_kind, self.alpha_mode)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.validate not in VALIDATE_MODES:
             raise ConfigError(f"unknown validate mode {self.validate!r}")
         pdim = problem_spec(self.problem).param_dim
@@ -220,6 +222,7 @@ def _sub_basis(basis, model, k):
         sample_set=basis.sample_set[:k],
         xi=basis.xi[:, :k],
         chol_coeffs=basis.chol_coeffs[:k, :k],
+        images=basis.images[:, :k * model.a_blocks.shape[0]],
     )
     sub_model = ReducedModel(
         a_blocks=np.ascontiguousarray(model.a_blocks[:, :k, :k]),
@@ -360,7 +363,11 @@ def run_experiment(config):
 
 def load_run(run_dir):
     """Reload config, operator, basis and the greedy's own reduced model from
-    a saved run."""
+    a saved run.
+
+    The basis's operator images are recomputed from ``xi`` as the greedy
+    computes them, one GEMV per column, so they carry the greedy's bits.
+    """
     metadata_path = os.path.join(run_dir, "metadata.json")
     with open(metadata_path) as fh:
         meta = json.load(fh)
@@ -373,10 +380,15 @@ def load_run(run_dir):
         if not {"a_blocks", "f_blocks"} <= set(data.files):
             raise ConfigError(f"{basis_path} holds no reduced blocks (saved by "
                               "an older rbkit); rerun the experiment")
+        xi = data["xi"]
+        columns = [xi[:, m] for m in range(xi.shape[1])]
+        products = op.component_products(columns, xi[:, :0])
         basis = ReducedBasis(
             sample_set=[np.atleast_1d(mu) for mu in data["sample_set"]],
-            xi=data["xi"],
+            xi=xi,
             chol_coeffs=data["chol_coeffs"],
+            images=np.column_stack([np.zeros((op.dim, 0))] + [
+                images[m] for m in range(len(columns)) for images, _ in products]),
         )
         model = ReducedModel(a_blocks=data["a_blocks"], f_blocks=data["f_blocks"])
     return config, op, basis, model
@@ -384,7 +396,12 @@ def load_run(run_dir):
 
 def run_float_demo(N_range, mu_samples, seed, output_path):
     """Run the scalar cancellation demo and write one row per N."""
-    rows = float_demo(N_range, mu_samples, seed)
+    if len(N_range) == 0:
+        raise ConfigError("float-demo needs n_min <= n_max")
+    try:
+        rows = float_demo(N_range, mu_samples, seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     _write_csv(
         output_path,
         ["N", "max_stable", "max_expanded"],

@@ -43,12 +43,15 @@ class ReducedBasis:
 
     ``xi`` holds the orthonormal basis columns, ``chol_coeffs`` the
     upper-triangular factor R with snapshots = xi @ R, and ``sample_set``
-    the selected parameters in greedy order.
+    the selected parameters in greedy order.  ``images`` holds the operator
+    images ``A^q xi_m``, snapshot-major (column ``m*Q_a + q``): the Riesz
+    representers of the residual-based estimators.
     """
 
     sample_set: list
     xi: np.ndarray
     chol_coeffs: np.ndarray
+    images: np.ndarray  # (dim, N*Q_a)
 
     @property
     def size(self):
@@ -113,9 +116,8 @@ class GreedyHistory:
 
 
 def empty_basis(dim):
-    return ReducedBasis(
-        sample_set=[], xi=np.zeros((dim, 0)), chol_coeffs=np.zeros((0, 0))
-    )
+    return ReducedBasis(sample_set=[], xi=np.zeros((dim, 0)),
+                        chol_coeffs=np.zeros((0, 0)), images=np.zeros((dim, 0)))
 
 
 def empty_model(Q_a, Q_f):
@@ -160,8 +162,9 @@ def lagrange_coefficients(basis, u_hat):
 
 
 def extend_basis(basis, model, snapshot, op):
-    """Append one snapshot: orthonormalize it against the basis and grow the
-    reduced blocks by one row and one column, leaving old entries untouched.
+    """Append one snapshot: orthonormalize it against the basis, grow the
+    reduced blocks by one row and one column, leaving old entries untouched,
+    and append the new vector's operator images.
 
     Raises :class:`DependentSnapshotError` when the snapshot adds no stable
     new direction (its remainder is below ``DROP_TOL`` times its norm); the
@@ -186,19 +189,22 @@ def extend_basis(basis, model, snapshot, op):
     new_R[:N, :N] = basis.chol_coeffs
     new_R[:N, N] = coeffs
     new_R[N, N] = wnorm
+
+    Qa = len(op.kron_factors)
+    Qf = len(op.f_components)
+    a_blocks = np.zeros((Qa, N + 1, N + 1))
+    a_blocks[:, :N, :N] = model.a_blocks
+    images = [basis.images]
+    for q, ([image], old) in enumerate(op.component_products([xi_new], basis.xi)):
+        a_blocks[q, :, N] = new_xi.T @ image
+        a_blocks[q, N, :N] = xi_new @ old
+        images.append(image)
     new_basis = ReducedBasis(
         sample_set=basis.sample_set + [np.array(snapshot.mu, dtype=float)],
         xi=new_xi,
         chol_coeffs=new_R,
+        images=np.column_stack(images),
     )
-
-    Qa = len(op.a_components)
-    Qf = len(op.f_components)
-    a_blocks = np.zeros((Qa, N + 1, N + 1))
-    a_blocks[:, :N, :N] = model.a_blocks
-    for q in range(Qa):
-        a_blocks[q, :, N] = new_xi.T @ op.apply(q, xi_new)
-        a_blocks[q, N, :N] = xi_new @ op.apply(q, basis.xi)
     f_blocks = np.zeros((Qf, N + 1))
     f_blocks[:, :N] = model.f_blocks
     for q, fq in enumerate(op.f_components):
@@ -257,7 +263,7 @@ def greedy(config, op, estimator, workers=1):
     t0 = time.perf_counter()
     snapshot = truth_solve(op, train[first])
     basis = empty_basis(op.dim)
-    model = empty_model(len(op.a_components), len(op.f_components))
+    model = empty_model(len(op.kron_factors), len(op.f_components))
     basis, model = extend_basis(basis, model, snapshot, op)
     estimator.refresh(op, basis, model)
     history.records.append(

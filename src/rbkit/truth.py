@@ -113,9 +113,11 @@ class AffineOperator:
     matrix ``A`` without Kronecker structure is the pair
     ``(A, np.zeros((1, 1)))``, whose Kronecker sum is ``A`` exactly.
 
-    A component whose two factors are both diagonal is stored as its
-    diagonal, a ``dim`` vector; every other one as the dense row-major
-    ``kron_sum``.  Products with a component go through ``apply``.
+    A component whose two factors are both diagonal is kept as its diagonal,
+    a ``dim`` vector.  No other component stays in memory: products with the
+    components go through ``component_products``, which writes the dense
+    row-major ``kron_sum`` of each in turn into one array that lives for the
+    call.
     """
 
     spec: ProblemSpec
@@ -123,12 +125,12 @@ class AffineOperator:
     f_components: list  # Q_f interior vectors
     theta_a: list  # Q_a callables mu -> float
     theta_f: list  # Q_f callables mu -> float
-    a_components: list = field(init=False)  # Q_a diagonals or dense matrices
+    diagonals: list = field(init=False)  # Q_a: a diagonal component's vector, else None
 
     def __post_init__(self):
-        self.a_components = [
+        self.diagonals = [
             np.add.outer(Ax.diagonal(), Ay.diagonal()).ravel()
-            if _is_diagonal(Ax) and _is_diagonal(Ay) else kron_sum(Ax, Ay)
+            if _is_diagonal(Ax) and _is_diagonal(Ay) else None
             for Ax, Ay in self.kron_factors
         ]
 
@@ -137,18 +139,37 @@ class AffineOperator:
         Ax, Ay = self.kron_factors[0]
         return Ax.shape[0] * Ay.shape[0]
 
-    def apply(self, q, V):
-        """``A^q V`` for a ``dim`` vector or a ``(dim, N)`` block.
+    @property
+    def a_components(self):
+        """The Q_a components, diagonal ones as ``dim`` vectors and the rest
+        as dense matrices written anew on every access (``dim^2`` doubles
+        each)."""
+        return [diagonal if diagonal is not None else kron_sum(*pair)
+                for diagonal, pair in zip(self.diagonals, self.kron_factors)]
 
-        A diagonal component scales the rows of ``V``.  Each row of a
-        diagonal matrix has one nonzero, so the BLAS product of the dense
-        matrix is that one rounded product, and the two forms agree bit for
-        bit; a dense component is multiplied with ``@``.
+    def component_products(self, vectors, V):
+        """``([A^q v for v in vectors], A^q V)`` for each component q in
+        order, with ``V`` a ``(dim, N)`` block.
+
+        The dense components are written in turn into one row-major array,
+        each once per call, so one ``dim^2`` array is alive and none outlives
+        the call.  Every Kronecker sum of factors of one shape writes the
+        same entries and leaves the rest +0, so each overwrites the last
+        completely and the array holds ``kron_sum`` bit for bit.  A vector
+        product is a GEMV and the block product a GEMM on that array, so
+        the bits do not depend on how long the matrix lives.  A diagonal
+        component scales rows: each row of a diagonal matrix has one
+        nonzero, so the BLAS product of the dense matrix is that one rounded
+        product, and the two forms agree bit for bit.
         """
-        Aq = self.a_components[q]
-        if Aq.ndim == 1:
-            return Aq[:, None] * V if V.ndim == 2 else Aq * V
-        return Aq @ V
+        products, dense = [], None
+        for diagonal, pair in zip(self.diagonals, self.kron_factors):
+            if diagonal is not None:
+                products.append(([diagonal * v for v in vectors], diagonal[:, None] * V))
+            else:
+                dense = _kron_affine_sum([1.0], [pair], "C", out=dense)
+                products.append(([dense @ v for v in vectors], dense @ V))
+        return products
 
     def theta_a_values(self, mus):
         """Evaluate all theta_a over an (M, p) array of parameters -> (M, Q_a)."""
@@ -214,15 +235,17 @@ def build_discretization(nodes_per_dim):
 def kron_sum(Ax, Ay):
     """Dense ``kron(Ax, I) + kron(I, Ay)`` in the ``k = i*ny + j`` order.
 
-    Row-major: ``extend_basis`` and ``build_riesz_data`` multiply these
-    matrices, and the bits of a BLAS product depend on the layout.
+    Row-major: ``AffineOperator.component_products`` writes each dense
+    component in this layout for one greedy step and multiplies it with
+    basis vectors, and the bits of a BLAS product depend on the layout.
     """
     return _kron_affine_sum([1.0], [(Ax, Ay)], order="C")
 
 
-def _kron_affine_sum(weights, pairs, order):
+def _kron_affine_sum(weights, pairs, order, out=None):
     """Dense ``sum_q weights[q] * kron_sum(*pairs[q])`` in a new array of the
-    given memory order, written block by block from the 1-D factors.
+    given memory order, or over ``out``, a Kronecker sum of factors of the
+    same shapes in that order; written block by block from the 1-D factors.
 
     Block (i, k) is ``Sx[i, k] I`` for i != k, with ``Sx`` the weighted sum
     of the ``Ax^q``, and diagonal block i is the weighted sum of
@@ -232,7 +255,8 @@ def _kron_affine_sum(weights, pairs, order):
     """
     Fx, Fy = zip(*pairs)
     nx, ny = Fx[0].shape[0], Fy[0].shape[0]
-    out = np.zeros((nx * ny, nx * ny), order=order)
+    if out is None:
+        out = np.zeros((nx * ny, nx * ny), order=order)
     # blocks[i, j, k, l] is entry (i*ny + j, k*ny + l) of out, a view
     if order == "F":
         blocks = out.T.reshape(nx, ny, nx, ny).transpose(2, 3, 0, 1)

@@ -1,8 +1,6 @@
 """Tests for the three greedy objectives, their offline data, the coercivity
 plug-in, the truth-space residual oracle, and the scalar cancellation demo."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -30,7 +28,6 @@ from rbkit.truth import (
     assemble,
     assemble_affine,
     build_discretization,
-    kron_sum,
     load_vector,
     problem_spec,
     truth_solve,
@@ -41,7 +38,7 @@ import oracles
 
 def _build_basis(op, mus):
     basis = empty_basis(op.dim)
-    model = empty_model(len(op.a_components), len(op.f_components))
+    model = empty_model(len(op.kron_factors), len(op.f_components))
     for mu in mus:
         basis, model = extend_basis(basis, model, truth_solve(op, mu), op)
     return basis, model
@@ -129,20 +126,28 @@ def test_riesz_tables_match_direct_recomputation(oned, oned_basis):
 
 
 def test_diagonal_component_gives_the_dense_bits():
-    # twod-first's reaction term is stored as its diagonal; the reduced
-    # blocks and Riesz columns equal those of the dense row-major matrix
+    # twod-first's reaction term is kept as its diagonal and no dense
+    # component stays in memory; the reduced blocks and Riesz columns equal
+    # the products of the dense oracle matrices, in the layouts the greedy
+    # multiplies (each new vector on its own, the basis as a stacked block)
     _, _, op = build_problem("twod-first", 16)
-    dense = dataclasses.replace(op)
-    dense.a_components = [kron_sum(Ax, Ay) for Ax, Ay in op.kron_factors]
-    assert op.a_components[2].ndim == 1 and dense.a_components[2].ndim == 2
+    assert op.diagonals[2] is not None
     mus = [[0.5, 1.5], [3.0, 0.2], [1.7, 1.0], [0.1, 2.0]]
     basis, model = _build_basis(op, mus)
-    basis_d, model_d = _build_basis(dense, mus)
-    assert np.array_equal(basis.xi, basis_d.xi)
-    assert np.array_equal(model.a_blocks, model_d.a_blocks)
-    riesz, riesz_d = build_riesz_data(op, basis), build_riesz_data(dense, basis)
-    assert np.array_equal(riesz.L, riesz_d.L)
-    assert np.array_equal(riesz.ll, riesz_d.ll)
+    dense = [oracles.kron_sum(Ax, Ay) for Ax, Ay in op.kron_factors]
+    L = []
+    for n in range(basis.size):
+        xi_n = basis.xi[:, n].copy()
+        before = np.ascontiguousarray(basis.xi[:, :n])
+        upto = np.ascontiguousarray(basis.xi[:, :n + 1])
+        for q, K in enumerate(dense):
+            L.append(K @ xi_n)
+            assert np.array_equal(model.a_blocks[q, :n + 1, n], upto.T @ L[-1])
+            assert np.array_equal(model.a_blocks[q, n, :n], xi_n @ (K @ before))
+    L = np.column_stack(L)
+    riesz = build_riesz_data(op, basis)
+    assert np.array_equal(riesz.L, L)
+    assert np.array_equal(riesz.ll, L.T @ L)
 
 
 def test_riesz_hierarchical_extension_bit_identical(oned, oned_basis):

@@ -109,6 +109,42 @@ def test_config_wrong_grid_dimension():
         ExperimentConfig(problem="twod-first", training_grid=[64])
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_config_rejects_workers_below_one(tmp_path, capsys, workers):
+    with pytest.raises(ConfigError, match="workers"):
+        ExperimentConfig(problem="oned-continuous", workers=workers)
+    assert cli_main(["run", "--problem", "oned-continuous", "--workers",
+                     str(workers), "--output-dir", str(tmp_path / "out")]) == 2
+    assert "workers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_rejects_alpha_mode_with_lebesgue(tmp_path, capsys):
+    # the Lebesgue indicator reads no stability constant, so exact-eig would
+    # be recorded in metadata.json without taking effect
+    with pytest.raises(ConfigError, match="exact-eig"):
+        ExperimentConfig(problem="oned-continuous", estimator_kind="lebesgue",
+                         alpha_mode="exact-eig")
+    with pytest.raises(ValueError, match="lebesgue"):
+        make_estimator("lebesgue", alpha_mode="exact-eig")
+    out = str(tmp_path / "out")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"problem": "oned-continuous",
+                                   "estimator_kind": "lebesgue",
+                                   "alpha_mode": "exact-eig", "output_dir": out}))
+    for argv in (["run", "--problem", "oned-continuous", "--estimator", "lebesgue",
+                  "--alpha-mode", "exact-eig", "--output-dir", out],
+                 ["run", str(cfg)]):
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error")
+    assert not os.path.exists(out)
+    # the pair with the unit mode, and exact-eig with the other kinds, stay
+    ExperimentConfig(problem="oned-continuous", estimator_kind="lebesgue")
+    for kind in ("classical", "stable"):
+        ExperimentConfig(problem="oned-continuous", estimator_kind=kind,
+                         alpha_mode="exact-eig")
+
+
 def test_config_roundtrip_dict():
     cfg = ExperimentConfig(problem="oned-continuous", nodes_per_dim=16,
                            training_grid=[64], N_max=5, checkpoints=[2, 5])
@@ -237,6 +273,23 @@ def test_load_run_reproduces_reduced_model(tmp_path):
     for mu, err in zip(basis.sample_set, errors):
         u = truth_solve(op, mu).values
         assert err <= 1e-9 * np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("problem", ["oned-continuous", "twod-first"])
+def test_load_run_rebuilds_the_greedys_images(tmp_path, problem):
+    # the images come back from xi with the bits of the greedy's own
+    # extend_basis, replayed here on the saved sample set
+    config = _small_config(tmp_path, problem=problem,
+                           training_grid=[24] if problem.startswith("oned") else [6, 5])
+    _, op, basis, model = load_run(run_experiment(config).directory)
+    replay, replay_model = empty_basis(op.dim), empty_model(len(op.kron_factors), 1)
+    for mu in basis.sample_set:
+        replay, replay_model = extend_basis(replay, replay_model,
+                                            truth_solve(op, mu), op)
+    assert np.array_equal(replay.xi, basis.xi)
+    assert np.array_equal(replay_model.a_blocks, model.a_blocks)
+    assert basis.images.shape == (op.dim, basis.size * len(op.kron_factors))
+    assert np.array_equal(replay.images, basis.images)
 
 
 def _csv_columns(path):
@@ -404,6 +457,18 @@ def test_run_float_demo_rows(tmp_path):
     assert len(rows) == 8
     data = np.genfromtxt(out, delimiter=",", names=True)
     assert data.shape[0] == 8
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--mu-samples", "0"], "mu_samples"),
+    (["--n-min", "5", "--n-max", "2"], "n_min <= n_max"),
+])
+def test_cli_float_demo_bad_arguments_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "fd.csv"
+    assert cli_main(["float-demo", "--output", str(out)] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

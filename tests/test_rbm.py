@@ -1,6 +1,8 @@
 """Tests for reduced-basis assembly, reduced solves, Lagrange coefficients,
 and the greedy loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,13 @@ from rbkit.estimators import ClassicalEstimator, make_estimator
 from rbkit.harness import build_problem, make_training_grid
 from rbkit.truth import AffineOperator, assemble, load_vector, truth_solve
 
+import oracles
+
 
 def _build_basis(op, mus):
     """Basis/model pair from snapshots at the given parameters."""
     basis = empty_basis(op.dim)
-    model = empty_model(len(op.a_components), len(op.f_components))
+    model = empty_model(len(op.kron_factors), len(op.f_components))
     for mu in mus:
         basis, model = extend_basis(basis, model, truth_solve(op, mu), op)
     return basis, model
@@ -151,11 +155,8 @@ def test_lagrange_kronecker_at_snapshots(oned, oned_basis):
 
 def test_lagrange_warns_when_ill_conditioned(oned_basis):
     basis, _ = oned_basis
-    bad = type(basis)(
-        sample_set=basis.sample_set,
-        xi=basis.xi,
-        chol_coeffs=np.diag(np.logspace(0, -14, basis.size)),
-    )
+    bad = dataclasses.replace(
+        basis, chol_coeffs=np.diag(np.logspace(0, -14, basis.size)))
     with pytest.warns(RuntimeWarning):
         lagrange_coefficients(bad, np.ones(basis.size))
 
@@ -202,6 +203,24 @@ def test_extend_nesting_bit_identical(oned):
     assert np.array_equal(model3.f_blocks[:, :2], model2.f_blocks)
     assert np.array_equal(basis3.xi[:, :2], basis2.xi)
     assert np.array_equal(basis3.chol_coeffs[:2, :2], basis2.chol_coeffs)
+
+
+@pytest.mark.parametrize("problem", ["oned-discontinuous", "twod-first",
+                                     "twod-second"])
+def test_greedy_basis_images_are_the_dense_products(problem):
+    # column m*Q_a + q of the images is A^q xi_m, bit for bit the dense
+    # oracle matrix times the basis vector
+    _, _, op = build_problem(problem, 12)
+    train = make_training_grid(op.spec.param_domain, [7] * op.spec.param_dim)
+    cfg = GreedyConfig(eps_tol=1e-14, N_max=6, training_set=train, seed=1)
+    basis, _, _, _ = greedy(cfg, op, make_estimator("stable"))
+    Qa = len(op.kron_factors)
+    assert basis.images.shape == (op.dim, basis.size * Qa)
+    for q, (Ax, Ay) in enumerate(op.kron_factors):
+        K = oracles.kron_sum(Ax, Ay)
+        for m in range(basis.size):
+            assert np.array_equal(basis.images[:, m * Qa + q],
+                                  K @ basis.xi[:, m].copy())
 
 
 def test_snapshot_reproduction_through_chol_coeffs(oned, oned_basis):

@@ -205,55 +205,105 @@ def test_truth_solve_deterministic():
 @pytest.mark.parametrize("nodes", [12, 32, 50])
 @pytest.mark.parametrize("pid", PROBLEM_IDS)
 def test_components_match_dense_construction(pid, nodes):
-    # apply gives the bits of the two-np.kron matrix times V, for a vector
-    # and for blocks, whichever form stores the component
+    # component_products gives the bits of the two-np.kron matrix times a
+    # vector and times blocks, whichever form keeps the component
     disc = build_discretization(nodes)
     op = assemble_affine(problem_spec(pid), disc)
     ref = oracles.dense_components(pid, disc)
     assert len(op.kron_factors) == len(ref)
     rng = np.random.default_rng(nodes)
-    Vs = [rng.standard_normal(op.dim)]
-    Vs += [rng.standard_normal((op.dim, n)) for n in (1, 2, 7, 20)]
-    for q, ((Ax, Ay), Rq) in enumerate(zip(op.kron_factors, ref)):
-        K = oracles.kron_sum(Ax, Ay)
+    v = rng.standard_normal(op.dim)
+    dense = [oracles.kron_sum(Ax, Ay) for Ax, Ay in op.kron_factors]
+    for K, Rq, Aq in zip(dense, ref, op.a_components):
         assert np.array_equal(K, Rq)
-        if op.a_components[q].ndim == 2:
-            assert np.array_equal(op.a_components[q], Rq)
-        for V in Vs:
-            assert np.array_equal(op.apply(q, V), K @ V)
+        assert np.array_equal(Aq, Rq if Aq.ndim == 2 else Rq.diagonal())
+    for n in (1, 2, 7, 20):
+        V = rng.standard_normal((op.dim, n))
+        for K, ([Kv], KV) in zip(dense, op.component_products([v], V)):
+            assert np.array_equal(Kv, K @ v)
+            assert np.array_equal(KV, K @ V)
+
+
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_strided_column_product_matches_contiguous(pid):
+    # load_run multiplies the columns of a saved basis, the greedy each new
+    # vector on its own: the two GEMVs give the same bits
+    op = assemble_affine(problem_spec(pid), build_discretization(32))
+    X = np.random.default_rng(5).standard_normal((op.dim, 9))
+    columns = [X[:, m] for m in range(9)]
+    copies = [np.ascontiguousarray(x) for x in columns]
+    assert not columns[4].flags.c_contiguous and copies[4].flags.c_contiguous
+    strided = op.component_products(columns, X[:, :0])
+    contiguous = op.component_products(copies, X[:, :0])
+    for (a, _), (b, _) in zip(strided, contiguous):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_diagonal_component_is_stored_as_its_diagonal():
     # twod-first's reaction term (-I, 0) has two diagonal factors
     op = assemble_affine(problem_spec("twod-first"), build_discretization(12))
+    assert [d is None for d in op.diagonals] == [True, True, False]
+    assert op.diagonals[2].nbytes == op.dim * 8
+    assert np.array_equal(op.diagonals[2], -np.ones(op.dim))
     assert [Aq.shape for Aq in op.a_components] == [
         (op.dim, op.dim), (op.dim, op.dim), (op.dim,)]
-    assert op.a_components[2].nbytes == op.dim * 8
-    assert np.array_equal(op.a_components[2], -np.ones(op.dim))
     # a hand-built pair with distinct diagonals on a 3 x 2 grid
     Ax, Ay = np.diag([1.0, -2.0, 3.5]), np.diag([0.25, 7.0])
     toy = AffineOperator(spec=ProblemSpec("diag-toy", ((0.0, 1.0),)),
                          kron_factors=[(Ax, Ay)], f_components=[np.ones(6)],
                          theta_a=[lambda mu: 1.0], theta_f=[lambda mu: 1.0])
-    assert toy.dim == 6 and toy.a_components[0].shape == (6,)
+    assert toy.dim == 6 and toy.diagonals[0].shape == (6,)
     V = np.random.default_rng(3).standard_normal((6, 4))
-    assert np.array_equal(toy.apply(0, V), oracles.kron_sum(Ax, Ay) @ V)
+    [([Kv], KV)] = toy.component_products([V[:, 0]], V)
+    K = oracles.kron_sum(Ax, Ay)
+    assert np.array_equal(Kv, K @ V[:, 0]) and np.array_equal(KV, K @ V)
 
 
-def test_assemble_affine_allocates_only_the_dense_components():
-    # twod-first holds two dense components; its diagonal one is a vector.
-    # Each kron_sum also holds three (nx, ny, ny) diagonal-block arrays
-    # while it writes, 0.1 dim^2 at nx = ny = 30.
-    spec = problem_spec("twod-first")
-    disc = build_discretization(32)
+def _traced_peak(fn):
+    """The ``tracemalloc`` peak of one call, in bytes, and its result."""
     tracemalloc.start()
     try:
-        op = assemble_affine(spec, disc)
+        result = fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    nx = disc.nodes_per_dim - 2
-    assert peak <= (2 * op.dim**2 + 4 * nx**3) * 8
+    return peak, result
+
+
+def test_assemble_affine_allocates_no_dense_component():
+    # twod-first at 50 nodes keeps its 1-D factors (nx^2 = dim doubles each
+    # on a square grid), the load and the diagonal component: O(dim), not
+    # dim^2 (measured 8.2 dim doubles; 2.07 dim^2 while dense components
+    # were kept)
+    spec = problem_spec("twod-first")
+    disc = build_discretization(50)
+    peak, op = _traced_peak(lambda: assemble_affine(spec, disc))
+    assert peak <= 16 * op.dim * 8
+
+
+def test_greedy_step_holds_one_dense_matrix():
+    # a snapshot solve writes A(mu) and factors it in place; extend_basis
+    # then writes the dense components in turn into one array; the stable
+    # refresh multiplies no component.  Writing a dense matrix from the factors also
+    # holds a few (nx, ny, ny) block arrays, 0.033 dim^2 each at
+    # nx = ny = 30.  Measured 1.168 dim^2 for the step, set by the snapshot
+    # solve; extend_basis alone 1.110 dim^2.
+    from rbkit.estimators import make_estimator
+
+    op = assemble_affine(problem_spec("twod-first"), build_discretization(32))
+    basis, model = empty_basis(op.dim), empty_model(3, 1)
+    for mu in ([0.5, 1.5], [3.0, 0.2]):
+        basis, model = extend_basis(basis, model, truth_solve(op, mu), op)
+    est = make_estimator("stable")
+    est.refresh(op, basis, model)
+
+    def step():
+        b, m = extend_basis(basis, model, truth_solve(op, [1.7, 1.0]), op)
+        est.refresh(op, b, m)
+
+    peak, _ = _traced_peak(step)
+    nx = 30
+    assert peak <= (op.dim**2 + 6 * nx**3) * 8
 
 
 def _sample_points(spec, count, seed):
