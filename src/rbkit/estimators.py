@@ -16,6 +16,7 @@ the tests, and the scalar loss-of-significance demo that motivates the
 stable evaluation.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,14 +72,9 @@ class RieszData:
 
     C: np.ndarray  # (dim, Q_f)
     L: np.ndarray  # (dim, N*Q_a)
-    cc: np.ndarray | None  # (Q_f, Q_f); the tables are None when not built
-    cl: np.ndarray | None  # (Q_f, N*Q_a)
-    ll: np.ndarray | None  # (N*Q_a, N*Q_a)
-    Q_a: int
-
-    @property
-    def basis_size(self):
-        return self.L.shape[1] // self.Q_a if self.Q_a else 0
+    cc: np.ndarray  # (Q_f, Q_f)
+    cl: np.ndarray  # (Q_f, N*Q_a)
+    ll: np.ndarray  # (N*Q_a, N*Q_a)
 
 
 @dataclass
@@ -101,40 +97,18 @@ class EstimateValue:
     clamped: bool = False
 
 
-def build_riesz_data(op, basis, prev=None, tables=True):
-    """The Riesz representers of a basis and their tables.
+def build_riesz_data(op, basis):
+    """The Riesz representers of a basis and their tables, built from scratch.
 
     The operator columns ``L`` are the basis's own ``images``; nothing here
-    multiplies a component.  With ``prev`` from the same operator and the
-    leading basis columns, the existing table entries are reused
-    bit-identically and only those for the newly appended snapshots are
-    computed.  With ``tables=False`` only the representers ``C`` and ``L``
-    are given and the tables are None: the stable form reads no tables.
+    multiplies a component.  The result depends on ``op`` and ``basis``
+    alone, so any two builds for one basis give the same bits.
     """
     if basis.size == 0:
         raise ValueError("basis must be nonempty")
-    Qa = len(op.kron_factors)
     C = np.column_stack(op.f_components)
     L = basis.images
-    if not tables:
-        return RieszData(C=C, L=L, cc=None, cl=None, ll=None, Q_a=Qa)
-    if (prev is None or prev.ll is None or prev.Q_a != Qa
-            or prev.basis_size > basis.size):
-        return RieszData(C=C, L=L, cc=C.T @ C, cl=C.T @ L, ll=L.T @ L, Q_a=Qa)
-
-    k_old = prev.L.shape[1]
-    # a contiguous copy: the table products then run on the layout, and so
-    # give the bits, of the new columns stacked on their own
-    Lnew = np.ascontiguousarray(L[:, k_old:])
-    k = L.shape[1]
-    ll = np.zeros((k, k))
-    ll[:k_old, :k_old] = prev.ll
-    cross = prev.L.T @ Lnew
-    ll[:k_old, k_old:] = cross
-    ll[k_old:, :k_old] = cross.T
-    ll[k_old:, k_old:] = Lnew.T @ Lnew
-    cl = np.hstack([prev.cl, C.T @ Lnew])
-    return RieszData(C=C, L=L, cc=prev.cc, cl=cl, ll=ll, Q_a=Qa)
+    return RieszData(C=C, L=L, cc=C.T @ C, cl=C.T @ L, ll=L.T @ L)
 
 
 def build_stable_factors(L, C):
@@ -220,7 +194,9 @@ def float_demo(N_values, mu_samples=1000, seed=0):
 
 def _run_chunked(fn, M, workers):
     """Evaluate ``fn(lo, hi)`` over contiguous index chunks and concatenate in
-    index order, so results match the serial run bit for bit."""
+    index order, so results match the serial run bit for bit.  At most one
+    chunk and thread per usable CPU, whatever ``workers`` asks for."""
+    workers = min(workers, len(os.sched_getaffinity(0)))
     if workers <= 1 or M == 0:
         return fn(0, M)
     from concurrent.futures import ThreadPoolExecutor
@@ -289,7 +265,7 @@ class ClassicalEstimator(_EstimatorBase):
         self.riesz = None
 
     def refresh(self, op, basis, model):
-        self.riesz = build_riesz_data(op, basis, prev=self.riesz)
+        self.riesz = build_riesz_data(op, basis)
 
     def sweep(self, op, basis, model, theta_a, theta_f, alpha, workers=1):
         rz = self.riesz
@@ -312,12 +288,11 @@ class StableEstimator(_EstimatorBase):
 
     def __init__(self, alpha_mode="unit"):
         super().__init__(alpha_mode)
-        self.riesz = None
         self.factors = None
 
     def refresh(self, op, basis, model):
-        self.riesz = build_riesz_data(op, basis, prev=self.riesz, tables=False)
-        self.factors = build_stable_factors(self.riesz.L, self.riesz.C)
+        riesz = build_riesz_data(op, basis)
+        self.factors = build_stable_factors(riesz.L, riesz.C)
 
     def sweep(self, op, basis, model, theta_a, theta_f, alpha, workers=1):
         fc = self.factors

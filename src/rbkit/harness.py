@@ -51,9 +51,6 @@ __all__ = [
     "load_run",
 ]
 
-#: Environment variable that overrides the configured output directory.
-OUTPUT_DIR_ENV = "RBKIT_OUTPUT_DIR"
-
 #: Default training-grid counts per problem: (desk scale, up to 32 nodes per
 #: direction; paper scale, above).
 TRAINING_GRIDS = {
@@ -124,6 +121,9 @@ class ExperimentConfig:
             raise ConfigError("seed must be nonnegative")
         if self.workers < 1:
             raise ConfigError(f"workers must be at least 1, got {self.workers}")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ConfigError(
+                f"output_dir must be a non-empty string, got {self.output_dir!r}")
         try:
             make_estimator(self.estimator_kind, self.alpha_mode)
         except ValueError as exc:
@@ -237,20 +237,9 @@ def _batched_truth(op, points):
     return truth_solve_many(op, points)
 
 
-def _estimate_field(config, op, basis, model, points):
-    """The configured estimator's values over a point set for a (sub-)basis,
-    rebuilding the offline data from scratch."""
-    est = make_estimator(config.estimator_kind, alpha_mode=config.alpha_mode)
-    est.refresh(op, basis, model)
-    ta = op.theta_a_values(points)
-    tf = op.theta_f_values(points)
-    alpha = est.alpha_values(op, points)
-    return est.sweep(op, basis, model, ta, tf, alpha, config.workers)
-
-
 def run_experiment(config):
     """Execute the configured greedy run and emit all artifact files."""
-    out_dir = os.environ.get(OUTPUT_DIR_ENV, "") or config.output_dir
+    out_dir = config.output_dir
     os.makedirs(out_dir, exist_ok=True)
 
     spec, disc, op = build_problem(config.problem, config.nodes_per_dim)
@@ -304,10 +293,18 @@ def run_experiment(config):
     fields = {}
     lagrange = {}
     checkpoints = [k for k in config.checkpoints if k <= basis.size]
-    truth = _batched_truth(op, val_points) if checkpoints else None
+    if checkpoints:
+        # the point-only data serve every checkpoint; the estimator's offline
+        # data depend only on the basis it is refreshed on
+        truth = _batched_truth(op, val_points)
+        val_ta = op.theta_a_values(val_points)
+        val_tf = op.theta_f_values(val_points)
+        val_alpha = estimator.alpha_values(op, val_points)
     for k in checkpoints:
         sub_b, sub_m = _sub_basis(basis, model, k)
-        est_field = _estimate_field(config, op, sub_b, sub_m, val_points)
+        estimator.refresh(op, sub_b, sub_m)
+        est_field = estimator.sweep(op, sub_b, sub_m, val_ta, val_tf, val_alpha,
+                                    config.workers)
         errs = validate(sub_b, sub_m, op, val_points, truth_values=truth)
         path = os.path.join(out_dir, f"field_N{k}.csv")
         _write_csv(

@@ -127,7 +127,7 @@ def test_criterion_2_estimator_equivalence_above_floor(oned32_stable):
     for rec in history.records[1:]:
         k = rec.n
         sub_b, sub_m = _sub_basis(basis, model, k)
-        classical.refresh(op, sub_b, sub_m)  # hierarchical Riesz extension
+        classical.refresh(op, sub_b, sub_m)  # tables of this sub-basis alone
         u_hat = rb_solve(sub_m, op, rec.mu)
         if _classical_rounding_bound(classical.riesz, op, rec.mu, u_hat,
                                      rec.estimate) > 1e-6:
@@ -188,7 +188,7 @@ def test_criterion_4_stable_matches_truth_space_oracle(oned32_stable,
         for _ in range(50):
             mu = np.array([rng.uniform(lo, hi) for lo, hi in domain])
             draws.append((int(rng.integers(1, 11)), mu))
-        # per-size offline data, extended hierarchically, then the random
+        # per-size offline data, built from each sub-basis, then the random
         # draws of that size
         stable = make_estimator("stable")
         for k in range(1, 11):

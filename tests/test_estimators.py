@@ -15,9 +15,11 @@ from rbkit.estimators import (
 )
 from rbkit.numerics import complement_project
 from rbkit.rbm import (
+    GreedyConfig,
     empty_basis,
     empty_model,
     extend_basis,
+    greedy,
     lagrange_coefficients,
     rb_solve,
 )
@@ -148,21 +150,6 @@ def test_diagonal_component_gives_the_dense_bits():
     riesz = build_riesz_data(op, basis)
     assert np.array_equal(riesz.L, L)
     assert np.array_equal(riesz.ll, L.T @ L)
-
-
-def test_riesz_hierarchical_extension_bit_identical(oned, oned_basis):
-    basis, model = oned_basis
-    from rbkit.harness import _sub_basis
-
-    sub, _ = _sub_basis(basis, model, 5)
-    prev = build_riesz_data(oned, sub)
-    full_inc = build_riesz_data(oned, basis, prev=prev)
-    full = build_riesz_data(oned, basis)
-    k = 5 * 2
-    assert np.array_equal(full_inc.ll[:k, :k], prev.ll)
-    assert np.array_equal(full_inc.cl[:, :k], prev.cl)
-    assert np.allclose(full_inc.ll, full.ll, atol=1e-12)
-    assert np.allclose(full_inc.cl, full.cl, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +336,9 @@ def test_stable_rank_deficiency_duplicate_columns(oned, oned_basis):
 
 
 def test_stable_refresh_matches_factors_from_full_riesz_data(oned, oned_basis):
-    # the greedy-style refresh extends only the Riesz columns, one snapshot
-    # at a time, without tables; its factors must equal those of a
-    # from-scratch RieszData
+    # one estimator refreshed on each leading sub-basis in turn, as the greedy
+    # and the field files do; its factors must equal those of a from-scratch
+    # RieszData
     basis, model = oned_basis
     from rbkit.harness import _sub_basis
 
@@ -359,11 +346,8 @@ def test_stable_refresh_matches_factors_from_full_riesz_data(oned, oned_basis):
     for k in range(1, basis.size + 1):
         sub_b, sub_m = _sub_basis(basis, model, k)
         stable.refresh(oned, sub_b, sub_m)
-        assert stable.riesz.ll is None
         riesz = build_riesz_data(oned, sub_b)
         full = build_stable_factors(riesz.L, riesz.C)
-        assert np.array_equal(stable.riesz.L, riesz.L)
-        assert np.array_equal(stable.riesz.C, riesz.C)
         for name in ("Q", "w_coords", "qtc", "rzt"):
             assert np.array_equal(getattr(stable.factors, name),
                                   getattr(full, name)), (k, name)
@@ -580,6 +564,19 @@ def test_sweep_values_match_pointwise_estimates(oned, oned_basis):
         values = est.sweep(oned, basis, model, ta, tf, np.ones(train.shape[0]))
         for mu, u_hat, value in zip(train, U, values):
             assert est.value_at(oned, mu, u_hat, 1.0).value == value, kind
+
+
+def test_classical_greedy_tables_match_fresh_refresh(oned):
+    # a refresh reads nothing of the earlier ones: the tables the greedy ends
+    # with are the bits of one refresh on the returned basis
+    train = np.linspace(-0.995, 0.995, 41)[:, None]
+    cfg = GreedyConfig(training_set=train, N_max=10, eps_tol=1e-14)
+    basis, model, _, est = greedy(cfg, oned, make_estimator("classical"))
+    assert basis.size == 10
+    fresh = _refreshed("classical", oned, basis, model)
+    for name in ("C", "L", "cc", "cl", "ll"):
+        assert np.array_equal(getattr(est.riesz, name),
+                              getattr(fresh.riesz, name)), name
 
 
 def test_lebesgue_sweep_matches_pointwise(oned, oned_basis):

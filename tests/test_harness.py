@@ -2,6 +2,7 @@
 artifact files, and the command-line interface."""
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -19,7 +20,6 @@ from rbkit.estimators import make_estimator
 from rbkit.harness import (
     ConfigError,
     ExperimentConfig,
-    OUTPUT_DIR_ENV,
     TRAINING_GRIDS,
     _sub_basis,
     build_problem,
@@ -213,6 +213,9 @@ def test_run_metadata_roundtrips_config(tmp_path):
     with open(arts.metadata) as fh:
         meta = json.load(fh)
     assert ExperimentConfig.from_dict(meta["config"]) == config
+    # the recorded output directory is the one the run wrote
+    assert meta["config"]["output_dir"] == arts.directory == str(tmp_path / "run")
+    assert os.path.exists(os.path.join(arts.directory, "history.csv"))
     assert meta["n_final"] == 4
     assert meta["timings"]["validation_seconds"] > 0.0
 
@@ -255,12 +258,34 @@ def test_rerun_history_byte_identical(tmp_path):
     assert h1 == h2
 
 
-def test_output_dir_env_override(tmp_path, monkeypatch):
-    target = tmp_path / "env-target"
-    monkeypatch.setenv(OUTPUT_DIR_ENV, str(target))
-    arts = run_experiment(_small_config(tmp_path))
-    assert arts.directory == str(target)
-    assert os.path.exists(target / "history.csv")
+@pytest.mark.parametrize("kind", ["classical", "stable", "lebesgue"])
+@pytest.mark.parametrize("problem, nodes, grid", [
+    ("oned-continuous", 24, [64]),
+    ("twod-second", 16, [16, 16]),
+])
+def test_history_estimate_matches_field_file(tmp_path, problem, nodes, grid, kind):
+    # the greedy and the field files build the offline data of a basis alike,
+    # so history row n and field_N{n}.csv give the same estimate, as text, at
+    # that row's mu (the validation grid defaults to the training grid)
+    config = ExperimentConfig(
+        problem=problem, nodes_per_dim=nodes, training_grid=grid,
+        estimator_kind=kind, eps_tol=1e-14, N_max=13, checkpoints=[3, 6, 9, 12],
+        output_dir=str(tmp_path / "run"),
+    )
+    arts = run_experiment(config)
+    assert sorted(arts.fields) == [3, 6, 9, 12]
+
+    def read(path):
+        with open(path, newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    history = read(arts.history)
+    mu_names = [name for name in history[0] if name.startswith("mu")]
+    for k, path in arts.fields.items():
+        row = history[k]
+        assert row["n"] == str(k)
+        field = {tuple(r[m] for m in mu_names): r["estimate"] for r in read(path)}
+        assert field[tuple(row[m] for m in mu_names)] == row["estimate"], k
 
 
 def test_load_run_reproduces_reduced_model(tmp_path):
@@ -558,6 +583,7 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
                        ("checkpoints", ["x"]), ("checkpoints", [0]),
                        ("checkpoints", [-3]), ("N_max", 2.5),
                        ("nodes_per_dim", 8.7), ("seed", 1.5),
+                       ("output_dir", 5), ("output_dir", None),
                        ("eps_tol", "1e-10")]:  # PyYAML reads 1e-10 as a string
         bad.write_text(yaml.safe_dump({
             "problem": "oned-continuous", "nodes_per_dim": 12,

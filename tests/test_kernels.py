@@ -3,6 +3,10 @@ in ``oracles`` bit for bit, on either side of every chunk boundary and on a
 real greedy state, and chunked parallel evaluation reproduces the serial
 result exactly."""
 
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -113,8 +117,8 @@ def test_classical_clamp_mask_matches_per_point_in_cancellation_regime():
 @pytest.fixture(scope="module")
 def saturated_state():
     """A classical greedy on oned-continuous (32 nodes, 128 points) run until
-    its sweep clamps at every unselected point (N = 21), with the theta
-    tables of a 515-point grid."""
+    its sweep clamps at every unselected point (N = 21 with one BLAS thread,
+    22 with two), with the theta tables of a 515-point grid."""
     _, _, op = build_problem("oned-continuous", 32)
     train = make_training_grid(op.spec.param_domain, [128])
     cfg = GreedyConfig(training_set=train, N_max=30, eps_tol=1e-16)
@@ -177,6 +181,21 @@ def test_chunked_concatenation_is_order_preserving():
     for workers in (1, 2, 3, 8):
         out = _run_chunked(fn, 23, workers)
         assert np.array_equal(out, np.arange(23, dtype=float))
+
+
+def test_chunked_threads_bounded_by_usable_cpus():
+    # a huge worker count starts no more threads than there are usable CPUs;
+    # each chunk sleeps so that the chunks overlap
+    threads = set()
+
+    def fn(lo, hi):
+        threads.add(threading.get_ident())
+        time.sleep(0.01)
+        return np.arange(lo, hi, dtype=float)
+
+    out = _run_chunked(fn, 64, 10**5)
+    assert np.array_equal(out, np.arange(64, dtype=float))
+    assert len(threads) <= len(os.sched_getaffinity(0))
 
 
 def test_parallel_sweep_bit_identical_to_serial():
