@@ -28,7 +28,6 @@ from .rbm import (
 )
 from .estimators import (
     EstimateValue,
-    RieszData,
     StableFactors,
     make_estimator,
     residual_norm_oracle,

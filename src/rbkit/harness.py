@@ -303,8 +303,8 @@ def run_experiment(config):
     for k in checkpoints:
         sub_b, sub_m = _sub_basis(basis, model, k)
         estimator.refresh(op, sub_b, sub_m)
-        est_field = estimator.sweep(op, sub_b, sub_m, val_ta, val_tf, val_alpha,
-                                    config.workers)
+        est_field, _ = estimator.sweep(op, sub_b, sub_m, val_ta, val_tf, val_alpha,
+                                       config.workers)
         errs = validate(sub_b, sub_m, op, val_points, truth_values=truth)
         path = os.path.join(out_dir, f"field_N{k}.csv")
         _write_csv(
@@ -368,8 +368,6 @@ def load_run(run_dir):
     metadata_path = os.path.join(run_dir, "metadata.json")
     with open(metadata_path) as fh:
         meta = json.load(fh)
-    # a run saved while field errors could be switched off still loads
-    meta["config"].pop("validate_fields", None)
     config = ExperimentConfig.from_dict(meta["config"])
     spec, disc, op = build_problem(config.problem, config.nodes_per_dim)
     basis_path = os.path.join(run_dir, "basis.npz")

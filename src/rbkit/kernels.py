@@ -6,13 +6,13 @@ large.  ``_solve_chunks`` is the one reduced assemble-and-solve in the
 package: the three sweeps and ``reduced_solve`` (and through it
 ``rbm.rb_solve``, validation, the field and Lagrange files) all use it, so
 every reduced solution the program writes is the one the sweep scored.  It
-walks the parameters in fixed chunks of ``CHUNK``.  The classical and stable
-sweeps apply their formula (``classical_values``, ``stable_values``) to a
-chunk's solutions inside the same loop, so their working memory is
-O(CHUNK N (N + Q_a)) whatever the grid size; the Lebesgue sweep applies
-``lebesgue_values`` to all rows at once.  The three formulas are the only
-copy of the indicator math: the estimators' one-point ``value_at`` calls
-them on a one-row batch.
+walks the parameters in fixed chunks of ``CHUNK``, serially or over threads.
+The classical and stable sweeps apply their formula (``classical_values``,
+``stable_values``) to a chunk's solutions inside the same loop, so their
+working memory is O(CHUNK N (N + Q_a)) whatever the grid size; the Lebesgue
+sweep applies ``lebesgue_values`` to all rows at once.  The three formulas
+are the only copy of the indicator math: the estimators' one-point
+``value_at`` calls them on a one-row batch.
 
 Every parameter goes through the same BLAS/LAPACK calls, in the same order,
 as a per-point evaluation would give it (the test suite keeps that loop as the
@@ -28,9 +28,13 @@ coefficient trace sums to the Lebesgue indicator bit for bit.
 
 The kernels take precomputed theta tables, ``theta_a (M, Q_a)`` and
 ``theta_f (M, Q_f)``, the reduced blocks ``a_blocks (Q_a, N, N)`` and
-``f_blocks (Q_f, N)``; the sweeps return one indicator value per parameter.
+``f_blocks (Q_f, N)``; the sweeps return one indicator value per parameter
+(the classical sweep also its clamp mask).
 The residual-coefficient ordering is snapshot-major: ``c[m*Q_a + q]``.
 """
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -56,31 +60,55 @@ USE_JIT = False
 CHUNK = 256
 
 
-def _solve_chunks(theta_a, theta_f, a_blocks, f_blocks):
-    """Yield ``(lo, hi, u)``: the reduced solutions ``u (hi - lo, N)`` of
-    parameters ``lo:hi``, ``CHUNK`` parameters at a time."""
+def _solve_chunks(theta_a, theta_f, a_blocks, f_blocks, write, workers=1):
+    """Call ``write(lo, hi, u)`` with the reduced solutions ``u (hi - lo, N)``
+    of parameters ``lo:hi``, ``CHUNK`` parameters at a time.
+
+    This is the only split of a sweep: the chunk boundaries do not depend on
+    ``workers``.  With ``workers > 1`` the chunks are dealt, in index order,
+    to at most min(``workers``, usable CPUs, chunk count) threads, so a grid
+    of at most ``CHUNK`` points always runs on the calling thread.  ``write``
+    must only touch rows ``lo:hi`` of its outputs.
+    """
     M, Q_a = theta_a.shape
     N = a_blocks.shape[1]
-    for lo in range(0, M, CHUNK):
-        hi = min(lo + CHUNK, M)
-        A = np.zeros((hi - lo, N, N))
-        for q in range(Q_a):
-            A += theta_a[lo:hi, q, None, None] * a_blocks[q]
-        rhs = np.zeros((hi - lo, N))
-        for q in range(f_blocks.shape[0]):
-            rhs += theta_f[lo:hi, q, None] * f_blocks[q]
-        yield lo, hi, np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
+
+    def run(starts):
+        # one loop per thread: a chunk's arrays stay alive until the next
+        # chunk's are allocated, so the allocator keeps reusing their memory
+        # (a function call per chunk made the serial sweep 1.5x slower)
+        for lo in starts:
+            hi = min(lo + CHUNK, M)
+            A = np.zeros((hi - lo, N, N))
+            for q in range(Q_a):
+                A += theta_a[lo:hi, q, None, None] * a_blocks[q]
+            rhs = np.zeros((hi - lo, N))
+            for q in range(f_blocks.shape[0]):
+                rhs += theta_f[lo:hi, q, None] * f_blocks[q]
+            write(lo, hi, np.linalg.solve(A, rhs[:, :, None])[:, :, 0])
+
+    starts = range(0, M, CHUNK)
+    threads = min(workers, len(os.sched_getaffinity(0)), len(starts))
+    if threads <= 1:
+        run(starts)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # reading every result re-raises a thread's exception here
+        list(pool.map(run, [starts[i::threads] for i in range(threads)]))
 
 
-def reduced_solve(theta_a, theta_f, a_blocks, f_blocks):
+def reduced_solve(theta_a, theta_f, a_blocks, f_blocks, workers=1):
     """Reduced solutions ``u (M, N)``, one row per parameter.
 
     An exactly singular reduced system raises ``np.linalg.LinAlgError``; a
     near-singular one is solved, not refused.
     """
     u = np.empty((theta_a.shape[0], a_blocks.shape[1]))
-    for lo, hi, u_chunk in _solve_chunks(theta_a, theta_f, a_blocks, f_blocks):
+
+    def write(lo, hi, u_chunk):
         u[lo:hi] = u_chunk
+
+    _solve_chunks(theta_a, theta_f, a_blocks, f_blocks, write, workers)
     return u
 
 
@@ -157,29 +185,43 @@ def lebesgue_values(u, rs):
     return acc
 
 
-def classical_sweep(theta_a, theta_f, alpha, a_blocks, f_blocks, cc, cl, ll):
+# The three sweeps keep their positional arguments 0-7 in this order (for
+# ``lebesgue_sweep``, 0-4) and take ``workers`` after them:
+# ``bench/tracing.py`` counts points and flops from those positions.
+
+
+def classical_sweep(theta_a, theta_f, alpha, a_blocks, f_blocks, cc, cl, ll, workers=1):
     """``classical_values`` at every parameter; returns (values, clamped)."""
     values = np.empty(theta_a.shape[0])
     clamped = np.empty(theta_a.shape[0], dtype=bool)
-    for lo, hi, u in _solve_chunks(theta_a, theta_f, a_blocks, f_blocks):
+
+    def write(lo, hi, u):
         c = residual_coefficients(theta_a[lo:hi], u)
         values[lo:hi], clamped[lo:hi] = classical_values(
             theta_f[lo:hi], c, alpha[lo:hi], cc, cl, ll)
+
+    _solve_chunks(theta_a, theta_f, a_blocks, f_blocks, write, workers)
     return values, clamped
 
 
-def stable_sweep(theta_a, theta_f, alpha, a_blocks, f_blocks, w_coords, qtc, rzt):
+def stable_sweep(theta_a, theta_f, alpha, a_blocks, f_blocks, w_coords, qtc, rzt,
+                 workers=1):
     """``stable_values`` at every parameter."""
     values = np.empty(theta_a.shape[0])
-    for lo, hi, u in _solve_chunks(theta_a, theta_f, a_blocks, f_blocks):
+
+    def write(lo, hi, u):
         c = residual_coefficients(theta_a[lo:hi], u)
         values[lo:hi] = stable_values(
             theta_f[lo:hi], c, alpha[lo:hi], w_coords, qtc, rzt)
+
+    _solve_chunks(theta_a, theta_f, a_blocks, f_blocks, write, workers)
     return values
 
 
-def lebesgue_sweep(theta_a, theta_f, a_blocks, f_blocks, rs):
+def lebesgue_sweep(theta_a, theta_f, a_blocks, f_blocks, rs, workers=1):
     """``lebesgue_values`` at every parameter, applied to all rows at once:
     its back substitution costs O(N^2) numpy calls per batch, so chunking it
-    would only add call overhead."""
-    return lebesgue_values(reduced_solve(theta_a, theta_f, a_blocks, f_blocks), rs)
+    would only add call overhead (twice the serial time at 4,096 points and
+    N = 20)."""
+    u = reduced_solve(theta_a, theta_f, a_blocks, f_blocks, workers)
+    return lebesgue_values(u, rs)

@@ -100,7 +100,7 @@ class GreedyRecord:
     n: int  # basis size when the sweep ran (0 for the seeded initial pick)
     mu: np.ndarray
     estimate: float
-    seconds: float
+    seconds: float  # the sweep and the selection, not the true-error validation
     true_error_argmax: float | None = None
     true_error_max: float | None = None
 
@@ -246,9 +246,9 @@ def greedy(config, op, estimator, workers=1):
     * the basis reaches ``N_max``;
     * the basis saturates (``history.saturated`` is set and the sweep is not
       recorded): an already-selected point is the strict maximizer, or the
-      maximum is unresolved because the estimator clamped it (see
-      ``estimator.clamped``; a clamped value is a rounding floor, not a zero
-      error, so it never satisfies ``eps_tol``);
+      maximum is unresolved because the sweep's mask marks it clamped (a
+      clamped value is a rounding floor, not a zero error, so it never
+      satisfies ``eps_tol``);
     * the selected snapshot is numerically dependent on the basis
       (``history.saturated`` is set after the sweep is recorded).
 
@@ -280,13 +280,13 @@ def greedy(config, op, estimator, workers=1):
     n = 1
     while n < config.N_max:
         t0 = time.perf_counter()
-        values = estimator.sweep(op, basis, model, theta_a, theta_f, alpha, workers)
+        values, clamped = estimator.sweep(op, basis, model, theta_a, theta_f, alpha,
+                                          workers)
         masked = values.copy()
         masked[selected] = -np.inf
         best = int(np.argmax(masked))
-        clamped = estimator.clamped
         if (masked[best] == -np.inf or np.max(values[selected]) > values[best]
-                or (clamped is not None and clamped[best])):
+                or clamped[best]):
             # an already-selected point is the strict maximizer (re-selecting
             # it would force a dependent snapshot), or every remaining value
             # is below the estimator's rounding floor: no informative pick
@@ -301,7 +301,6 @@ def greedy(config, op, estimator, workers=1):
             errs = validate(basis, model, op, train, truth_values=truth)
             record.true_error_argmax = float(errs[best])
             record.true_error_max = float(np.max(errs))
-        record.seconds = time.perf_counter() - t0
         history.records.append(record)
         if record.estimate <= config.eps_tol:
             break

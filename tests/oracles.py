@@ -78,8 +78,10 @@ def true_error_reference(op, basis, mu):
 # make for each point, so the two must agree bit for bit.
 
 
-def classical_sweep_loop(theta_a, theta_f, alpha, a_blocks, f_blocks, cc, cl, ll):
-    """Per-point reference for ``kernels.classical_sweep``."""
+def classical_sweep_loop(theta_a, theta_f, alpha, a_blocks, f_blocks, cc, cl, ll,
+                         workers=1):
+    """Per-point reference for ``kernels.classical_sweep`` (``workers`` is
+    accepted and ignored)."""
     M = theta_a.shape[0]
     Qa = a_blocks.shape[0]
     Qf = f_blocks.shape[0]
@@ -109,8 +111,10 @@ def classical_sweep_loop(theta_a, theta_f, alpha, a_blocks, f_blocks, cc, cl, ll
     return values, clamped
 
 
-def stable_sweep_loop(theta_a, theta_f, alpha, a_blocks, f_blocks, w_coords, qtc, rzt):
-    """Per-point reference for ``kernels.stable_sweep``."""
+def stable_sweep_loop(theta_a, theta_f, alpha, a_blocks, f_blocks, w_coords, qtc, rzt,
+                      workers=1):
+    """Per-point reference for ``kernels.stable_sweep`` (``workers`` is
+    accepted and ignored)."""
     M = theta_a.shape[0]
     Qa = a_blocks.shape[0]
     Qf = f_blocks.shape[0]
@@ -135,8 +139,9 @@ def stable_sweep_loop(theta_a, theta_f, alpha, a_blocks, f_blocks, w_coords, qtc
     return values
 
 
-def lebesgue_sweep_loop(theta_a, theta_f, a_blocks, f_blocks, rs):
-    """Per-point reference for ``kernels.lebesgue_sweep``."""
+def lebesgue_sweep_loop(theta_a, theta_f, a_blocks, f_blocks, rs, workers=1):
+    """Per-point reference for ``kernels.lebesgue_sweep`` (``workers`` is
+    accepted and ignored)."""
     M = theta_a.shape[0]
     Qa = a_blocks.shape[0]
     Qf = f_blocks.shape[0]

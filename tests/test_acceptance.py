@@ -100,7 +100,7 @@ def test_criterion_1_float_demo_stagnation():
     assert ok
 
 
-def _classical_rounding_bound(riesz, op, mu, u_hat, value):
+def _classical_rounding_bound(tables, op, mu, u_hat, value):
     """Relative rounding bound gamma * S / (2 v^2) of the classical estimate.
 
     The expanded quadratic sums terms whose absolute values add up to
@@ -108,10 +108,11 @@ def _classical_rounding_bound(riesz, op, mu, u_hat, value):
     rounding error of up to gamma * S with gamma = (N Q_a + Q_f) eps; its
     square root v is then resolved to a relative gamma * S / (2 v^2).
     """
+    cc, cl, ll = tables
     theta_f = np.abs(op.theta_f_values([mu])[0])
     c = np.abs(np.outer(u_hat, op.theta_a_values([mu])[0]).ravel())
-    scale = (theta_f @ np.abs(riesz.cc) @ theta_f + c @ np.abs(riesz.ll) @ c
-             + 2.0 * (theta_f @ np.abs(riesz.cl) @ c))
+    scale = (theta_f @ np.abs(cc) @ theta_f + c @ np.abs(ll) @ c
+             + 2.0 * (theta_f @ np.abs(cl) @ c))
     gamma = (c.size + theta_f.size) * np.finfo(float).eps
     return gamma * scale / (2.0 * value * value)
 
@@ -129,7 +130,7 @@ def test_criterion_2_estimator_equivalence_above_floor(oned32_stable):
         sub_b, sub_m = _sub_basis(basis, model, k)
         classical.refresh(op, sub_b, sub_m)  # tables of this sub-basis alone
         u_hat = rb_solve(sub_m, op, rec.mu)
-        if _classical_rounding_bound(classical.riesz, op, rec.mu, u_hat,
+        if _classical_rounding_bound(classical.tables, op, rec.mu, u_hat,
                                      rec.estimate) > 1e-6:
             continue
         v1 = classical.value_at(op, rec.mu, u_hat, 1.0).value
@@ -216,12 +217,12 @@ def test_criterion_5_rank_deficiency_robustness(oned32_stable):
     op, _, basis, model, _ = oned32_stable
     N, Qa = 8, 2
     sub_b, sub_m = _sub_basis(basis, model, N)
-    riesz = build_riesz_data(op, sub_b)
-    clean = build_stable_factors(riesz.L, riesz.C)
+    C, L = build_riesz_data(op, sub_b)
+    clean = build_stable_factors(L, C)
     # inject a duplicate snapshot's Riesz columns
-    dup_cols = riesz.L[:, (N - 1) * Qa:]
-    L_dup = np.column_stack([riesz.L, dup_cols])
-    dup = build_stable_factors(L_dup, riesz.C)
+    dup_cols = L[:, (N - 1) * Qa:]
+    L_dup = np.column_stack([L, dup_cols])
+    dup = build_stable_factors(L_dup, C)
     rank_ok = dup.rank < L_dup.shape[1] and dup.rank == oracles.svd_rank(L_dup)
     rng = np.random.default_rng(7)
     worst_rel = 0.0

@@ -13,7 +13,7 @@ from rbkit.estimators import (
     make_estimator,
     residual_norm_oracle,
 )
-from rbkit.numerics import complement_project
+from rbkit.numerics import complement_project, pivoted_qr
 from rbkit.rbm import (
     GreedyConfig,
     empty_basis,
@@ -100,31 +100,32 @@ def oned_basis(oned):
 
 def test_riesz_identity_gram_is_plain_load(oned, oned_basis):
     basis, _ = oned_basis
-    riesz = build_riesz_data(oned, basis)
-    assert np.array_equal(riesz.C[:, 0], oned.f_components[0])
-    assert riesz.L.shape == (oned.dim, basis.size * 2)
+    C, L = build_riesz_data(oned, basis)
+    assert np.array_equal(C[:, 0], oned.f_components[0])
+    assert L.shape == (oned.dim, basis.size * 2)
 
 
 def test_riesz_single_component_table():
     op = _toy_operator(dim=20, Q_a=1)
     basis, _ = _build_basis(op, [[0.3]])
-    riesz = build_riesz_data(op, basis)
+    _, _, ll = _refreshed("classical", op, basis).tables
     L1 = op.a_components[0] @ basis.xi[:, 0]
-    assert riesz.ll.shape == (1, 1)
-    assert riesz.ll[0, 0] == pytest.approx(np.linalg.norm(L1) ** 2, rel=1e-13)
+    assert ll.shape == (1, 1)
+    assert ll[0, 0] == pytest.approx(np.linalg.norm(L1) ** 2, rel=1e-13)
 
 
 def test_riesz_tables_match_direct_recomputation(oned, oned_basis):
     basis, _ = oned_basis
-    riesz = build_riesz_data(oned, basis)
-    assert np.allclose(riesz.cc, riesz.C.T @ riesz.C, atol=1e-13)
-    assert np.allclose(riesz.cl, riesz.C.T @ riesz.L, atol=1e-13)
-    assert np.allclose(riesz.ll, riesz.L.T @ riesz.L, atol=1e-13)
+    C, L = build_riesz_data(oned, basis)
+    cc, cl, ll = _refreshed("classical", oned, basis).tables
+    assert np.allclose(cc, C.T @ C, atol=1e-13)
+    assert np.allclose(cl, C.T @ L, atol=1e-13)
+    assert np.allclose(ll, L.T @ L, atol=1e-13)
     # column m*Q_a + q carries a^q(xi_m, .)
     for m in [0, 3]:
         for q in range(2):
             want = oned.a_components[q] @ basis.xi[:, m]
-            assert np.array_equal(riesz.L[:, m * 2 + q], want)
+            assert np.array_equal(L[:, m * 2 + q], want)
 
 
 def test_diagonal_component_gives_the_dense_bits():
@@ -147,9 +148,8 @@ def test_diagonal_component_gives_the_dense_bits():
             assert np.array_equal(model.a_blocks[q, :n + 1, n], upto.T @ L[-1])
             assert np.array_equal(model.a_blocks[q, n, :n], xi_n @ (K @ before))
     L = np.column_stack(L)
-    riesz = build_riesz_data(op, basis)
-    assert np.array_equal(riesz.L, L)
-    assert np.array_equal(riesz.ll, L.T @ L)
+    assert np.array_equal(build_riesz_data(op, basis)[1], L)
+    assert np.array_equal(_refreshed("classical", op, basis).tables[2], L.T @ L)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +275,8 @@ def test_stable_pythagorean_split_against_truth_space(oned, oned_basis):
     term_perp = np.linalg.norm(factors.w_coords @ theta_f)
     term_par = np.linalg.norm(factors.qtc @ theta_f - factors.rzt @ c)
     r = load_vector(oned, mu) - assemble(oned, mu) @ (basis.xi @ u_hat)
-    r_par = factors.Q @ (factors.Q.T @ r)
+    Q = pivoted_qr(build_riesz_data(oned, basis)[1])[0]
+    r_par = Q @ (Q.T @ r)
     r_perp = r - r_par
     assert value**2 == pytest.approx(term_perp**2 + term_par**2, rel=1e-12)
     # the two terms match the truth-space projection split up to projection
@@ -289,20 +290,21 @@ def test_stable_pythagorean_split_against_truth_space(oned, oned_basis):
 
 def test_stable_isometry_steps(oned, oned_basis):
     basis, _ = oned_basis
-    riesz = build_riesz_data(oned, basis)
-    factors = build_stable_factors(riesz.L, riesz.C)
+    C, L = build_riesz_data(oned, basis)
+    factors = build_stable_factors(L, C)
+    Q = pivoted_qr(L)[0]
     rng = np.random.default_rng(19)
     v = rng.standard_normal(oned.dim)
     # projection onto range(Q) preserves the norm of the projected part
-    p_v = factors.Q @ (factors.Q.T @ v)
-    assert np.linalg.norm(factors.Q.T @ v) == pytest.approx(
+    p_v = Q @ (Q.T @ v)
+    assert np.linalg.norm(Q.T @ v) == pytest.approx(
         np.linalg.norm(p_v), rel=1e-12
     )
     # the complement parts of the load representers are isometrically
     # represented by their coordinates
-    c_perp = complement_project(factors.Q, riesz.C[:, 0])
+    c_perp = complement_project(Q, C[:, 0])
     coord_norm = np.linalg.norm(factors.w_coords[:, 0])
-    c_scale = np.linalg.norm(riesz.C[:, 0])
+    c_scale = np.linalg.norm(C[:, 0])
     assert coord_norm == pytest.approx(
         np.linalg.norm(c_perp), rel=1e-10, abs=1e-9 * c_scale
     )
@@ -313,12 +315,12 @@ def test_stable_rank_deficiency_duplicate_columns(oned, oned_basis):
     # weight) must not change the estimate, while the rank drops below the
     # column count
     basis, model = oned_basis
-    riesz = build_riesz_data(oned, basis)
+    C, L = build_riesz_data(oned, basis)
     N, Qa = basis.size, 2
-    clean = build_stable_factors(riesz.L, riesz.C)
-    dup_cols = riesz.L[:, (N - 1) * Qa:]
-    L_dup = np.column_stack([riesz.L, dup_cols])
-    dup = build_stable_factors(L_dup, riesz.C)
+    clean = build_stable_factors(L, C)
+    dup_cols = L[:, (N - 1) * Qa:]
+    L_dup = np.column_stack([L, dup_cols])
+    dup = build_stable_factors(L_dup, C)
     assert dup.rank < L_dup.shape[1]
     assert dup.rank == oracles.svd_rank(L_dup)
     rng = np.random.default_rng(20)
@@ -337,8 +339,8 @@ def test_stable_rank_deficiency_duplicate_columns(oned, oned_basis):
 
 def test_stable_refresh_matches_factors_from_full_riesz_data(oned, oned_basis):
     # one estimator refreshed on each leading sub-basis in turn, as the greedy
-    # and the field files do; its factors must equal those of a from-scratch
-    # RieszData
+    # and the field files do; its factors must equal those built from scratch
+    # from the sub-basis's representers
     basis, model = oned_basis
     from rbkit.harness import _sub_basis
 
@@ -346,9 +348,9 @@ def test_stable_refresh_matches_factors_from_full_riesz_data(oned, oned_basis):
     for k in range(1, basis.size + 1):
         sub_b, sub_m = _sub_basis(basis, model, k)
         stable.refresh(oned, sub_b, sub_m)
-        riesz = build_riesz_data(oned, sub_b)
-        full = build_stable_factors(riesz.L, riesz.C)
-        for name in ("Q", "w_coords", "qtc", "rzt"):
+        C, L = build_riesz_data(oned, sub_b)
+        full = build_stable_factors(L, C)
+        for name in ("w_coords", "qtc", "rzt"):
             assert np.array_equal(getattr(stable.factors, name),
                                   getattr(full, name)), (k, name)
         assert stable.factors.rank == full.rank
@@ -561,9 +563,11 @@ def test_sweep_values_match_pointwise_estimates(oned, oned_basis):
                                                    model.f_blocks))
     for kind in ("classical", "stable", "lebesgue"):
         est = _refreshed(kind, oned, basis, model)
-        values = est.sweep(oned, basis, model, ta, tf, np.ones(train.shape[0]))
-        for mu, u_hat, value in zip(train, U, values):
-            assert est.value_at(oned, mu, u_hat, 1.0).value == value, kind
+        values, clamped = est.sweep(oned, basis, model, ta, tf, np.ones(train.shape[0]))
+        for mu, u_hat, value, flag in zip(train, U, values, clamped):
+            point = est.value_at(oned, mu, u_hat, 1.0)
+            assert point.value == value, kind
+            assert point.clamped == flag, kind
 
 
 def test_classical_greedy_tables_match_fresh_refresh(oned):
@@ -574,9 +578,8 @@ def test_classical_greedy_tables_match_fresh_refresh(oned):
     basis, model, _, est = greedy(cfg, oned, make_estimator("classical"))
     assert basis.size == 10
     fresh = _refreshed("classical", oned, basis, model)
-    for name in ("C", "L", "cc", "cl", "ll"):
-        assert np.array_equal(getattr(est.riesz, name),
-                              getattr(fresh.riesz, name)), name
+    for name, got, want in zip(("cc", "cl", "ll"), est.tables, fresh.tables):
+        assert np.array_equal(got, want), name
 
 
 def test_lebesgue_sweep_matches_pointwise(oned, oned_basis):
@@ -585,7 +588,7 @@ def test_lebesgue_sweep_matches_pointwise(oned, oned_basis):
     basis, model = oned_basis
     train = np.linspace(-0.995, 0.995, 17)[:, None]
     est = _refreshed("lebesgue", oned, basis, model)
-    values = est.sweep(
+    values, _ = est.sweep(
         oned, basis, model,
         oned.theta_a_values(train), oned.theta_f_values(train),
         np.ones(train.shape[0]),

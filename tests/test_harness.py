@@ -234,8 +234,8 @@ def test_lagrange_trace_sums_to_lebesgue_indicator(tmp_path):
         sub_b, sub_m = _sub_basis(basis, model, k)
         lebesgue = make_estimator("lebesgue")
         lebesgue.refresh(op, sub_b, sub_m)
-        swept = lebesgue.sweep(op, sub_b, sub_m, op.theta_a_values(train),
-                               op.theta_f_values(train), np.ones(len(train)))
+        swept, _ = lebesgue.sweep(op, sub_b, sub_m, op.theta_a_values(train),
+                                  op.theta_f_values(train), np.ones(len(train)))
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         assert rows.shape == (24, k + 1)
         assert np.array_equal(rows[:, 0], train[:, 0])
@@ -407,16 +407,17 @@ def test_metadata_records_resolved_validation_grid(tmp_path):
     assert config.validation_grid == config.training_grid == [24]
 
 
-def test_load_run_accepts_saved_validate_fields_key(tmp_path):
+def test_cli_validate_rejects_saved_validate_fields_key(tmp_path, capsys):
+    # a run saved while field errors could be switched off carries a config
+    # key rbkit no longer knows: validate names it and exits 2
     arts = run_experiment(_small_config(tmp_path))
     with open(arts.metadata) as fh:
         meta = json.load(fh)
     meta["config"]["validate_fields"] = True
     with open(arts.metadata, "w") as fh:
         json.dump(meta, fh)
-    config, _, basis, _ = load_run(arts.directory)
-    assert config == _small_config(tmp_path)
-    assert basis.size == 4
+    assert cli_main(["validate", arts.directory]) == 2
+    assert "validate_fields" in capsys.readouterr().err
 
 
 def test_cli_validate_rejects_run_without_reduced_blocks(tmp_path, capsys):

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg as sla
 
 from rbkit import kernels
-from rbkit.estimators import _run_chunked, build_stable_factors, make_estimator
+from rbkit.estimators import build_riesz_data, build_stable_factors, make_estimator
 from rbkit.harness import (
     ExperimentConfig,
     build_problem,
@@ -125,19 +125,18 @@ def saturated_state():
     basis, model, history, est = greedy(cfg, op, make_estimator("classical"))
     assert history.saturated
     grid = make_training_grid(op.spec.param_domain, [515])
-    return basis, model, est.riesz, op.theta_a_values(grid), op.theta_f_values(grid)
+    return (basis, model, est.tables, build_riesz_data(op, basis),
+            op.theta_a_values(grid), op.theta_f_values(grid))
 
 
 def test_kernels_match_per_point_on_greedy_state(saturated_state):
-    basis, model, riesz, ta, tf = saturated_state
+    basis, model, tables, (C, L), ta, tf = saturated_state
     alpha = np.ones(ta.shape[0])
     blocks = (model.a_blocks, model.f_blocks)
-    clamped = _assert_classical_identical(
-        (ta, tf, alpha, *blocks, riesz.cc, riesz.cl, riesz.ll)
-    )
+    clamped = _assert_classical_identical((ta, tf, alpha, *blocks, *tables))
     assert 0 < clamped.sum() < ta.shape[0]
 
-    fc = build_stable_factors(riesz.L, riesz.C)
+    fc = build_stable_factors(L, C)
     args = (ta, tf, alpha, *blocks, fc.w_coords, fc.qtc, fc.rzt)
     assert np.array_equal(kernels.stable_sweep(*args), oracles.stable_sweep_loop(*args))
 
@@ -174,46 +173,68 @@ def test_clamp_flags_from_negative_quadratic():
     assert clamped.dtype == np.bool_
 
 
-def test_chunked_concatenation_is_order_preserving():
-    def fn(lo, hi):
-        return np.arange(lo, hi, dtype=float)
-
-    for workers in (1, 2, 3, 8):
-        out = _run_chunked(fn, 23, workers)
-        assert np.array_equal(out, np.arange(23, dtype=float))
-
-
-def test_chunked_threads_bounded_by_usable_cpus():
-    # a huge worker count starts no more threads than there are usable CPUs;
-    # each chunk sleeps so that the chunks overlap
-    threads = set()
-
-    def fn(lo, hi):
-        threads.add(threading.get_ident())
-        time.sleep(0.01)
-        return np.arange(lo, hi, dtype=float)
-
-    out = _run_chunked(fn, 64, 10**5)
-    assert np.array_equal(out, np.arange(64, dtype=float))
-    assert len(threads) <= len(os.sched_getaffinity(0))
-
-
-def test_parallel_sweep_bit_identical_to_serial():
+@pytest.fixture(scope="module")
+def four_snapshot_state():
     _, _, op = build_problem("oned-continuous", 16)
     basis = empty_basis(op.dim)
     model = empty_model(2, 1)
     for mu in [[-0.8], [-0.1], [0.5], [0.9]]:
         basis, model = extend_basis(basis, model, truth_solve(op, mu), op)
-    train = make_training_grid(op.spec.param_domain, [101])
-    ta = op.theta_a_values(train)
-    tf = op.theta_f_values(train)
-    alpha = np.ones(train.shape[0])
-    for kind in ("classical", "stable", "lebesgue"):
-        est = make_estimator(kind)
-        est.refresh(op, basis, model)
-        serial = est.sweep(op, basis, model, ta, tf, alpha, workers=1)
-        parallel = est.sweep(op, basis, model, ta, tf, alpha, workers=8)
-        assert np.array_equal(serial, parallel), kind
+    return op, basis, model
+
+
+#: Grids of one chunk and of three, the last one holding a single point.
+PARALLEL_SIZES = [kernels.CHUNK - 1, 2 * kernels.CHUNK + 1]
+
+
+def _theta_tables(op, M):
+    train = make_training_grid(op.spec.param_domain, [M])
+    return op.theta_a_values(train), op.theta_f_values(train), np.ones(M)
+
+
+def test_parallel_sweep_bit_identical_to_serial(four_snapshot_state):
+    op, basis, model = four_snapshot_state
+    for M in PARALLEL_SIZES:
+        ta, tf, alpha = _theta_tables(op, M)
+        for kind in ("classical", "stable", "lebesgue"):
+            est = make_estimator(kind)
+            est.refresh(op, basis, model)
+            values, clamped = est.sweep(op, basis, model, ta, tf, alpha, workers=1)
+            assert values.shape == clamped.shape == (M,)
+            for workers in (2, 3, 8):
+                par_values, par_clamped = est.sweep(op, basis, model, ta, tf, alpha,
+                                                    workers=workers)
+                assert np.array_equal(values, par_values), (M, kind, workers)
+                assert np.array_equal(clamped, par_clamped), (M, kind, workers)
+
+
+def test_chunked_threads_bounded_by_usable_cpus(four_snapshot_state, monkeypatch):
+    # a sweep uses at most min(workers, usable CPUs, chunks) threads; each
+    # chunk records its thread and sleeps so that the chunks overlap, and a
+    # grid of one chunk runs on the calling thread whatever workers asks
+    op, basis, model = four_snapshot_state
+    est = make_estimator("stable")
+    est.refresh(op, basis, model)
+    formula = kernels.stable_values
+    threads = []
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        time.sleep(0.01)
+        return formula(*args)
+
+    monkeypatch.setattr(kernels, "stable_values", recording)
+    for M in PARALLEL_SIZES:
+        ta, tf, alpha = _theta_tables(op, M)
+        chunks = -(-M // kernels.CHUNK)
+        for workers in (1, 2, 3, 8):
+            threads.clear()
+            est.sweep(op, basis, model, ta, tf, alpha, workers=workers)
+            assert len(threads) == chunks
+            bound = min(workers, len(os.sched_getaffinity(0)), chunks)
+            assert len(set(threads)) <= bound, (M, workers)
+            if bound == 1:
+                assert set(threads) == {threading.get_ident()}, (M, workers)
 
 
 @pytest.mark.parametrize("kind", ["classical", "stable", "lebesgue"])

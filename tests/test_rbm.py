@@ -2,10 +2,12 @@
 and the greedy loop."""
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 
+from rbkit import rbm
 from rbkit.rbm import (
     DependentSnapshotError,
     GreedyConfig,
@@ -381,11 +383,12 @@ class _ClampsFromSize(ClassicalEstimator):
         self.size = size
 
     def sweep(self, op, basis, model, theta_a, theta_f, alpha, workers=1):
-        values = super().sweep(op, basis, model, theta_a, theta_f, alpha, workers)
+        values, clamped = super().sweep(op, basis, model, theta_a, theta_f, alpha,
+                                        workers)
         if basis.size >= self.size:
-            self.clamped = np.ones_like(self.clamped)
-            values = np.zeros_like(values)
-        return values
+            values, clamped = np.zeros_like(values), np.ones_like(clamped)
+        self.last_clamped = clamped
+        return values, clamped
 
 
 def test_greedy_stops_saturated_on_fully_clamped_sweep(oned):
@@ -398,4 +401,19 @@ def test_greedy_stops_saturated_on_fully_clamped_sweep(oned):
     assert np.all(history.estimates > 0.0)
     selected = np.isin(cfg.training_set[:, 0],
                        [mu[0] for mu in basis.sample_set])
-    assert np.all(est.clamped[~selected])
+    assert np.all(est.last_clamped[~selected])
+
+
+@pytest.mark.parametrize("mode", ["argmax", "full"])
+def test_greedy_sweep_seconds_exclude_validation(oned, monkeypatch, mode):
+    # a record's seconds time the sweep and the selection; the true-error
+    # validation after them is not counted
+    def slow_validate(*args, **kwargs):
+        time.sleep(0.2)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(rbm, "validate", slow_validate)
+    cfg, est = _greedy_setup(oned, N_max=3, validate=mode)
+    _, _, history, _ = greedy(cfg, oned, est)
+    assert len(history.records) == 3
+    assert all(r.seconds < 0.2 for r in history.records)
