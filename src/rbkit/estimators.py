@@ -46,9 +46,8 @@ __all__ = [
     "ALPHA_MODES",
 ]
 
-#: Greedy objectives and stability-constant modes that ``make_estimator``
-#: accepts.
-ESTIMATOR_KINDS = ("classical", "stable", "lebesgue")
+#: Stability-constant modes of an estimator: ``unit`` takes 1 (the plain
+#: residual dual norm), ``exact-eig`` the ``coercivity_lower_bound``.
 ALPHA_MODES = ("unit", "exact-eig")
 
 #: Floor of the ``exact-eig`` coercivity lower bound; a smaller eigenvalue
@@ -114,23 +113,12 @@ def build_stable_factors(L, C):
     return StableFactors(rank=rank, w_coords=w_coords, qtc=qtc, rzt=rzt)
 
 
-def coercivity_lower_bound(op, mu, mode="unit", with_flag=False):
-    """Lower bound for the stability constant at mu.
-
-    ``unit`` returns 1 (the estimator degenerates to the plain residual dual
-    norm); ``exact-eig`` computes the smallest eigenvalue of the symmetrized
-    assembled operator, floored at ``ALPHA_FLOOR``.  With ``with_flag=True``
-    the return is ``(value, degenerate)`` where the flag marks a floored
-    result.
-    """
-    if mode == "unit":
-        return (1.0, False) if with_flag else 1.0
-    if mode != "exact-eig":
-        raise ValueError(f"unknown alpha mode {mode!r}")
-    lam = smallest_symmetric_eigenvalue(assemble(op, mu))
-    degenerate = lam < ALPHA_FLOOR
-    value = max(lam, ALPHA_FLOOR)
-    return (value, degenerate) if with_flag else value
+def coercivity_lower_bound(op, mu):
+    """The ``exact-eig`` lower bound for the stability constant at mu: the
+    smallest eigenvalue of the symmetrized assembled operator, floored at
+    ``ALPHA_FLOOR``.  A value equal to ``ALPHA_FLOOR`` marks a degenerate
+    bound."""
+    return max(smallest_symmetric_eigenvalue(assemble(op, mu)), ALPHA_FLOOR)
 
 
 def residual_norm_oracle(op, basis, mu, u_hat):
@@ -169,18 +157,21 @@ def float_demo(N_values, mu_samples=1000, seed=0):
 # Greedy-facing estimator drivers
 
 
-class _EstimatorBase:
-    kind = ""
+def _unclamped(values):
+    return values, np.zeros(values.shape, dtype=bool)
 
+
+class _EstimatorBase:
     def __init__(self, alpha_mode="unit"):
+        if alpha_mode not in ALPHA_MODES:
+            raise ValueError(f"unknown alpha mode {alpha_mode!r}")
         self.alpha_mode = alpha_mode
 
     def alpha_values(self, op, train):
+        """The stability constant at each row of ``train``, by the mode."""
         if self.alpha_mode == "unit":
             return np.ones(train.shape[0])
-        return np.array([
-            coercivity_lower_bound(op, mu, self.alpha_mode) for mu in train
-        ])
+        return np.array([coercivity_lower_bound(op, mu) for mu in train])
 
     def value_at(self, op, mu, u_hat, alpha_lb):
         """The indicator at one parameter ``mu`` for a given reduced solution
@@ -189,26 +180,21 @@ class _EstimatorBase:
         if alpha_lb <= 0:
             raise ValueError("alpha_lb must be positive")
         u = np.asarray(u_hat, dtype=float)[None, :]
-        theta_f = op.theta_f_values([mu])
         c = kernels.residual_coefficients(op.theta_a_values([mu]), u)
-        alpha = np.array([float(alpha_lb)])
-        clamped = [False]
-        if self.kind == "classical":
-            values, clamped = kernels.classical_values(theta_f, c, alpha, *self.tables)
-        elif self.kind == "stable":
-            fc = self.factors
-            values = kernels.stable_values(
-                theta_f, c, alpha, fc.w_coords, fc.qtc, fc.rzt)
-        else:
-            values = kernels.lebesgue_values(u, self.chol_coeffs)
+        values, clamped = self._values(op.theta_f_values([mu]), c,
+                                       np.array([float(alpha_lb)]), u)
         return EstimateValue(float(values[0]), bool(clamped[0]))
+
+    def _values(self, theta_f, c, alpha, u):
+        """``(values, clamped)`` on rows of coefficients ``c`` and ``u``."""
+        raise NotImplementedError
 
     def refresh(self, op, basis, model):
         raise NotImplementedError
 
-    def sweep(self, op, basis, model, theta_a, theta_f, alpha, workers=1):
-        """The indicator at every row of the theta tables, with the offline
-        data of the last ``refresh``; returns ``(values, clamped)``, where
+    def sweep(self, model, theta_a, theta_f, alpha, workers=1):
+        """The indicator at every row of the theta tables from ``model``'s
+        blocks and the last ``refresh``; returns ``(values, clamped)``, where
         ``clamped`` marks values that are unresolved (clamped at zero)."""
         raise NotImplementedError
 
@@ -224,7 +210,10 @@ class ClassicalEstimator(_EstimatorBase):
         C, L = build_riesz_data(op, basis)
         self.tables = (C.T @ C, C.T @ L, L.T @ L)  # cc, cl, ll
 
-    def sweep(self, op, basis, model, theta_a, theta_f, alpha, workers=1):
+    def _values(self, theta_f, c, alpha, u):
+        return kernels.classical_values(theta_f, c, alpha, *self.tables)
+
+    def sweep(self, model, theta_a, theta_f, alpha, workers=1):
         return kernels.classical_sweep(theta_a, theta_f, alpha, model.a_blocks,
                                        model.f_blocks, *self.tables, workers)
 
@@ -244,40 +233,48 @@ class StableEstimator(_EstimatorBase):
         C, L = build_riesz_data(op, basis)
         self.factors = build_stable_factors(L, C)
 
-    def sweep(self, op, basis, model, theta_a, theta_f, alpha, workers=1):
+    def _values(self, theta_f, c, alpha, u):
         fc = self.factors
-        values = kernels.stable_sweep(theta_a, theta_f, alpha, model.a_blocks,
-                                      model.f_blocks, fc.w_coords, fc.qtc, fc.rzt,
-                                      workers)
-        return values, np.zeros(values.shape, dtype=bool)
+        return _unclamped(kernels.stable_values(theta_f, c, alpha, fc.w_coords,
+                                                fc.qtc, fc.rzt))
+
+    def sweep(self, model, theta_a, theta_f, alpha, workers=1):
+        fc = self.factors
+        return _unclamped(kernels.stable_sweep(
+            theta_a, theta_f, alpha, model.a_blocks, model.f_blocks,
+            fc.w_coords, fc.qtc, fc.rzt, workers))
 
 
 class LebesgueEstimator(_EstimatorBase):
     kind = "lebesgue"
 
-    def __init__(self):
-        super().__init__(alpha_mode="unit")
+    def __init__(self, alpha_mode="unit"):
+        super().__init__(alpha_mode)
+        if alpha_mode != "unit":
+            raise ValueError(f"alpha mode {alpha_mode!r} has no effect on the "
+                             "lebesgue estimator, which reads no stability constant")
         self.chol_coeffs = None
 
     def refresh(self, op, basis, model):
         self.chol_coeffs = basis.chol_coeffs
 
-    def sweep(self, op, basis, model, theta_a, theta_f, alpha, workers=1):
-        values = kernels.lebesgue_sweep(theta_a, theta_f, model.a_blocks,
-                                        model.f_blocks, self.chol_coeffs, workers)
-        return values, np.zeros(values.shape, dtype=bool)
+    def _values(self, theta_f, c, alpha, u):
+        return _unclamped(kernels.lebesgue_values(u, self.chol_coeffs))
+
+    def sweep(self, model, theta_a, theta_f, alpha, workers=1):
+        return _unclamped(kernels.lebesgue_sweep(
+            theta_a, theta_f, model.a_blocks, model.f_blocks, self.chol_coeffs,
+            workers))
+
+
+_ESTIMATORS = {cls.kind: cls
+               for cls in (ClassicalEstimator, StableEstimator, LebesgueEstimator)}
+
+#: Greedy objectives that ``make_estimator`` accepts.
+ESTIMATOR_KINDS = tuple(_ESTIMATORS)
 
 
 def make_estimator(kind, alpha_mode="unit"):
-    if alpha_mode not in ALPHA_MODES:
-        raise ValueError(f"unknown alpha mode {alpha_mode!r}")
-    if kind == "classical":
-        return ClassicalEstimator(alpha_mode)
-    if kind == "stable":
-        return StableEstimator(alpha_mode)
-    if kind == "lebesgue":
-        if alpha_mode != "unit":
-            raise ValueError(f"alpha mode {alpha_mode!r} has no effect on the "
-                             "lebesgue estimator, which reads no stability constant")
-        return LebesgueEstimator()
-    raise ValueError(f"unknown estimator kind {kind!r}")
+    if kind not in _ESTIMATORS:
+        raise ValueError(f"unknown estimator kind {kind!r}")
+    return _ESTIMATORS[kind](alpha_mode)

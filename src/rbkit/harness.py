@@ -90,7 +90,7 @@ def _read_yaml(path):
 class ExperimentConfig:
     problem: str
     nodes_per_dim: int = 32
-    training_grid: list = field(default_factory=list)  # per-dimension counts
+    training_grid: list | None = None  # per-dimension counts; None: TRAINING_GRIDS
     estimator_kind: str = "stable"
     eps_tol: float = 1e-12
     N_max: int = 40
@@ -131,7 +131,7 @@ class ExperimentConfig:
         if self.validate not in VALIDATE_MODES:
             raise ConfigError(f"unknown validate mode {self.validate!r}")
         pdim = problem_spec(self.problem).param_dim
-        if not self.training_grid:
+        if self.training_grid is None:
             desk, paper = TRAINING_GRIDS[self.problem]
             self.training_grid = desk if self.nodes_per_dim <= 32 else paper
         self.training_grid = _int_entries("training_grid", self.training_grid)
@@ -149,6 +149,9 @@ class ExperimentConfig:
         self.checkpoints = _int_entries("checkpoints", self.checkpoints)
         if any(k < 1 for k in self.checkpoints):
             raise ConfigError(f"checkpoints must be at least 1, got {self.checkpoints}")
+        if any(k > self.N_max for k in self.checkpoints):
+            raise ConfigError(f"checkpoints must be at most N_max {self.N_max}, "
+                              f"got {self.checkpoints}")
 
     @classmethod
     def from_dict(cls, data):
@@ -303,7 +306,7 @@ def run_experiment(config):
     for k in checkpoints:
         sub_b, sub_m = _sub_basis(basis, model, k)
         estimator.refresh(op, sub_b, sub_m)
-        est_field, _ = estimator.sweep(op, sub_b, sub_m, val_ta, val_tf, val_alpha,
+        est_field, _ = estimator.sweep(sub_m, val_ta, val_tf, val_alpha,
                                        config.workers)
         errs = validate(sub_b, sub_m, op, val_points, truth_values=truth)
         path = os.path.join(out_dir, f"field_N{k}.csv")

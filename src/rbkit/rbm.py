@@ -280,8 +280,7 @@ def greedy(config, op, estimator, workers=1):
     n = 1
     while n < config.N_max:
         t0 = time.perf_counter()
-        values, clamped = estimator.sweep(op, basis, model, theta_a, theta_f, alpha,
-                                          workers)
+        values, clamped = estimator.sweep(model, theta_a, theta_f, alpha, workers)
         masked = values.copy()
         masked[selected] = -np.inf
         best = int(np.argmax(masked))

@@ -8,9 +8,10 @@ eliminated), which keeps the affine decomposition exact.
 On interior nodes every operator component is a Kronecker sum
 ``A^q = kron(Ax^q, I) + kron(I, Ay^q)`` of 1-D factors, so with ``U[i, j]``
 the value at ``(x_i, y_j)`` the system ``A(mu) u = f(mu)`` is the Sylvester
-equation ``Ax(mu) U + U Ay(mu)^T = F``.  The greedy's snapshots use the dense
-LU solve (``truth_solve``): ``assemble`` writes A(mu) straight from the 1-D
-factors into one column-major matrix, and ``solve_dense`` factors it in
+equation ``Ax(mu) U + U Ay(mu)^T = F``.  Dense matrices are written from the
+1-D factors by one row-major writer.  The greedy's snapshots use the dense
+LU solve (``truth_solve``): ``assemble`` writes the transpose of A(mu) and
+returns its column-major transposed view, which ``solve_dense`` factors in
 place.  Validation sweeps solve the Sylvester form by Bartels-Stewart
 (``truth_solve_many``).
 """
@@ -167,7 +168,7 @@ class AffineOperator:
             if diagonal is not None:
                 products.append(([diagonal * v for v in vectors], diagonal[:, None] * V))
             else:
-                dense = _kron_affine_sum([1.0], [pair], "C", out=dense)
+                dense = _kron_affine_sum([1.0], [pair], out=dense)
                 products.append(([dense @ v for v in vectors], dense @ V))
         return products
 
@@ -233,19 +234,15 @@ def build_discretization(nodes_per_dim):
 
 
 def kron_sum(Ax, Ay):
-    """Dense ``kron(Ax, I) + kron(I, Ay)`` in the ``k = i*ny + j`` order.
-
-    Row-major: ``AffineOperator.component_products`` writes each dense
-    component in this layout for one greedy step and multiplies it with
-    basis vectors, and the bits of a BLAS product depend on the layout.
-    """
-    return _kron_affine_sum([1.0], [(Ax, Ay)], order="C")
+    """Dense row-major ``kron(Ax, I) + kron(I, Ay)`` in the ``k = i*ny + j``
+    order."""
+    return _kron_affine_sum([1.0], [(Ax, Ay)])
 
 
-def _kron_affine_sum(weights, pairs, order, out=None):
-    """Dense ``sum_q weights[q] * kron_sum(*pairs[q])`` in a new array of the
-    given memory order, or over ``out``, a Kronecker sum of factors of the
-    same shapes in that order; written block by block from the 1-D factors.
+def _kron_affine_sum(weights, pairs, out=None):
+    """Dense ``sum_q weights[q] * kron_sum(*pairs[q])`` in a new row-major
+    array, or over ``out``, a row-major Kronecker sum of factors of the same
+    shapes; written block by block from the 1-D factors.
 
     Block (i, k) is ``Sx[i, k] I`` for i != k, with ``Sx`` the weighted sum
     of the ``Ax^q``, and diagonal block i is the weighted sum of
@@ -256,12 +253,9 @@ def _kron_affine_sum(weights, pairs, order, out=None):
     Fx, Fy = zip(*pairs)
     nx, ny = Fx[0].shape[0], Fy[0].shape[0]
     if out is None:
-        out = np.zeros((nx * ny, nx * ny), order=order)
+        out = np.zeros((nx * ny, nx * ny))
     # blocks[i, j, k, l] is entry (i*ny + j, k*ny + l) of out, a view
-    if order == "F":
-        blocks = out.T.reshape(nx, ny, nx, ny).transpose(2, 3, 0, 1)
-    else:
-        blocks = out.reshape(nx, ny, nx, ny)
+    blocks = out.reshape(nx, ny, nx, ny)
     j, i = np.arange(ny), np.arange(nx)
     blocks[:, j, :, j] = _affine_sum(weights, Fx)  # diagonal blocks: next line
     eye = np.eye(ny)
@@ -318,12 +312,13 @@ def assemble_affine(spec, disc):
 
 
 def assemble(op, mu):
-    """Full operator matrix at mu, sum_q theta_a^q(mu) A^q, written from the
-    1-D factors in column-major order (the layout LAPACK factors in place);
-    equal bit for bit to the weighted sum of the dense ``kron_sum`` of each
-    factor pair."""
+    """Full operator matrix at mu, sum_q theta_a^q(mu) A^q, column-major (the
+    layout LAPACK factors in place): the transposed view of the sum over the
+    transposed pairs, as ``kron_sum(Ax.T, Ay.T)`` is ``kron_sum(Ax, Ay).T``;
+    equal bit for bit to the weighted sum of the dense ``kron_sum``s."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    return _kron_affine_sum([th(mu) for th in op.theta_a], op.kron_factors, order="F")
+    pairs = [(Ax.T, Ay.T) for Ax, Ay in op.kron_factors]
+    return _kron_affine_sum([th(mu) for th in op.theta_a], pairs).T
 
 
 def load_vector(op, mu):

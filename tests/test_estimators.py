@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from rbkit import kernels
+from rbkit.cli import build_parser
 from rbkit.estimators import (
+    ALPHA_FLOOR,
+    ESTIMATOR_KINDS,
+    ClassicalEstimator,
     build_riesz_data,
     build_stable_factors,
     coercivity_lower_bound,
@@ -445,7 +449,9 @@ def test_lebesgue_is_one_at_snapshots(oned, oned_basis):
 
 
 def test_coercivity_unit_mode(oned):
-    assert coercivity_lower_bound(oned, [0.4], "unit") == 1.0
+    # the unit mode takes 1 at every point and computes no bound
+    est = make_estimator("stable")
+    assert np.array_equal(est.alpha_values(oned, np.array([[0.4], [-0.2]])), [1.0, 1.0])
 
 
 def test_coercivity_exact_eig_identity_operator():
@@ -457,7 +463,7 @@ def test_coercivity_exact_eig_identity_operator():
         theta_a=[lambda mu: 1.0],
         theta_f=[lambda mu: 1.0],
     )
-    assert coercivity_lower_bound(op, [0.0], "exact-eig") == pytest.approx(1.0)
+    assert coercivity_lower_bound(op, [0.0]) == pytest.approx(1.0)
 
 
 def test_coercivity_floor_and_flag():
@@ -469,20 +475,16 @@ def test_coercivity_floor_and_flag():
         theta_a=[lambda mu: 1.0],
         theta_f=[lambda mu: 1.0],
     )
-    value, degenerate = coercivity_lower_bound(op, [0.0], "exact-eig",
-                                               with_flag=True)
-    assert value == 1e-12
-    assert degenerate
+    # a degenerate bound is the floor itself
+    assert coercivity_lower_bound(op, [0.0]) == ALPHA_FLOOR == 1e-12
 
 
 def test_coercivity_smaller_toward_degenerate_corner():
     # the stability constant is that of the coercive orientation of the
     # operator (the equation multiplied by -1); as assembled, the symmetrized
-    # collocation matrix is negative and the bound floors with a flag
+    # collocation matrix is negative and the bound floors
     _, _, op = build_problem("twod-second", 12)
-    _, degenerate = coercivity_lower_bound(op, [0.0, 0.0], "exact-eig",
-                                           with_flag=True)
-    assert degenerate
+    assert coercivity_lower_bound(op, [0.0, 0.0]) == ALPHA_FLOOR
     op_c = AffineOperator(
         spec=op.spec,
         kron_factors=[(-Ax, -Ay) for Ax, Ay in op.kron_factors],
@@ -490,8 +492,8 @@ def test_coercivity_smaller_toward_degenerate_corner():
         theta_a=op.theta_a,
         theta_f=op.theta_f,
     )
-    corner = coercivity_lower_bound(op_c, [0.99, 0.99], "exact-eig")
-    center = coercivity_lower_bound(op_c, [0.0, 0.0], "exact-eig")
+    corner = coercivity_lower_bound(op_c, [0.99, 0.99])
+    center = coercivity_lower_bound(op_c, [0.0, 0.0])
     assert 0.0 < corner < center
     # cross-check both points with the eigenvalue bisection oracle
     for mu, got in [([0.99, 0.99], corner), ([0.0, 0.0], center)]:
@@ -500,8 +502,9 @@ def test_coercivity_smaller_toward_degenerate_corner():
 
 
 def test_coercivity_unknown_mode(oned):
-    with pytest.raises(ValueError):
-        coercivity_lower_bound(oned, [0.0], "nope")
+    # the estimator owns the mode, and rejects an unknown one when built
+    with pytest.raises(ValueError, match="alpha mode"):
+        ClassicalEstimator("nope")
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +566,7 @@ def test_sweep_values_match_pointwise_estimates(oned, oned_basis):
                                                    model.f_blocks))
     for kind in ("classical", "stable", "lebesgue"):
         est = _refreshed(kind, oned, basis, model)
-        values, clamped = est.sweep(oned, basis, model, ta, tf, np.ones(train.shape[0]))
+        values, clamped = est.sweep(model, ta, tf, np.ones(train.shape[0]))
         for mu, u_hat, value, flag in zip(train, U, values, clamped):
             point = est.value_at(oned, mu, u_hat, 1.0)
             assert point.value == value, kind
@@ -589,8 +592,7 @@ def test_lebesgue_sweep_matches_pointwise(oned, oned_basis):
     train = np.linspace(-0.995, 0.995, 17)[:, None]
     est = _refreshed("lebesgue", oned, basis, model)
     values, _ = est.sweep(
-        oned, basis, model,
-        oned.theta_a_values(train), oned.theta_f_values(train),
+        model, oned.theta_a_values(train), oned.theta_f_values(train),
         np.ones(train.shape[0]),
     )
     coeffs = lagrange_coefficients(basis, rb_solve(model, oned, train))
@@ -604,6 +606,17 @@ def test_lebesgue_sweep_matches_pointwise(oned, oned_basis):
 def test_make_estimator_unknown_kind():
     with pytest.raises(ValueError):
         make_estimator("nope")
+
+
+def test_estimator_kinds_agree_with_cli_and_factory(capsys):
+    # each kind is named once, by its class; the CLI choices and the factory
+    # derive from that name
+    assert ESTIMATOR_KINDS == ("classical", "stable", "lebesgue")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--help"])
+    assert "--estimator {classical,stable,lebesgue}" in capsys.readouterr().out
+    for kind in ESTIMATOR_KINDS:
+        assert make_estimator(kind).kind == kind
 
 
 @pytest.mark.parametrize("kind", ["classical", "stable", "lebesgue"])

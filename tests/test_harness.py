@@ -16,7 +16,7 @@ import yaml
 import rbkit
 from rbkit import cli, rbm
 from rbkit.cli import main as cli_main
-from rbkit.estimators import make_estimator
+from rbkit.estimators import LebesgueEstimator, make_estimator
 from rbkit.harness import (
     ConfigError,
     ExperimentConfig,
@@ -127,6 +127,8 @@ def test_config_rejects_alpha_mode_with_lebesgue(tmp_path, capsys):
                          alpha_mode="exact-eig")
     with pytest.raises(ValueError, match="lebesgue"):
         make_estimator("lebesgue", alpha_mode="exact-eig")
+    with pytest.raises(ValueError, match="lebesgue"):
+        LebesgueEstimator("exact-eig")
     out = str(tmp_path / "out")
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(yaml.safe_dump({"problem": "oned-continuous",
@@ -234,7 +236,7 @@ def test_lagrange_trace_sums_to_lebesgue_indicator(tmp_path):
         sub_b, sub_m = _sub_basis(basis, model, k)
         lebesgue = make_estimator("lebesgue")
         lebesgue.refresh(op, sub_b, sub_m)
-        swept, _ = lebesgue.sweep(op, sub_b, sub_m, op.theta_a_values(train),
+        swept, _ = lebesgue.sweep(sub_m, op.theta_a_values(train),
                                   op.theta_f_values(train), np.ones(len(train)))
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         assert rows.shape == (24, k + 1)
@@ -582,7 +584,8 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
                        ("nodes_per_dim", 2), ("seed", -1),
                        ("training_grid", ["a"]), ("validation_grid", ["b"]),
                        ("checkpoints", ["x"]), ("checkpoints", [0]),
-                       ("checkpoints", [-3]), ("N_max", 2.5),
+                       ("checkpoints", [-3]), ("checkpoints", [3]),
+                       ("training_grid", []), ("N_max", 2.5),
                        ("nodes_per_dim", 8.7), ("seed", 1.5),
                        ("output_dir", 5), ("output_dir", None),
                        ("eps_tol", "1e-10")]:  # PyYAML reads 1e-10 as a string

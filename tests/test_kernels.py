@@ -199,10 +199,10 @@ def test_parallel_sweep_bit_identical_to_serial(four_snapshot_state):
         for kind in ("classical", "stable", "lebesgue"):
             est = make_estimator(kind)
             est.refresh(op, basis, model)
-            values, clamped = est.sweep(op, basis, model, ta, tf, alpha, workers=1)
+            values, clamped = est.sweep(model, ta, tf, alpha, workers=1)
             assert values.shape == clamped.shape == (M,)
             for workers in (2, 3, 8):
-                par_values, par_clamped = est.sweep(op, basis, model, ta, tf, alpha,
+                par_values, par_clamped = est.sweep(model, ta, tf, alpha,
                                                     workers=workers)
                 assert np.array_equal(values, par_values), (M, kind, workers)
                 assert np.array_equal(clamped, par_clamped), (M, kind, workers)
@@ -229,7 +229,7 @@ def test_chunked_threads_bounded_by_usable_cpus(four_snapshot_state, monkeypatch
         chunks = -(-M // kernels.CHUNK)
         for workers in (1, 2, 3, 8):
             threads.clear()
-            est.sweep(op, basis, model, ta, tf, alpha, workers=workers)
+            est.sweep(model, ta, tf, alpha, workers=workers)
             assert len(threads) == chunks
             bound = min(workers, len(os.sched_getaffinity(0)), chunks)
             assert len(set(threads)) <= bound, (M, workers)

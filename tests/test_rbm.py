@@ -382,10 +382,9 @@ class _ClampsFromSize(ClassicalEstimator):
         super().__init__()
         self.size = size
 
-    def sweep(self, op, basis, model, theta_a, theta_f, alpha, workers=1):
-        values, clamped = super().sweep(op, basis, model, theta_a, theta_f, alpha,
-                                        workers)
-        if basis.size >= self.size:
+    def sweep(self, model, theta_a, theta_f, alpha, workers=1):
+        values, clamped = super().sweep(model, theta_a, theta_f, alpha, workers)
+        if model.size >= self.size:
             values, clamped = np.zeros_like(values), np.ones_like(clamped)
         self.last_clamped = clamped
         return values, clamped
