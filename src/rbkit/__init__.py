@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .truth import (
     AffineOperator,
     ProblemSpec,
-    Snapshot,
     TruthDiscretization,
     chebyshev_grid,
     truth_solve,

@@ -28,7 +28,7 @@ from .numerics import (
     pivoted_qr,
     smallest_symmetric_eigenvalue,
 )
-from .truth import assemble, load_vector
+from .truth import _affine_sum, assemble, load_vector
 
 __all__ = [
     "StableFactors",
@@ -123,9 +123,17 @@ def coercivity_lower_bound(op, mu):
 
 def residual_norm_oracle(op, basis, mu, u_hat):
     """Euclidean (dual) norm of f(mu) - A(mu) (xi u_hat), formed directly in
-    the truth space.  O(dim^2) per call; test-side oracle only."""
-    u = basis.xi @ np.asarray(u_hat, dtype=float)
-    r = load_vector(op, mu) - assemble(op, mu) @ u
+    the truth space for checks of the estimators.
+
+    A(mu) u is applied in its Kronecker form ``Sx U + U Sy^T`` on
+    ``U = u.reshape(nx, ny)``, with ``Sx`` and ``Sy`` the theta-weighted sums
+    of the 1-D factors, so no ``dim x dim`` matrix is formed."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    theta = [th(mu) for th in op.theta_a]
+    Fx, Fy = zip(*op.kron_factors)
+    Sx, Sy = _affine_sum(theta, Fx), _affine_sum(theta, Fy)
+    U = (basis.xi @ np.asarray(u_hat, dtype=float)).reshape(Sx.shape[0], Sy.shape[0])
+    r = load_vector(op, mu) - (Sx @ U + U @ Sy.T).ravel()
     return float(np.linalg.norm(r))
 
 
@@ -275,6 +283,6 @@ ESTIMATOR_KINDS = tuple(_ESTIMATORS)
 
 
 def make_estimator(kind, alpha_mode="unit"):
-    if kind not in _ESTIMATORS:
+    if not isinstance(kind, str) or kind not in _ESTIMATORS:
         raise ValueError(f"unknown estimator kind {kind!r}")
     return _ESTIMATORS[kind](alpha_mode)

@@ -134,18 +134,15 @@ class ExperimentConfig:
         if self.training_grid is None:
             desk, paper = TRAINING_GRIDS[self.problem]
             self.training_grid = desk if self.nodes_per_dim <= 32 else paper
-        self.training_grid = _int_entries("training_grid", self.training_grid)
-        if len(self.training_grid) != pdim:
-            raise ConfigError(f"training_grid needs {pdim} counts for {self.problem}")
-        if any(c < 2 for c in self.training_grid):
-            raise ConfigError("training grid counts must be at least 2")
         if self.validation_grid is None:
             self.validation_grid = self.training_grid
-        self.validation_grid = _int_entries("validation_grid", self.validation_grid)
-        if len(self.validation_grid) != pdim:
-            raise ConfigError(f"validation_grid needs {pdim} counts")
-        if any(c < 1 for c in self.validation_grid):
-            raise ConfigError("validation grid counts must be at least 1")
+        for name, least in (("training_grid", 2), ("validation_grid", 1)):
+            counts = _int_entries(name, getattr(self, name))
+            if len(counts) != pdim:
+                raise ConfigError(f"{name} needs {pdim} counts for {self.problem}")
+            if any(c < least for c in counts):
+                raise ConfigError(f"{name} counts must be at least {least}: {counts}")
+            setattr(self, name, counts)
         self.checkpoints = _int_entries("checkpoints", self.checkpoints)
         if any(k < 1 for k in self.checkpoints):
             raise ConfigError(f"checkpoints must be at least 1, got {self.checkpoints}")
@@ -256,8 +253,7 @@ def run_experiment(config):
     )
     estimator = make_estimator(config.estimator_kind, alpha_mode=config.alpha_mode)
     t_start = time.perf_counter()
-    basis, model, history, estimator = greedy(gcfg, op, estimator,
-                                              workers=config.workers)
+    basis, model, history = greedy(gcfg, op, estimator, workers=config.workers)
     greedy_seconds = time.perf_counter() - t_start
 
     pdim = spec.param_dim

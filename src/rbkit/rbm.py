@@ -1,6 +1,8 @@
 """Reduced-basis machinery: snapshot basis management, reduced-model
 assembly, reduced solves, Lagrange-coefficient recovery, and the greedy
 sample-selection loop.
+A snapshot is a plain truth vector, passed with its parameter; ``greedy``
+returns ``(basis, model, history)`` and refreshes its estimator in place.
 """
 
 import time
@@ -161,25 +163,26 @@ def lagrange_coefficients(basis, u_hat):
     return kernels.lagrange_values(np.atleast_2d(u_hat), R).reshape(u_hat.shape)
 
 
-def extend_basis(basis, model, snapshot, op):
-    """Append one snapshot: orthonormalize it against the basis, grow the
-    reduced blocks by one row and one column, leaving old entries untouched,
-    and append the new vector's operator images.
+def extend_basis(basis, model, mu, values, op):
+    """Append the snapshot ``values`` taken at parameter ``mu``:
+    orthonormalize it against the basis, grow the reduced blocks by one row
+    and one column, leaving old entries untouched, and append the new
+    vector's operator images.
 
     Raises :class:`DependentSnapshotError` when the snapshot adds no stable
     new direction (its remainder is below ``DROP_TOL`` times its norm); the
     greedy driver treats that as a stopping signal.
     """
     for mu_prev in basis.sample_set:
-        if np.array_equal(mu_prev, snapshot.mu):
+        if np.array_equal(mu_prev, mu):
             raise ValueError("parameter already in the sample set")
-    v = np.asarray(snapshot.values, dtype=float)
+    v = np.asarray(values, dtype=float)
     orig = float(np.linalg.norm(v))
     coeffs, w = _mgs_coeffs(basis.xi, v)
     wnorm = float(np.linalg.norm(w))
     if orig == 0.0 or wnorm < DROP_TOL * orig:
         raise DependentSnapshotError(
-            f"snapshot at mu={snapshot.mu} is dependent on the current basis "
+            f"snapshot at mu={mu} is dependent on the current basis "
             f"(projection residual {wnorm:.3e} vs norm {orig:.3e})"
         )
     xi_new = w / wnorm
@@ -200,7 +203,7 @@ def extend_basis(basis, model, snapshot, op):
         a_blocks[q, N, :N] = xi_new @ old
         images.append(image)
     new_basis = ReducedBasis(
-        sample_set=basis.sample_set + [np.array(snapshot.mu, dtype=float)],
+        sample_set=basis.sample_set + [np.atleast_1d(np.array(mu, dtype=float))],
         xi=new_xi,
         chol_coeffs=new_R,
         images=np.column_stack(images),
@@ -252,7 +255,8 @@ def greedy(config, op, estimator, workers=1):
     * the selected snapshot is numerically dependent on the basis
       (``history.saturated`` is set after the sweep is recorded).
 
-    Returns ``(basis, model, history, estimator)``.
+    Returns ``(basis, model, history)``; ``estimator`` is left refreshed on
+    the final basis.
     """
     train = config.training_set
     M = train.shape[0]
@@ -261,10 +265,10 @@ def greedy(config, op, estimator, workers=1):
 
     history = GreedyHistory()
     t0 = time.perf_counter()
-    snapshot = truth_solve(op, train[first])
     basis = empty_basis(op.dim)
     model = empty_model(len(op.kron_factors), len(op.f_components))
-    basis, model = extend_basis(basis, model, snapshot, op)
+    basis, model = extend_basis(basis, model, train[first],
+                                truth_solve(op, train[first]), op)
     estimator.refresh(op, basis, model)
     history.records.append(
         GreedyRecord(0, train[first].copy(), float("nan"), time.perf_counter() - t0)
@@ -303,13 +307,13 @@ def greedy(config, op, estimator, workers=1):
         history.records.append(record)
         if record.estimate <= config.eps_tol:
             break
-        snapshot = truth_solve(op, train[best])
+        values = truth_solve(op, train[best])
         try:
-            basis, model = extend_basis(basis, model, snapshot, op)
+            basis, model = extend_basis(basis, model, train[best], values, op)
         except DependentSnapshotError:
             history.saturated = True
             break
         estimator.refresh(op, basis, model)
         selected.append(best)
         n += 1
-    return basis, model, history, estimator
+    return basis, model, history

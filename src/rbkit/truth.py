@@ -10,10 +10,10 @@ On interior nodes every operator component is a Kronecker sum
 the value at ``(x_i, y_j)`` the system ``A(mu) u = f(mu)`` is the Sylvester
 equation ``Ax(mu) U + U Ay(mu)^T = F``.  Dense matrices are written from the
 1-D factors by one row-major writer.  The greedy's snapshots use the dense
-LU solve (``truth_solve``): ``assemble`` writes the transpose of A(mu) and
-returns its column-major transposed view, which ``solve_dense`` factors in
-place.  Validation sweeps solve the Sylvester form by Bartels-Stewart
-(``truth_solve_many``).
+LU solve: ``truth_solve`` returns the snapshot vector, and ``assemble``
+writes the transpose of A(mu) and returns its column-major transposed view,
+which ``solve_dense`` factors in place.  Validation sweeps solve the
+Sylvester form by Bartels-Stewart (``truth_solve_many``).
 """
 
 from dataclasses import dataclass, field
@@ -27,13 +27,11 @@ __all__ = [
     "ProblemSpec",
     "TruthDiscretization",
     "AffineOperator",
-    "Snapshot",
     "PROBLEM_IDS",
     "chebyshev_grid",
     "problem_spec",
     "build_discretization",
     "assemble_affine",
-    "kron_sum",
     "assemble",
     "load_vector",
     "truth_solve",
@@ -110,15 +108,16 @@ class AffineOperator:
     """Affine decomposition: sum_q theta_a^q(mu) A^q and sum_q theta_f^q(mu) f^q.
 
     The operator is given by its Q_a factor pairs ``(Ax^q, Ay^q)``; the
-    components ``A^q = kron_sum(Ax^q, Ay^q)`` are derived from them.  A dense
-    matrix ``A`` without Kronecker structure is the pair
-    ``(A, np.zeros((1, 1)))``, whose Kronecker sum is ``A`` exactly.
+    components, the Kronecker sums ``A^q = kron(Ax^q, I) + kron(I, Ay^q)``,
+    are derived from them.  A dense matrix ``A`` without Kronecker structure
+    is the pair ``(A, np.zeros((1, 1)))``, whose Kronecker sum is ``A``
+    exactly.
 
     A component whose two factors are both diagonal is kept as its diagonal,
     a ``dim`` vector.  No other component stays in memory: products with the
     components go through ``component_products``, which writes the dense
-    row-major ``kron_sum`` of each in turn into one array that lives for the
-    call.
+    row-major Kronecker sum of each in turn into one array that lives for
+    the call.
     """
 
     spec: ProblemSpec
@@ -145,7 +144,8 @@ class AffineOperator:
         """The Q_a components, diagonal ones as ``dim`` vectors and the rest
         as dense matrices written anew on every access (``dim^2`` doubles
         each)."""
-        return [diagonal if diagonal is not None else kron_sum(*pair)
+        return [diagonal if diagonal is not None
+                else _kron_affine_sum([1.0], [pair])
                 for diagonal, pair in zip(self.diagonals, self.kron_factors)]
 
     def component_products(self, vectors, V):
@@ -156,7 +156,7 @@ class AffineOperator:
         each once per call, so one ``dim^2`` array is alive and none outlives
         the call.  Every Kronecker sum of factors of one shape writes the
         same entries and leaves the rest +0, so each overwrites the last
-        completely and the array holds ``kron_sum`` bit for bit.  A vector
+        completely and the array holds that component bit for bit.  A vector
         product is a GEMV and the block product a GEMM on that array, so
         the bits do not depend on how long the matrix lives.  A diagonal
         component scales rows: each row of a diagonal matrix has one
@@ -199,14 +199,6 @@ def _affine_sum(weights, terms):
     return out
 
 
-@dataclass
-class Snapshot:
-    """Truth solution at a single parameter point."""
-
-    mu: np.ndarray
-    values: np.ndarray
-
-
 def problem_spec(problem_id):
     if problem_id not in _PARAM_DOMAINS:
         raise ValueError(f"unknown problem id {problem_id!r}")
@@ -233,16 +225,11 @@ def build_discretization(nodes_per_dim):
     )
 
 
-def kron_sum(Ax, Ay):
-    """Dense row-major ``kron(Ax, I) + kron(I, Ay)`` in the ``k = i*ny + j``
-    order."""
-    return _kron_affine_sum([1.0], [(Ax, Ay)])
-
-
 def _kron_affine_sum(weights, pairs, out=None):
-    """Dense ``sum_q weights[q] * kron_sum(*pairs[q])`` in a new row-major
-    array, or over ``out``, a row-major Kronecker sum of factors of the same
-    shapes; written block by block from the 1-D factors.
+    """Dense ``sum_q weights[q] * (kron(Ax^q, I) + kron(I, Ay^q))`` for
+    ``pairs[q] = (Ax^q, Ay^q)``, in the ``k = i*ny + j`` order, in a new
+    row-major array, or over ``out``, a row-major Kronecker sum of factors
+    of the same shapes; written block by block from the 1-D factors.
 
     Block (i, k) is ``Sx[i, k] I`` for i != k, with ``Sx`` the weighted sum
     of the ``Ax^q``, and diagonal block i is the weighted sum of
@@ -314,8 +301,9 @@ def assemble_affine(spec, disc):
 def assemble(op, mu):
     """Full operator matrix at mu, sum_q theta_a^q(mu) A^q, column-major (the
     layout LAPACK factors in place): the transposed view of the sum over the
-    transposed pairs, as ``kron_sum(Ax.T, Ay.T)`` is ``kron_sum(Ax, Ay).T``;
-    equal bit for bit to the weighted sum of the dense ``kron_sum``s."""
+    transposed pairs, as the Kronecker sum of ``(Ax.T, Ay.T)`` is the
+    transpose of that of ``(Ax, Ay)``; equal bit for bit to the weighted sum
+    of the dense components."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     pairs = [(Ax.T, Ay.T) for Ax, Ay in op.kron_factors]
     return _kron_affine_sum([th(mu) for th in op.theta_a], pairs).T
@@ -328,11 +316,9 @@ def load_vector(op, mu):
 
 
 def truth_solve(op, mu):
-    """High-fidelity solve of the assembled system at mu; the LU overwrites
-    the assembled matrix."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    u = solve_dense(assemble(op, mu), load_vector(op, mu))
-    return Snapshot(mu=mu, values=u)
+    """The snapshot vector: the high-fidelity solve of the assembled system
+    at mu; the LU overwrites the assembled matrix."""
+    return solve_dense(assemble(op, mu), load_vector(op, mu))
 
 
 def truth_solve_many(op, mus):

@@ -175,7 +175,7 @@ def lebesgue_sweep_loop(theta_a, theta_f, a_blocks, f_blocks, rs, workers=1):
 
 def kron_sum(Ax, Ay):
     """Dense ``kron(Ax, I) + kron(I, Ay)`` from two ``np.kron`` products, the
-    reference for ``rbkit.truth.kron_sum``."""
+    reference for the package's row-major writer ``truth._kron_affine_sum``."""
     A = np.kron(Ax, np.eye(Ay.shape[0]))
     A += np.kron(np.eye(Ax.shape[0]), Ay)
     return A

@@ -50,7 +50,7 @@ def _greedy_run(problem, nodes, training_counts, kind, N_max,
     train = make_training_grid(spec.param_domain, training_counts)
     cfg = GreedyConfig(eps_tol=eps_tol, N_max=N_max, training_set=train, seed=seed)
     est = make_estimator(kind)
-    basis, model, history, est = greedy(cfg, op, est)
+    basis, model, history = greedy(cfg, op, est)
     return op, train, basis, model, history
 
 
@@ -329,13 +329,14 @@ def test_criterion_8_reproduction_and_nesting(problem_bases_n10):
     for pid, (op, train, basis, model, _) in problem_bases_n10.items():
         U = rb_solve(model, op, np.array(basis.sample_set))
         for mu, u_hat in zip(basis.sample_set, U):
-            u = truth_solve(op, mu).values
+            u = truth_solve(op, mu)
             u_rb = basis.xi @ u_hat
             worst = max(worst, np.linalg.norm(u - u_rb) / np.linalg.norm(u))
         # one further extension must leave the leading blocks untouched
         selected = {tuple(mu) for mu in basis.sample_set}
         fresh = next(mu for mu in train if tuple(mu) not in selected)
-        basis2, model2 = extend_basis(basis, model, truth_solve(op, fresh), op)
+        basis2, model2 = extend_basis(basis, model, fresh, truth_solve(op, fresh),
+                                      op)
         nesting_ok &= np.array_equal(model2.a_blocks[:, :10, :10], model.a_blocks)
         nesting_ok &= np.array_equal(model2.f_blocks[:, :10], model.f_blocks)
     ok = worst <= 1e-9 and nesting_ok

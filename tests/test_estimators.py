@@ -1,6 +1,8 @@
 """Tests for the three greedy objectives, their offline data, the coercivity
 plug-in, the truth-space residual oracle, and the scalar cancellation demo."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from rbkit.estimators import (
     ALPHA_FLOOR,
     ESTIMATOR_KINDS,
     ClassicalEstimator,
+    StableEstimator,
     build_riesz_data,
     build_stable_factors,
     coercivity_lower_bound,
@@ -27,7 +30,7 @@ from rbkit.rbm import (
     lagrange_coefficients,
     rb_solve,
 )
-from rbkit.harness import build_problem
+from rbkit.harness import _sub_basis, build_problem, make_training_grid
 from rbkit.truth import (
     AffineOperator,
     ProblemSpec,
@@ -46,7 +49,7 @@ def _build_basis(op, mus):
     basis = empty_basis(op.dim)
     model = empty_model(len(op.kron_factors), len(op.f_components))
     for mu in mus:
-        basis, model = extend_basis(basis, model, truth_solve(op, mu), op)
+        basis, model = extend_basis(basis, model, mu, truth_solve(op, mu), op)
     return basis, model
 
 
@@ -501,6 +504,34 @@ def test_coercivity_smaller_toward_degenerate_corner():
         assert got == pytest.approx(ref, rel=1e-8, abs=1e-10)
 
 
+@pytest.mark.parametrize("nodes", [8, 12])
+def test_exact_eig_alpha_values_are_the_pointwise_bounds(nodes):
+    # on twod-first the symmetrized operator is positive definite, so the
+    # bound does not floor and the mode's values are the bounds themselves
+    _, _, op = build_problem("twod-first", nodes)
+    train = make_training_grid(op.spec.param_domain, [5, 5])
+    alpha = StableEstimator("exact-eig").alpha_values(op, train)
+    assert np.array_equal(alpha, [coercivity_lower_bound(op, mu) for mu in train])
+    assert alpha.min() > ALPHA_FLOOR
+
+
+@pytest.mark.parametrize("nodes", [8, 12])
+def test_exact_eig_greedy_divides_unit_estimate_by_the_bound(nodes):
+    # each recorded estimate is the unit-mode indicator on the basis the
+    # sweep saw, divided by the bound at the recorded point
+    _, _, op = build_problem("twod-first", nodes)
+    train = make_training_grid(op.spec.param_domain, [5, 5])
+    cfg = GreedyConfig(training_set=train, N_max=6, eps_tol=1e-14)
+    basis, model, history = greedy(cfg, op, StableEstimator("exact-eig"))
+    assert len(history.records) > 2
+    for rec in history.records[1:]:
+        sub_b, sub_m = _sub_basis(basis, model, rec.n)
+        unit = _refreshed("stable", op, sub_b, sub_m)
+        u_hat = rb_solve(sub_m, op, rec.mu)
+        want = unit.value_at(op, rec.mu, u_hat, 1.0).value
+        assert rec.estimate == want / coercivity_lower_bound(op, rec.mu)
+
+
 def test_coercivity_unknown_mode(oned):
     # the estimator owns the mode, and rejects an unknown one when built
     with pytest.raises(ValueError, match="alpha mode"):
@@ -513,7 +544,7 @@ def test_coercivity_unknown_mode(oned):
 
 def test_oracle_zero_for_truth_solution(oned):
     mu = [0.3]
-    u = truth_solve(oned, mu).values
+    u = truth_solve(oned, mu)
     basis = empty_basis(oned.dim)
     basis.xi = (u / np.linalg.norm(u))[:, None]
     ref = residual_norm_oracle(oned, basis, mu, np.array([np.linalg.norm(u)]))
@@ -525,6 +556,47 @@ def test_oracle_full_load_for_zero_coefficients(oned, oned_basis):
     mu = [0.6]
     ref = residual_norm_oracle(oned, basis, mu, np.zeros(basis.size))
     assert ref == pytest.approx(np.linalg.norm(load_vector(oned, mu)), rel=1e-12)
+
+
+@pytest.mark.parametrize("pid", ["oned-continuous", "oned-discontinuous",
+                                 "twod-first", "twod-second"])
+def test_oracle_matches_dense_operator(pid):
+    # the Kronecker form against f - A u with A summed from the full-grid
+    # dense components: each side's rounding is at most (nx + ny + Q_a) eps
+    # times |f| + sum_q |theta_q| |A^q| |u|, entry by entry
+    _, disc, op = build_problem(pid, 12)
+    components = oracles.dense_components(pid, disc)
+    rng = np.random.default_rng(3)
+    basis = empty_basis(op.dim)
+    basis.xi = np.linalg.qr(rng.standard_normal((op.dim, 4)))[0]
+    nx = disc.nodes_per_dim - 2
+    lo, hi = np.array(op.spec.param_domain).T
+    for mu in lo + (hi - lo) * rng.random((6, len(lo))):
+        u_hat = rng.standard_normal(4)
+        u = basis.xi @ u_hat
+        theta = [th(mu) for th in op.theta_a]
+        f = load_vector(op, mu)
+        A = sum(t * Aq for t, Aq in zip(theta, components))
+        ref = np.linalg.norm(f - A @ u)
+        absA = sum(abs(t) * np.abs(Aq) for t, Aq in zip(theta, components))
+        scale = np.abs(f) + absA @ np.abs(u)
+        bound = 2 * (2 * nx + len(theta)) * np.finfo(float).eps * np.linalg.norm(scale)
+        assert abs(residual_norm_oracle(op, basis, mu, u_hat) - ref) <= bound
+
+
+def test_oracle_forms_no_dense_matrix():
+    # at 50 nodes a dense A(mu) would take 42.5 MB; the Kronecker form reads
+    # only the 48 x 48 factors and dim vectors
+    _, _, op = build_problem("twod-first", 50)
+    basis = empty_basis(op.dim)
+    basis.xi = np.random.default_rng(0).standard_normal((op.dim, 3))
+    tracemalloc.start()
+    try:
+        residual_norm_oracle(op, basis, [1.0, 0.5], np.ones(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +650,8 @@ def test_classical_greedy_tables_match_fresh_refresh(oned):
     # with are the bits of one refresh on the returned basis
     train = np.linspace(-0.995, 0.995, 41)[:, None]
     cfg = GreedyConfig(training_set=train, N_max=10, eps_tol=1e-14)
-    basis, model, _, est = greedy(cfg, oned, make_estimator("classical"))
+    est = make_estimator("classical")
+    basis, model, _ = greedy(cfg, oned, est)
     assert basis.size == 10
     fresh = _refreshed("classical", oned, basis, model)
     for name, got, want in zip(("cc", "cl", "ll"), est.tables, fresh.tables):
@@ -604,8 +677,10 @@ def test_lebesgue_sweep_matches_pointwise(oned, oned_basis):
 
 
 def test_make_estimator_unknown_kind():
-    with pytest.raises(ValueError):
-        make_estimator("nope")
+    # a YAML list or number is an unknown kind too, not a lookup error
+    for kind in ("nope", [], None, 1):
+        with pytest.raises(ValueError, match="unknown estimator kind"):
+            make_estimator(kind)
 
 
 def test_estimator_kinds_agree_with_cli_and_factory(capsys):

@@ -298,7 +298,7 @@ def test_load_run_reproduces_reduced_model(tmp_path):
     assert basis.size == model.size
     errors = validate(basis, model, op, basis.sample_set)
     for mu, err in zip(basis.sample_set, errors):
-        u = truth_solve(op, mu).values
+        u = truth_solve(op, mu)
         assert err <= 1e-9 * np.linalg.norm(u)
 
 
@@ -311,7 +311,7 @@ def test_load_run_rebuilds_the_greedys_images(tmp_path, problem):
     _, op, basis, model = load_run(run_experiment(config).directory)
     replay, replay_model = empty_basis(op.dim), empty_model(len(op.kron_factors), 1)
     for mu in basis.sample_set:
-        replay, replay_model = extend_basis(replay, replay_model,
+        replay, replay_model = extend_basis(replay, replay_model, mu,
                                             truth_solve(op, mu), op)
     assert np.array_equal(replay.xi, basis.xi)
     assert np.array_equal(replay_model.a_blocks, model.a_blocks)
@@ -455,11 +455,11 @@ def test_validate_snapshots_and_empty():
     basis = empty_basis(op.dim)
     model = empty_model(2, 1)
     for mu in [[-0.5], [0.5]]:
-        basis, model = extend_basis(basis, model, truth_solve(op, mu), op)
+        basis, model = extend_basis(basis, model, mu, truth_solve(op, mu), op)
     errors = validate(basis, model, op, basis.sample_set)
     assert errors.shape == (2,)
     for mu, err in zip(basis.sample_set, errors):
-        assert err <= 1e-9 * np.linalg.norm(truth_solve(op, mu).values)
+        assert err <= 1e-9 * np.linalg.norm(truth_solve(op, mu))
     assert validate(basis, model, op, np.zeros((0, 1))).shape == (0,)
 
 
@@ -468,7 +468,7 @@ def test_validate_against_manual_recomputation():
     basis = empty_basis(op.dim)
     model = empty_model(2, 1)
     for mu in [[-0.5], [0.5]]:
-        basis, model = extend_basis(basis, model, truth_solve(op, mu), op)
+        basis, model = extend_basis(basis, model, mu, truth_solve(op, mu), op)
     mu = np.array([0.123])
     [err] = validate(basis, model, op, [mu])
     assert err == pytest.approx(oracles.true_error_reference(op, basis, mu),
@@ -588,6 +588,8 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
                        ("training_grid", []), ("N_max", 2.5),
                        ("nodes_per_dim", 8.7), ("seed", 1.5),
                        ("output_dir", 5), ("output_dir", None),
+                       ("estimator_kind", []), ("training_grid", [1]),
+                       ("validation_grid", [0]), ("problem", "nosuch"),
                        ("eps_tol", "1e-10")]:  # PyYAML reads 1e-10 as a string
         bad.write_text(yaml.safe_dump({
             "problem": "oned-continuous", "nodes_per_dim": 12,
@@ -598,3 +600,12 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error") and (key in err or repr(value) in err)
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_filesystem_error_exits_4(tmp_path, capsys):
+    # the output directory cannot be made below a regular file
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli_main(["run", "--problem", "oned-continuous",
+                     "--output-dir", str(blocker / "x")]) == 4
+    assert capsys.readouterr().err.startswith("filesystem error")

@@ -122,7 +122,8 @@ def saturated_state():
     _, _, op = build_problem("oned-continuous", 32)
     train = make_training_grid(op.spec.param_domain, [128])
     cfg = GreedyConfig(training_set=train, N_max=30, eps_tol=1e-16)
-    basis, model, history, est = greedy(cfg, op, make_estimator("classical"))
+    est = make_estimator("classical")
+    basis, model, history = greedy(cfg, op, est)
     assert history.saturated
     grid = make_training_grid(op.spec.param_domain, [515])
     return (basis, model, est.tables, build_riesz_data(op, basis),
@@ -179,7 +180,7 @@ def four_snapshot_state():
     basis = empty_basis(op.dim)
     model = empty_model(2, 1)
     for mu in [[-0.8], [-0.1], [0.5], [0.9]]:
-        basis, model = extend_basis(basis, model, truth_solve(op, mu), op)
+        basis, model = extend_basis(basis, model, mu, truth_solve(op, mu), op)
     return op, basis, model
 
 

@@ -32,7 +32,7 @@ def _build_basis(op, mus):
     basis = empty_basis(op.dim)
     model = empty_model(len(op.kron_factors), len(op.f_components))
     for mu in mus:
-        basis, model = extend_basis(basis, model, truth_solve(op, mu), op)
+        basis, model = extend_basis(basis, model, mu, truth_solve(op, mu), op)
     return basis, model
 
 
@@ -54,10 +54,10 @@ def oned_basis(oned):
 
 def test_rb_solve_reproduces_single_snapshot(oned):
     mu = [0.3]
-    snap = truth_solve(oned, mu)
+    u = truth_solve(oned, mu)
     basis, model = _build_basis(oned, [mu])
     u_rb = basis.xi @ rb_solve(model, oned, mu)
-    assert np.linalg.norm(u_rb - snap.values) <= 1e-10 * np.linalg.norm(snap.values)
+    assert np.linalg.norm(u_rb - u) <= 1e-10 * np.linalg.norm(u)
 
 
 def test_rb_solve_zero_load(oned, oned_basis):
@@ -168,9 +168,8 @@ def test_lagrange_warns_when_ill_conditioned(oned_basis):
 
 
 def test_extend_empty_basis(oned):
-    snap = truth_solve(oned, [0.2])
     basis, model = extend_basis(
-        empty_basis(oned.dim), empty_model(2, 1), snap, oned
+        empty_basis(oned.dim), empty_model(2, 1), [0.2], truth_solve(oned, [0.2]), oned
     )
     assert basis.size == 1
     xi = basis.xi[:, 0]
@@ -180,13 +179,12 @@ def test_extend_empty_basis(oned):
 
 
 def test_extend_duplicate_snapshot_rejected(oned):
-    snap = truth_solve(oned, [0.2])
     basis, model = _build_basis(oned, [[0.2]])
-    near = truth_solve(oned, [0.2000000001])
+    near = [0.2000000001]
     with pytest.raises(DependentSnapshotError):
-        extend_basis(basis, model, near, oned)
+        extend_basis(basis, model, near, truth_solve(oned, near), oned)
     with pytest.raises(ValueError):
-        extend_basis(basis, model, snap, oned)
+        extend_basis(basis, model, [0.2], truth_solve(oned, [0.2]), oned)
 
 
 def test_extend_matches_batch_assembly_oracle(oned):
@@ -200,7 +198,8 @@ def test_extend_matches_batch_assembly_oracle(oned):
 
 def test_extend_nesting_bit_identical(oned):
     basis2, model2 = _build_basis(oned, [[-0.4], [0.6]])
-    basis3, model3 = extend_basis(basis2, model2, truth_solve(oned, [0.1]), oned)
+    basis3, model3 = extend_basis(basis2, model2, [0.1], truth_solve(oned, [0.1]),
+                                  oned)
     assert np.array_equal(model3.a_blocks[:, :2, :2], model2.a_blocks)
     assert np.array_equal(model3.f_blocks[:, :2], model2.f_blocks)
     assert np.array_equal(basis3.xi[:, :2], basis2.xi)
@@ -215,7 +214,7 @@ def test_greedy_basis_images_are_the_dense_products(problem):
     _, _, op = build_problem(problem, 12)
     train = make_training_grid(op.spec.param_domain, [7] * op.spec.param_dim)
     cfg = GreedyConfig(eps_tol=1e-14, N_max=6, training_set=train, seed=1)
-    basis, _, _, _ = greedy(cfg, op, make_estimator("stable"))
+    basis, _, _ = greedy(cfg, op, make_estimator("stable"))
     Qa = len(op.kron_factors)
     assert basis.images.shape == (op.dim, basis.size * Qa)
     for q, (Ax, Ay) in enumerate(op.kron_factors):
@@ -229,7 +228,7 @@ def test_snapshot_reproduction_through_chol_coeffs(oned, oned_basis):
     basis, _ = oned_basis
     S = basis.xi @ basis.chol_coeffs
     for m, mu in enumerate(basis.sample_set):
-        u = truth_solve(oned, mu).values
+        u = truth_solve(oned, mu)
         assert np.linalg.norm(S[:, m] - u) <= 1e-10 * np.linalg.norm(u)
 
 
@@ -246,7 +245,7 @@ def _greedy_setup(op, count=24, kind="stable", **kwargs):
 
 def test_greedy_immediate_tolerance_hit(oned):
     cfg, est = _greedy_setup(oned, eps_tol=1e30)
-    basis, model, history, _ = greedy(cfg, oned, est)
+    basis, model, history = greedy(cfg, oned, est)
     assert basis.size == 1
     assert len(history.records) == 2  # seeded pick plus one recorded sweep
     assert not history.saturated
@@ -254,7 +253,7 @@ def test_greedy_immediate_tolerance_hit(oned):
 
 def test_greedy_nmax_cap(oned):
     cfg, est = _greedy_setup(oned, N_max=3)
-    basis, _, history, _ = greedy(cfg, oned, est)
+    basis, _, history = greedy(cfg, oned, est)
     assert basis.size == 3
     assert len(history.records) == 3  # seed + 2 sweeps
     assert history.estimates.shape == (2,)
@@ -262,14 +261,14 @@ def test_greedy_nmax_cap(oned):
 
 def test_greedy_estimates_decrease_overall(oned):
     cfg, est = _greedy_setup(oned, N_max=8)
-    _, _, history, _ = greedy(cfg, oned, est)
+    _, _, history = greedy(cfg, oned, est)
     eps = history.estimates
     assert eps[-1] < 1e-2 * eps[0]
 
 
 def test_greedy_sample_set_distinct(oned):
     cfg, est = _greedy_setup(oned, N_max=8)
-    basis, _, _, _ = greedy(cfg, oned, est)
+    basis, _, _ = greedy(cfg, oned, est)
     mus = [tuple(mu) for mu in basis.sample_set]
     assert len(set(mus)) == len(mus)
 
@@ -278,7 +277,7 @@ def test_greedy_seed_determinism(oned):
     runs = []
     for _ in range(2):
         cfg, est = _greedy_setup(oned, N_max=6, seed=3)
-        _, _, history, _ = greedy(cfg, oned, est)
+        _, _, history = greedy(cfg, oned, est)
         runs.append(history.estimates)
     assert np.array_equal(runs[0], runs[1])
 
@@ -287,14 +286,14 @@ def test_greedy_different_seed_changes_first_pick(oned):
     firsts = set()
     for seed in range(6):
         cfg, est = _greedy_setup(oned, N_max=2, seed=seed)
-        _, _, history, _ = greedy(cfg, oned, est)
+        _, _, history = greedy(cfg, oned, est)
         firsts.add(float(history.records[0].mu[0]))
     assert len(firsts) > 1
 
 
 def test_greedy_saturates_on_tiny_training_set(oned):
     cfg, est = _greedy_setup(oned, count=2, N_max=10, eps_tol=1e-30)
-    basis, _, history, _ = greedy(cfg, oned, est)
+    basis, _, history = greedy(cfg, oned, est)
     assert history.saturated
     assert basis.size <= 2
 
@@ -343,7 +342,7 @@ def test_greedy_selections_pinned(problem, kind):
     spec, _, op = build_problem(problem, 16)
     train = make_training_grid(spec.param_domain, counts)
     cfg = GreedyConfig(eps_tol=1e-14, N_max=8, training_set=train)
-    _, _, history, _ = greedy(cfg, op, make_estimator(kind))
+    _, _, history = greedy(cfg, op, make_estimator(kind))
     picked = [int(np.flatnonzero(np.all(train == r.mu, axis=1))[0])
               for r in history.records]
     want_picked, want_estimates = PINNED_SELECTIONS[problem, kind]
@@ -364,11 +363,11 @@ def test_greedy_config_validation():
 
 def test_greedy_lebesgue_builds_usable_basis(oned):
     cfg, est = _greedy_setup(oned, N_max=6, kind="lebesgue")
-    basis, model, history, _ = greedy(cfg, oned, est)
+    basis, model, history = greedy(cfg, oned, est)
     assert basis.size == 6
     # the built space approximates an unseen parameter reasonably well
     mu = [0.37]
-    u = truth_solve(oned, mu).values
+    u = truth_solve(oned, mu)
     u_rb = basis.xi @ rb_solve(model, oned, mu)
     assert np.linalg.norm(u - u_rb) <= 1e-2 * np.linalg.norm(u)
 
@@ -393,7 +392,8 @@ class _ClampsFromSize(ClassicalEstimator):
 def test_greedy_stops_saturated_on_fully_clamped_sweep(oned):
     # the clamped zeros must neither be recorded nor satisfy eps_tol
     cfg, _ = _greedy_setup(oned, N_max=30, eps_tol=1e-16)
-    basis, _, history, est = greedy(cfg, oned, _ClampsFromSize(4))
+    est = _ClampsFromSize(4)
+    basis, _, history = greedy(cfg, oned, est)
     assert history.saturated
     assert basis.size == 4
     assert len(history.records) == basis.size  # the clamped sweep is not recorded
@@ -413,6 +413,6 @@ def test_greedy_sweep_seconds_exclude_validation(oned, monkeypatch, mode):
 
     monkeypatch.setattr(rbm, "validate", slow_validate)
     cfg, est = _greedy_setup(oned, N_max=3, validate=mode)
-    _, _, history, _ = greedy(cfg, oned, est)
+    _, _, history = greedy(cfg, oned, est)
     assert len(history.records) == 3
     assert all(r.seconds < 0.2 for r in history.records)
