@@ -14,6 +14,11 @@ drivers; the formulas themselves live once, in ``kernels``.  Also here: the
 coercivity lower-bound plug-in, a truth-space residual-norm oracle used by
 the tests, and the scalar loss-of-significance demo that motivates the
 stable evaluation.
+
+The ``exact-eig`` bound floors on three of the four problems: at 50 nodes on
+the paper grids lambda_min(sym A(mu)) lies between -1.1e6 and -5.5e5 at every
+point of the oned problems and twod-second, so those estimates are the unit
+ones times 1e12; on twod-first it lies between 0.566 and 11.7.
 """
 
 from dataclasses import dataclass
@@ -28,7 +33,7 @@ from .numerics import (
     pivoted_qr,
     smallest_symmetric_eigenvalue,
 )
-from .truth import _affine_sum, assemble, load_vector
+from .truth import _affine_sum, load_vector
 
 __all__ = [
     "StableFactors",
@@ -113,12 +118,24 @@ def build_stable_factors(L, C):
     return StableFactors(rank=rank, w_coords=w_coords, qtc=qtc, rzt=rzt)
 
 
+def _factor_sums(op, mu):
+    """``(Sx, Sy)``, the theta-weighted sums of the 1-D factors at mu, so
+    that A(mu) = kron(Sx, I) + kron(I, Sy)."""
+    theta = op.theta_a_values([mu])[0]
+    Fx, Fy = zip(*op.kron_factors)
+    return _affine_sum(theta, Fx), _affine_sum(theta, Fy)
+
+
 def coercivity_lower_bound(op, mu):
     """The ``exact-eig`` lower bound for the stability constant at mu: the
-    smallest eigenvalue of the symmetrized assembled operator, floored at
-    ``ALPHA_FLOOR``.  A value equal to ``ALPHA_FLOOR`` marks a degenerate
-    bound."""
-    return max(smallest_symmetric_eigenvalue(assemble(op, mu)), ALPHA_FLOOR)
+    smallest eigenvalue of sym A(mu), floored at ``ALPHA_FLOOR``.  A value
+    equal to ``ALPHA_FLOOR`` marks a degenerate bound.  sym A(mu) is the
+    Kronecker sum of sym Sx and sym Sy, so its smallest eigenvalue is the sum
+    of theirs (Lynch-Rice-Thomas 1964) and no ``dim x dim`` matrix is
+    formed."""
+    Sx, Sy = _factor_sums(op, mu)
+    return max(smallest_symmetric_eigenvalue(Sx) + smallest_symmetric_eigenvalue(Sy),
+               ALPHA_FLOOR)
 
 
 def residual_norm_oracle(op, basis, mu, u_hat):
@@ -126,12 +143,8 @@ def residual_norm_oracle(op, basis, mu, u_hat):
     the truth space for checks of the estimators.
 
     A(mu) u is applied in its Kronecker form ``Sx U + U Sy^T`` on
-    ``U = u.reshape(nx, ny)``, with ``Sx`` and ``Sy`` the theta-weighted sums
-    of the 1-D factors, so no ``dim x dim`` matrix is formed."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    theta = [th(mu) for th in op.theta_a]
-    Fx, Fy = zip(*op.kron_factors)
-    Sx, Sy = _affine_sum(theta, Fx), _affine_sum(theta, Fy)
+    ``U = u.reshape(nx, ny)``, so no ``dim x dim`` matrix is formed."""
+    Sx, Sy = _factor_sums(op, mu)
     U = (basis.xi @ np.asarray(u_hat, dtype=float)).reshape(Sx.shape[0], Sy.shape[0])
     r = load_vector(op, mu) - (Sx @ U + U @ Sy.T).ravel()
     return float(np.linalg.norm(r))

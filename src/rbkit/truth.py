@@ -174,20 +174,24 @@ class AffineOperator:
 
     def theta_a_values(self, mus):
         """Evaluate all theta_a over an (M, p) array of parameters -> (M, Q_a)."""
-        return _theta_table(self.theta_a, mus)
+        return self._theta_table(self.theta_a, mus)
 
     def theta_f_values(self, mus):
         """Evaluate all theta_f over an (M, p) array of parameters -> (M, Q_f)."""
-        return _theta_table(self.theta_f, mus)
+        return self._theta_table(self.theta_f, mus)
+
+    def _theta_table(self, thetas, mus):
+        # every theta weight in the package is evaluated here, behind the check
+        mus = np.atleast_2d(np.asarray(mus, dtype=float))
+        p = self.spec.param_dim
+        if mus.ndim != 2 or mus.shape[1] != p:
+            raise ValueError(f"parameter points must have width {p}, "
+                             f"got width {mus.shape[-1]} (shape {mus.shape})")
+        return np.column_stack([np.array([th(mu) for mu in mus]) for th in thetas])
 
 
 def _is_diagonal(M):
     return np.count_nonzero(M) == np.count_nonzero(M.diagonal())
-
-
-def _theta_table(thetas, mus):
-    mus = np.atleast_2d(np.asarray(mus, dtype=float))
-    return np.column_stack([np.array([th(mu) for mu in mus]) for th in thetas])
 
 
 def _affine_sum(weights, terms):
@@ -304,15 +308,13 @@ def assemble(op, mu):
     transposed pairs, as the Kronecker sum of ``(Ax.T, Ay.T)`` is the
     transpose of that of ``(Ax, Ay)``; equal bit for bit to the weighted sum
     of the dense components."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
     pairs = [(Ax.T, Ay.T) for Ax, Ay in op.kron_factors]
-    return _kron_affine_sum([th(mu) for th in op.theta_a], pairs).T
+    return _kron_affine_sum(op.theta_a_values([mu])[0], pairs).T
 
 
 def load_vector(op, mu):
     """Load vector at mu: sum_q theta_f^q(mu) f^q."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    return _affine_sum([th(mu) for th in op.theta_f], op.f_components)
+    return _affine_sum(op.theta_f_values([mu])[0], op.f_components)
 
 
 def truth_solve(op, mu):

@@ -504,6 +504,38 @@ def test_coercivity_smaller_toward_degenerate_corner():
         assert got == pytest.approx(ref, rel=1e-8, abs=1e-10)
 
 
+@pytest.mark.parametrize("pid", ["oned-continuous", "oned-discontinuous",
+                                 "twod-first", "twod-second"])
+def test_coercivity_matches_dense_eigensolve(pid):
+    # the bound from the 1-D factors against the smallest eigenvalue of sym A
+    # summed from the full-grid dense components: a symmetric eigensolve is
+    # backward stable, so each side is within a small multiple of
+    # eps ||sym A|| of the exact value; 1e-10 ||sym A|| leaves a wide margin
+    _, disc, op = build_problem(pid, 12)
+    components = oracles.dense_components(pid, disc)
+    train = make_training_grid(op.spec.param_domain, [5] * op.spec.param_dim)
+    for mu, theta in zip(train, op.theta_a_values(train)):
+        A = sum(t * Aq for t, Aq in zip(theta, components))
+        S = 0.5 * (A + A.T)
+        lam = np.linalg.eigvalsh(S)[0]
+        got = coercivity_lower_bound(op, mu)
+        assert (got == ALPHA_FLOOR) == (lam <= ALPHA_FLOOR)
+        assert abs(got - max(lam, ALPHA_FLOOR)) <= 1e-10 * np.linalg.norm(S, 2)
+
+
+def test_coercivity_forms_no_dense_matrix():
+    # at 50 nodes a dense A(mu) would take 42.5 MB; the bound reads only the
+    # 48 x 48 factors
+    _, _, op = build_problem("twod-first", 50)
+    tracemalloc.start()
+    try:
+        coercivity_lower_bound(op, [1.0, 0.5])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 @pytest.mark.parametrize("nodes", [8, 12])
 def test_exact_eig_alpha_values_are_the_pointwise_bounds(nodes):
     # on twod-first the symmetrized operator is positive definite, so the

@@ -22,7 +22,13 @@ from rbkit.rbm import (
 )
 from rbkit.estimators import ClassicalEstimator, make_estimator
 from rbkit.harness import build_problem, make_training_grid
-from rbkit.truth import AffineOperator, assemble, load_vector, truth_solve
+from rbkit.truth import (
+    AffineOperator,
+    assemble,
+    load_vector,
+    truth_solve,
+    truth_solve_many,
+)
 
 import oracles
 
@@ -95,6 +101,27 @@ def test_rb_solve_galerkin_orthogonality(oned):
 def test_rb_solve_empty_model_raises(oned):
     with pytest.raises(ValueError):
         rb_solve(empty_model(2, 1), oned, [0.0])
+
+
+def test_parameter_width_is_checked(oned, oned_basis):
+    # three points of a one-parameter problem passed as one row are refused,
+    # not read as a single point at the row's first entry
+    basis, model = oned_basis
+    row = np.array([-0.5, 0.0, 0.5])
+    msg = "width 1, got width 3"
+    with pytest.raises(ValueError, match=msg):
+        validate(basis, model, oned, row)
+    with pytest.raises(ValueError, match=msg):
+        rb_solve(model, oned, row)
+    with pytest.raises(ValueError, match=msg):
+        truth_solve_many(oned, row)
+    with pytest.raises(ValueError, match=msg):
+        truth_solve(oned, [0.1, 5.0, 7.0])
+    # as a column the same values are three points
+    assert validate(basis, model, oned, row[:, None]).shape == (3,)
+    _, _, twod = build_problem("twod-first", 6)
+    with pytest.raises(ValueError, match="width 2, got width 1"):
+        twod.theta_f_values([[1.0], [2.0]])
 
 
 def test_rb_solve_singular_decision(oned, oned_basis):
