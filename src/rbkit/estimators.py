@@ -33,7 +33,7 @@ from .numerics import (
     pivoted_qr,
     smallest_symmetric_eigenvalue,
 )
-from .truth import _affine_sum, load_vector
+from .truth import _affine_sum, _FactorCache, load_vector
 
 __all__ = [
     "StableFactors",
@@ -133,9 +133,18 @@ def coercivity_lower_bound(op, mu):
     Kronecker sum of sym Sx and sym Sy, so its smallest eigenvalue is the sum
     of theirs (Lynch-Rice-Thomas 1964) and no ``dim x dim`` matrix is
     formed."""
-    Sx, Sy = _factor_sums(op, mu)
-    return max(smallest_symmetric_eigenvalue(Sx) + smallest_symmetric_eigenvalue(Sy),
-               ALPHA_FLOOR)
+    return float(_coercivity_bounds(op, [mu])[0])
+
+
+def _coercivity_bounds(op, mus):
+    """``coercivity_lower_bound`` at each row of ``mus``.  Each factor's
+    eigenvalue is computed once per distinct tuple of the weights of its
+    nonzero terms, as the Schur forms of ``truth_solve_many`` are, so on a
+    tensor grid a factor takes as many eigensolves as its axis has points."""
+    Fx, Fy = zip(*op.kron_factors)
+    lam_x, lam_y = (_FactorCache(F, smallest_symmetric_eigenvalue) for F in (Fx, Fy))
+    return np.array([max(lam_x.get(w) + lam_y.get(w), ALPHA_FLOOR)
+                     for w in op.theta_a_values(mus)])
 
 
 def residual_norm_oracle(op, basis, mu, u_hat):
@@ -192,7 +201,7 @@ class _EstimatorBase:
         """The stability constant at each row of ``train``, by the mode."""
         if self.alpha_mode == "unit":
             return np.ones(train.shape[0])
-        return np.array([coercivity_lower_bound(op, mu) for mu in train])
+        return _coercivity_bounds(op, train)
 
     def value_at(self, op, mu, u_hat, alpha_lb):
         """The indicator at one parameter ``mu`` for a given reduced solution

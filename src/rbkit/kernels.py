@@ -88,7 +88,10 @@ def _solve_chunks(theta_a, theta_f, a_blocks, f_blocks, write, workers=1):
             write(lo, hi, np.linalg.solve(A, rhs[:, :, None])[:, :, 0])
 
     starts = range(0, M, CHUNK)
-    threads = min(workers, len(os.sched_getaffinity(0)), len(starts))
+    # the affinity set is reported on Linux only; elsewhere count every CPU
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    threads = min(workers, cpus, len(starts))
     if threads <= 1:
         run(starts)
         return

@@ -25,9 +25,20 @@ DROP_TOL = 1e-10
 RANK_TOL = 1e-10
 
 
+#: Elements per block in which ``_check_finite`` reads an array.
+FINITE_BLOCK = 1 << 16
+
+
 def _check_finite(a, name):
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
+    """Raise ``ValueError`` naming ``a`` if any entry is not finite.
+
+    The array is read in blocks of ``FINITE_BLOCK`` elements in memory order,
+    so the check allocates one block-sized mask, not an array-sized one."""
+    blocks = np.nditer(a, flags=["external_loop", "buffered", "zerosize_ok"],
+                       order="K", buffersize=FINITE_BLOCK)
+    for block in blocks:
+        if not np.all(np.isfinite(block)):
+            raise ValueError(f"{name} contains non-finite entries")
 
 
 def _mgs_coeffs(basis, v):

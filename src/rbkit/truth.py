@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from numpy.lib.stride_tricks import as_strided
 
 from .numerics import solve_dense
 
@@ -153,8 +154,9 @@ class AffineOperator:
         order, with ``V`` a ``(dim, N)`` block.
 
         The dense components are written in turn into one row-major array,
-        each once per call, so one ``dim^2`` array is alive and none outlives
-        the call.  Every Kronecker sum of factors of one shape writes the
+        each once per call, so one ``dim^2`` array is alive, with the
+        writer's one ``(nx, ny, ny)`` term buffer, and none outlives the
+        call.  Every Kronecker sum of factors of one shape writes the
         same entries and leaves the rest +0, so each overwrites the last
         completely and the array holds that component bit for bit.  A vector
         product is a GEMV and the block product a GEMM on that array, so
@@ -233,25 +235,35 @@ def _kron_affine_sum(weights, pairs, out=None):
     """Dense ``sum_q weights[q] * (kron(Ax^q, I) + kron(I, Ay^q))`` for
     ``pairs[q] = (Ax^q, Ay^q)``, in the ``k = i*ny + j`` order, in a new
     row-major array, or over ``out``, a row-major Kronecker sum of factors
-    of the same shapes; written block by block from the 1-D factors.
+    of the same shapes; written from the 1-D factors through two strided
+    views of the array.
 
     Block (i, k) is ``Sx[i, k] I`` for i != k, with ``Sx`` the weighted sum
     of the ``Ax^q``, and diagonal block i is the weighted sum of
-    ``Ay^q + Ax^q[i, i] I``.  Each entry is accumulated from zeros in q order
+    ``Ax^q[i, i] I + Ay^q``.  Each entry is accumulated from zeros in q order
     from the same products as the weighted sum of the dense components, so
-    the result equals it bit for bit, with +0 at every zero.
+    the result equals it bit for bit, with +0 at every zero.  Besides the
+    array, one ``(nx, ny, ny)`` term buffer is allocated.
     """
     Fx, Fy = zip(*pairs)
     nx, ny = Fx[0].shape[0], Fy[0].shape[0]
+    dim = nx * ny
     if out is None:
-        out = np.zeros((nx * ny, nx * ny))
-    # blocks[i, j, k, l] is entry (i*ny + j, k*ny + l) of out, a view
-    blocks = out.reshape(nx, ny, nx, ny)
-    j, i = np.arange(ny), np.arange(nx)
-    blocks[:, j, :, j] = _affine_sum(weights, Fx)  # diagonal blocks: next line
-    eye = np.eye(ny)
-    blocks[i, :, i, :] = _affine_sum(
-        weights, [Ay + Ax.diagonal()[:, None, None] * eye for Ax, Ay in pairs])
+        out = np.zeros((dim, dim))
+    s = out.itemsize
+    # off[i, k, j] is entry (i*ny + j, k*ny + j), diag[i, j, l] entry
+    # (i*ny + j, i*ny + l); off covers the diagonal of each diagonal block,
+    # which diag then overwrites
+    off = as_strided(out, (nx, nx, ny), (ny * dim * s, ny * s, (dim + 1) * s))
+    diag = as_strided(out, (nx, ny, ny), ((dim + 1) * ny * s, dim * s, s))
+    off[...] = _affine_sum(weights, Fx)[:, :, None]
+    diag[...] = 0.0
+    term, eye = np.empty((nx, ny, ny)), np.eye(ny)
+    for w, (Ax, Ay) in zip(weights, pairs):
+        np.multiply(Ax.diagonal()[:, None, None], eye, out=term)
+        term += Ay
+        term *= w
+        diag += term
     return out
 
 
@@ -332,10 +344,9 @@ def truth_solve_many(op, mus):
     had to scale the solution down) or where the solution is not finite.
 
     Each factor's Schur form is computed once per distinct tuple of the
-    theta weights of its nonzero terms: a zero term adds only zeros to an
-    accumulation that starts at +0, so that tuple fixes every bit of the
-    factor.  On a tensor grid each factor then takes as many Schur forms as
-    its axis has points, and on the oned problems ``Ay`` takes one.
+    theta weights of its nonzero terms (``_FactorCache``).  On a tensor grid
+    each factor then takes as many Schur forms as its axis has points, and on
+    the oned problems ``Ay`` takes one.
     """
     mus = np.atleast_2d(np.asarray(mus, dtype=float))
     ta = op.theta_a_values(mus)
@@ -344,7 +355,8 @@ def truth_solve_many(op, mus):
     nx, ny = Fx[0].shape[0], Fy[0].shape[0]
     out = np.empty((mus.shape[0], nx * ny))
     (trsyl,) = sla.get_lapack_funcs(("trsyl",), (out,))
-    schur_x, schur_y = _SchurCache(Fx), _SchurCache(Fy)
+    schur_x, schur_y = (_FactorCache(F, lambda S: sla.schur(S, output="real"))
+                        for F in (Fx, Fy))
     for i in range(mus.shape[0]):
         Tx, Qx = schur_x.get(ta[i])
         Ty, Qy = schur_y.get(ta[i])
@@ -359,18 +371,19 @@ def truth_solve_many(op, mus):
     return out
 
 
-class _SchurCache:
-    """Real Schur forms of ``sum_q w[q] * factors[q]``, keyed on the weights
-    of the nonzero factors; it lives for one ``truth_solve_many`` call."""
+class _FactorCache:
+    """``fn(sum_q w[q] * factors[q])``, computed once per tuple of the
+    weights of the nonzero factors: a zero factor adds only zeros to an
+    accumulation that starts at +0, so that tuple fixes every bit of the
+    sum.  A cache lives for one call over many parameter points."""
 
-    def __init__(self, factors):
-        self.factors = factors
+    def __init__(self, factors, fn):
+        self.factors, self.fn = factors, fn
         self.nonzero = [q for q, M in enumerate(factors) if np.any(M)]
-        self.forms = {}
+        self.values = {}
 
     def get(self, weights):
         key = tuple(weights[self.nonzero])
-        if key not in self.forms:
-            self.forms[key] = sla.schur(_affine_sum(weights, self.factors),
-                                        output="real")
-        return self.forms[key]
+        if key not in self.values:
+            self.values[key] = self.fn(_affine_sum(weights, self.factors))
+        return self.values[key]

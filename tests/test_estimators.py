@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rbkit import kernels
+from rbkit import estimators, kernels
 from rbkit.cli import build_parser
 from rbkit.estimators import (
     ALPHA_FLOOR,
@@ -20,7 +20,11 @@ from rbkit.estimators import (
     make_estimator,
     residual_norm_oracle,
 )
-from rbkit.numerics import complement_project, pivoted_qr
+from rbkit.numerics import (
+    complement_project,
+    pivoted_qr,
+    smallest_symmetric_eigenvalue,
+)
 from rbkit.rbm import (
     GreedyConfig,
     empty_basis,
@@ -545,6 +549,29 @@ def test_exact_eig_alpha_values_are_the_pointwise_bounds(nodes):
     alpha = StableEstimator("exact-eig").alpha_values(op, train)
     assert np.array_equal(alpha, [coercivity_lower_bound(op, mu) for mu in train])
     assert alpha.min() > ALPHA_FLOOR
+
+
+@pytest.mark.parametrize("pid", ["oned-continuous", "oned-discontinuous",
+                                 "twod-first", "twod-second"])
+def test_exact_eig_alpha_values_cache_factor_eigenvalues(pid, monkeypatch):
+    # a 4 x 3 tensor grid (a 5-point line for the oned problems): each factor
+    # takes one eigensolve per value of the weights of its nonzero terms, and
+    # each value is the per-point sum of the two factors' eigenvalues
+    _, _, op = build_problem(pid, 12)
+    counts = [4, 3] if op.spec.param_dim == 2 else [5]
+    train = make_training_grid(op.spec.param_domain, counts)
+    per_point = []
+    for mu in train:
+        Sx, Sy = estimators._factor_sums(op, mu)
+        per_point.append(max(smallest_symmetric_eigenvalue(Sx)
+                             + smallest_symmetric_eigenvalue(Sy), ALPHA_FLOOR))
+    calls = []
+    monkeypatch.setattr(estimators, "smallest_symmetric_eigenvalue",
+                        lambda S: calls.append(1) or smallest_symmetric_eigenvalue(S))
+    alpha = StableEstimator("exact-eig").alpha_values(op, train)
+    assert np.array_equal(alpha, per_point)
+    # oned: Sy is the same matrix at every point
+    assert len(calls) == (7 if op.spec.param_dim == 2 else 6)
 
 
 @pytest.mark.parametrize("nodes", [8, 12])

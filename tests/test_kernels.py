@@ -209,6 +209,21 @@ def test_parallel_sweep_bit_identical_to_serial(four_snapshot_state):
                 assert np.array_equal(clamped, par_clamped), (M, kind, workers)
 
 
+def test_sweep_without_affinity_call(four_snapshot_state, monkeypatch):
+    # os.sched_getaffinity exists only on Linux; elsewhere the sweep counts
+    # os.cpu_count() CPUs and gives the same values
+    op, basis, model = four_snapshot_state
+    monkeypatch.delattr(os, "sched_getaffinity")
+    ta, tf, alpha = _theta_tables(op, PARALLEL_SIZES[-1])
+    for kind in ("classical", "stable", "lebesgue"):
+        est = make_estimator(kind)
+        est.refresh(op, basis, model)
+        values, clamped = est.sweep(model, ta, tf, alpha, workers=1)
+        par_values, par_clamped = est.sweep(model, ta, tf, alpha, workers=2)
+        assert np.array_equal(values, par_values), kind
+        assert np.array_equal(clamped, par_clamped), kind
+
+
 def test_chunked_threads_bounded_by_usable_cpus(four_snapshot_state, monkeypatch):
     # a sweep uses at most min(workers, usable CPUs, chunks) threads; each
     # chunk records its thread and sleeps so that the chunks overlap, and a

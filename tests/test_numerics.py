@@ -1,9 +1,12 @@
 """Tests for the dense numerical kernels."""
 
+import math
+
 import numpy as np
 import pytest
 
 from rbkit.numerics import (
+    FINITE_BLOCK,
     complement_project,
     pivoted_qr,
     smallest_symmetric_eigenvalue,
@@ -122,6 +125,34 @@ def test_solve_singular_raises_with_pivot():
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(np.linalg.LinAlgError, match=r"\(pivot \d\.\d{3}e[+-]\d+\)"):
         solve_dense(A, np.ones(2))
+
+
+#: Order of a matrix whose memory spans two full ``FINITE_BLOCK`` blocks and
+#: a partial third.
+_BLOCKS_ORDER = math.isqrt(5 * FINITE_BLOCK // 2)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("block", ["first", "middle", "last"])
+def test_solve_rejects_non_finite_operator(block, order, value):
+    n = _BLOCKS_ORDER
+    assert 2 * FINITE_BLOCK < n * n < 3 * FINITE_BLOCK
+    A = np.asarray(np.eye(n), order=order)
+    # flat index in memory order: the first entry, one inside the second
+    # block, and the last entry, in the partial third block
+    pos = {"first": 0, "middle": FINITE_BLOCK + 7, "last": n * n - 1}[block]
+    A.ravel(order="K")[pos] = value
+    with pytest.raises(ValueError, match="^A contains non-finite entries$"):
+        solve_dense(A, np.ones(n))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_solve_rejects_non_finite_load(value):
+    b = np.ones(4)
+    b[2] = value
+    with pytest.raises(ValueError, match="^b contains non-finite entries$"):
+        solve_dense(np.eye(4), b)
 
 
 # ---------------------------------------------------------------------------
