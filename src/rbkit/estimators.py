@@ -126,21 +126,16 @@ def _factor_sums(op, mu):
     return _affine_sum(theta, Fx), _affine_sum(theta, Fy)
 
 
-def coercivity_lower_bound(op, mu):
-    """The ``exact-eig`` lower bound for the stability constant at mu: the
-    smallest eigenvalue of sym A(mu), floored at ``ALPHA_FLOOR``.  A value
-    equal to ``ALPHA_FLOOR`` marks a degenerate bound.  sym A(mu) is the
-    Kronecker sum of sym Sx and sym Sy, so its smallest eigenvalue is the sum
-    of theirs (Lynch-Rice-Thomas 1964) and no ``dim x dim`` matrix is
-    formed."""
-    return float(_coercivity_bounds(op, [mu])[0])
-
-
-def _coercivity_bounds(op, mus):
-    """``coercivity_lower_bound`` at each row of ``mus``.  Each factor's
-    eigenvalue is computed once per distinct tuple of the weights of its
-    nonzero terms, as the Schur forms of ``truth_solve_many`` are, so on a
-    tensor grid a factor takes as many eigensolves as its axis has points."""
+def coercivity_lower_bound(op, mus):
+    """The ``exact-eig`` lower bound for the stability constant at each row
+    of ``mus``: the smallest eigenvalue of sym A(mu), floored at
+    ``ALPHA_FLOOR``.  A value equal to ``ALPHA_FLOOR`` marks a degenerate
+    bound.  sym A(mu) is the Kronecker sum of sym Sx and sym Sy, so its
+    smallest eigenvalue is the sum of theirs (Lynch-Rice-Thomas 1964) and no
+    ``dim x dim`` matrix is formed.  Each factor's eigenvalue is computed
+    once per distinct tuple of the weights of its nonzero terms, as the Schur
+    forms of ``truth_solve_many`` are, so on a tensor grid a factor takes as
+    many eigensolves as its axis has points."""
     Fx, Fy = zip(*op.kron_factors)
     lam_x, lam_y = (_FactorCache(F, smallest_symmetric_eigenvalue) for F in (Fx, Fy))
     return np.array([max(lam_x.get(w) + lam_y.get(w), ALPHA_FLOOR)
@@ -201,7 +196,7 @@ class _EstimatorBase:
         """The stability constant at each row of ``train``, by the mode."""
         if self.alpha_mode == "unit":
             return np.ones(train.shape[0])
-        return _coercivity_bounds(op, train)
+        return coercivity_lower_bound(op, train)
 
     def value_at(self, op, mu, u_hat, alpha_lb):
         """The indicator at one parameter ``mu`` for a given reduced solution

@@ -102,7 +102,7 @@ class GreedyRecord:
     n: int  # basis size when the sweep ran (0 for the seeded initial pick)
     mu: np.ndarray
     estimate: float
-    seconds: float  # the sweep and the selection, not the true-error validation
+    seconds: float  # sweep and selection, not validation; 0.0 for the seeded pick
     true_error_argmax: float | None = None
     true_error_max: float | None = None
 
@@ -240,10 +240,12 @@ def validate(basis, model, op, points, truth_values=None):
 def greedy(config, op, estimator, workers=1):
     """Greedy construction of the reduced space, driven by ``estimator``.
 
-    The first sample is a seed-deterministic uniform draw from the training
-    set.  Each sweep evaluates the estimator at every not-yet-selected
-    training point, selects the argmax (ties broken by lowest index) and
-    records the estimate.  The loop stops when
+    The first pick is a seed-deterministic uniform draw from the training
+    set, recorded with estimate NaN and seconds 0.0 since no sweep chose it.
+    Each step solves the snapshot at the pick, extends the basis, refreshes
+    the estimator, then sweeps every not-yet-selected training point and
+    records the argmax (ties broken by lowest index) as the next pick.  The
+    loop stops when
 
     * the recorded estimate falls to ``eps_tol``;
     * the basis reaches ``N_max``;
@@ -252,37 +254,42 @@ def greedy(config, op, estimator, workers=1):
       maximum is unresolved because the sweep's mask marks it clamped (a
       clamped value is a rounding floor, not a zero error, so it never
       satisfies ``eps_tol``);
-    * the selected snapshot is numerically dependent on the basis
-      (``history.saturated`` is set after the sweep is recorded).
+    * the picked snapshot is numerically dependent on the basis
+      (``history.saturated`` is set after the sweep is recorded); at the
+      seeded pick the :class:`DependentSnapshotError` propagates instead.
 
     Returns ``(basis, model, history)``; ``estimator`` is left refreshed on
     the final basis.
     """
     train = config.training_set
-    M = train.shape[0]
-    rng = np.random.default_rng(config.seed)
-    first = int(rng.integers(M))
-
-    history = GreedyHistory()
-    t0 = time.perf_counter()
-    basis = empty_basis(op.dim)
-    model = empty_model(len(op.kron_factors), len(op.f_components))
-    basis, model = extend_basis(basis, model, train[first],
-                                truth_solve(op, train[first]), op)
-    estimator.refresh(op, basis, model)
-    history.records.append(
-        GreedyRecord(0, train[first].copy(), float("nan"), time.perf_counter() - t0)
-    )
-    selected = [first]
-
+    best = int(np.random.default_rng(config.seed).integers(train.shape[0]))
     theta_a = op.theta_a_values(train)
     theta_f = op.theta_f_values(train)
     alpha = estimator.alpha_values(op, train)
     # the truth rows do not depend on the basis: solve them once
     truth = truth_solve_many(op, train) if config.validate == "full" else None
 
-    n = 1
-    while n < config.N_max:
+    history = GreedyHistory()
+    basis = empty_basis(op.dim)
+    model = empty_model(len(op.kron_factors), len(op.f_components))
+    selected = []
+    record = GreedyRecord(0, train[best].copy(), float("nan"), 0.0)
+    while True:
+        history.records.append(record)
+        if record.estimate <= config.eps_tol:  # False for the seed's NaN
+            break
+        try:
+            basis, model = extend_basis(basis, model, train[best],
+                                        truth_solve(op, train[best]), op)
+        except DependentSnapshotError:
+            if basis.size == 0:
+                raise
+            history.saturated = True
+            break
+        estimator.refresh(op, basis, model)
+        selected.append(best)
+        if basis.size >= config.N_max:
+            break
         t0 = time.perf_counter()
         values, clamped = estimator.sweep(model, theta_a, theta_f, alpha, workers)
         masked = values.copy()
@@ -295,25 +302,12 @@ def greedy(config, op, estimator, workers=1):
             # is below the estimator's rounding floor: no informative pick
             history.saturated = True
             break
-        record = GreedyRecord(
-            n, train[best].copy(), float(values[best]), time.perf_counter() - t0
-        )
+        record = GreedyRecord(basis.size, train[best].copy(), float(values[best]),
+                              time.perf_counter() - t0)
         if config.validate == "argmax":
             record.true_error_argmax = float(validate(basis, model, op, train[best])[0])
         elif config.validate == "full":
             errs = validate(basis, model, op, train, truth_values=truth)
             record.true_error_argmax = float(errs[best])
             record.true_error_max = float(np.max(errs))
-        history.records.append(record)
-        if record.estimate <= config.eps_tol:
-            break
-        values = truth_solve(op, train[best])
-        try:
-            basis, model = extend_basis(basis, model, train[best], values, op)
-        except DependentSnapshotError:
-            history.saturated = True
-            break
-        estimator.refresh(op, basis, model)
-        selected.append(best)
-        n += 1
     return basis, model, history

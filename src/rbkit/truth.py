@@ -99,10 +99,6 @@ class TruthDiscretization:
     x_int: np.ndarray  # x coordinate at each interior node
     y_int: np.ndarray  # y coordinate at each interior node
 
-    @property
-    def interior_dim(self):
-        return self.x_int.shape[0]
-
 
 @dataclass
 class AffineOperator:

@@ -470,7 +470,7 @@ def test_coercivity_exact_eig_identity_operator():
         theta_a=[lambda mu: 1.0],
         theta_f=[lambda mu: 1.0],
     )
-    assert coercivity_lower_bound(op, [0.0]) == pytest.approx(1.0)
+    assert coercivity_lower_bound(op, [[0.0]])[0] == pytest.approx(1.0)
 
 
 def test_coercivity_floor_and_flag():
@@ -483,7 +483,7 @@ def test_coercivity_floor_and_flag():
         theta_f=[lambda mu: 1.0],
     )
     # a degenerate bound is the floor itself
-    assert coercivity_lower_bound(op, [0.0]) == ALPHA_FLOOR == 1e-12
+    assert coercivity_lower_bound(op, [[0.0]])[0] == ALPHA_FLOOR == 1e-12
 
 
 def test_coercivity_smaller_toward_degenerate_corner():
@@ -491,7 +491,7 @@ def test_coercivity_smaller_toward_degenerate_corner():
     # operator (the equation multiplied by -1); as assembled, the symmetrized
     # collocation matrix is negative and the bound floors
     _, _, op = build_problem("twod-second", 12)
-    assert coercivity_lower_bound(op, [0.0, 0.0]) == ALPHA_FLOOR
+    assert coercivity_lower_bound(op, [[0.0, 0.0]])[0] == ALPHA_FLOOR
     op_c = AffineOperator(
         spec=op.spec,
         kron_factors=[(-Ax, -Ay) for Ax, Ay in op.kron_factors],
@@ -499,8 +499,8 @@ def test_coercivity_smaller_toward_degenerate_corner():
         theta_a=op.theta_a,
         theta_f=op.theta_f,
     )
-    corner = coercivity_lower_bound(op_c, [0.99, 0.99])
-    center = coercivity_lower_bound(op_c, [0.0, 0.0])
+    corner = coercivity_lower_bound(op_c, [[0.99, 0.99]])[0]
+    center = coercivity_lower_bound(op_c, [[0.0, 0.0]])[0]
     assert 0.0 < corner < center
     # cross-check both points with the eigenvalue bisection oracle
     for mu, got in [([0.99, 0.99], corner), ([0.0, 0.0], center)]:
@@ -522,7 +522,7 @@ def test_coercivity_matches_dense_eigensolve(pid):
         A = sum(t * Aq for t, Aq in zip(theta, components))
         S = 0.5 * (A + A.T)
         lam = np.linalg.eigvalsh(S)[0]
-        got = coercivity_lower_bound(op, mu)
+        got = coercivity_lower_bound(op, [mu])[0]
         assert (got == ALPHA_FLOOR) == (lam <= ALPHA_FLOOR)
         assert abs(got - max(lam, ALPHA_FLOOR)) <= 1e-10 * np.linalg.norm(S, 2)
 
@@ -533,7 +533,7 @@ def test_coercivity_forms_no_dense_matrix():
     _, _, op = build_problem("twod-first", 50)
     tracemalloc.start()
     try:
-        coercivity_lower_bound(op, [1.0, 0.5])
+        coercivity_lower_bound(op, [[1.0, 0.5]])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -543,11 +543,12 @@ def test_coercivity_forms_no_dense_matrix():
 @pytest.mark.parametrize("nodes", [8, 12])
 def test_exact_eig_alpha_values_are_the_pointwise_bounds(nodes):
     # on twod-first the symmetrized operator is positive definite, so the
-    # bound does not floor and the mode's values are the bounds themselves
+    # bound does not floor and the mode's values are the bounds themselves,
+    # bit for bit those of one-row batches
     _, _, op = build_problem("twod-first", nodes)
     train = make_training_grid(op.spec.param_domain, [5, 5])
     alpha = StableEstimator("exact-eig").alpha_values(op, train)
-    assert np.array_equal(alpha, [coercivity_lower_bound(op, mu) for mu in train])
+    assert np.array_equal(alpha, [coercivity_lower_bound(op, [mu])[0] for mu in train])
     assert alpha.min() > ALPHA_FLOOR
 
 
@@ -588,7 +589,7 @@ def test_exact_eig_greedy_divides_unit_estimate_by_the_bound(nodes):
         unit = _refreshed("stable", op, sub_b, sub_m)
         u_hat = rb_solve(sub_m, op, rec.mu)
         want = unit.value_at(op, rec.mu, u_hat, 1.0).value
-        assert rec.estimate == want / coercivity_lower_bound(op, rec.mu)
+        assert rec.estimate == want / coercivity_lower_bound(op, [rec.mu])[0]
 
 
 def test_coercivity_unknown_mode(oned):

@@ -220,6 +220,9 @@ def test_run_metadata_roundtrips_config(tmp_path):
     assert os.path.exists(os.path.join(arts.directory, "history.csv"))
     assert meta["n_final"] == 4
     assert meta["timings"]["validation_seconds"] > 0.0
+    # one entry per history row; the seeded pick ran no sweep
+    sweeps = meta["timings"]["sweep_seconds"]
+    assert len(sweeps) == 4 and sweeps[0] == 0.0 and min(sweeps[1:]) > 0.0
 
 
 def test_lagrange_trace_sums_to_lebesgue_indicator(tmp_path):

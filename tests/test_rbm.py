@@ -24,6 +24,7 @@ from rbkit.estimators import ClassicalEstimator, make_estimator
 from rbkit.harness import build_problem, make_training_grid
 from rbkit.truth import (
     AffineOperator,
+    ProblemSpec,
     assemble,
     load_vector,
     truth_solve,
@@ -443,3 +444,57 @@ def test_greedy_sweep_seconds_exclude_validation(oned, monkeypatch, mode):
     _, _, history = greedy(cfg, oned, est)
     assert len(history.records) == 3
     assert all(r.seconds < 0.2 for r in history.records)
+
+
+def test_greedy_seed_record_runs_no_sweep(oned):
+    # the seeded pick is recorded before any sweep: no estimate, no time
+    cfg, est = _greedy_setup(oned, N_max=3)
+    _, _, history = greedy(cfg, oned, est)
+    seed = history.records[0]
+    assert seed.n == 0 and np.isnan(seed.estimate) and seed.seconds == 0.0
+    assert [r.n for r in history.records] == [0, 1, 2]
+    assert all(r.seconds > 0.0 for r in history.records[1:])
+
+
+@pytest.mark.parametrize("stop", ["eps_tol", "N_max", "saturated", "dependent"])
+def test_greedy_solves_and_refreshes_once_per_basis_vector(oned, monkeypatch, stop):
+    # one step per pick: each accepted snapshot is solved once and the
+    # estimator refreshed once on its basis; a dependent pick (here the
+    # third, given twice the seed's snapshot) is solved but refreshes nothing
+    cfg, est = _greedy_setup(oned, N_max=30 if stop == "saturated" else 4,
+                             eps_tol=1e30 if stop == "eps_tol" else 1e-16,
+                             kind="classical")
+    if stop == "saturated":
+        est = _ClampsFromSize(3)
+    solves, refreshes = [], []
+
+    def solve(op, mu):
+        solves.append(truth_solve(op, mu))
+        dependent = stop == "dependent" and len(solves) == 3
+        return 2.0 * solves[0] if dependent else solves[-1]
+
+    refresh = est.refresh
+    monkeypatch.setattr(rbm, "truth_solve", solve)
+    monkeypatch.setattr(est, "refresh",
+                        lambda *args: refreshes.append(1) or refresh(*args))
+    basis, _, history = greedy(cfg, oned, est)
+    sizes = {"eps_tol": 1, "N_max": 4, "saturated": 3, "dependent": 2}
+    assert basis.size == sizes[stop]
+    assert history.saturated == (stop in ("saturated", "dependent"))
+    assert len(refreshes) == basis.size
+    assert len(solves) == basis.size + (stop == "dependent")
+
+
+def test_greedy_raises_on_dependent_seed_snapshot():
+    # a zero load gives a zero snapshot at the seeded pick: there is no
+    # basis to saturate, so the error propagates
+    op = AffineOperator(
+        spec=ProblemSpec("toy", ((-1.0, 1.0),)),
+        kron_factors=[(np.eye(6), np.zeros((1, 1)))],
+        f_components=[np.zeros(6)],
+        theta_a=[lambda mu: 1.0],
+        theta_f=[lambda mu: 1.0],
+    )
+    cfg = GreedyConfig(eps_tol=1e-8, N_max=4, training_set=[[-0.5], [0.5]])
+    with pytest.raises(DependentSnapshotError):
+        greedy(cfg, op, make_estimator("stable"))

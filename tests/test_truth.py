@@ -68,7 +68,7 @@ def test_grid_rejects_zero():
 
 def test_interior_dimension():
     disc = build_discretization(10)
-    assert disc.interior_dim == 64
+    assert disc.x_int.size == 64
     assert np.all(np.abs(disc.x_int) < 1.0)
     assert np.all(np.abs(disc.y_int) < 1.0)
 
