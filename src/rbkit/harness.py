@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .estimators import float_demo, make_estimator
@@ -78,7 +77,9 @@ def _int_entries(name, values):
 
 
 def _read_yaml(path):
-    """The mapping of a YAML config file, before defaults are filled in."""
+    """The mapping of a YAML config file, before defaults are filled in;
+    PyYAML is imported here, so a run set by flags alone never loads it."""
+    import yaml
     with open(path) as fh:
         data = yaml.safe_load(fh)
     if not isinstance(data, dict):
@@ -278,11 +279,12 @@ def run_experiment(config):
     )
 
     basis_path = os.path.join(out_dir, "basis.npz")
-    np.savez_compressed(
+    np.savez(
         basis_path,
         xi=basis.xi,
         chol_coeffs=basis.chol_coeffs,
         sample_set=np.array(basis.sample_set),
+        images=basis.images,
         a_blocks=model.a_blocks,
         f_blocks=model.f_blocks,
     )
@@ -361,8 +363,9 @@ def load_run(run_dir):
     """Reload config, operator, basis and the greedy's own reduced model from
     a saved run.
 
-    The basis's operator images are recomputed from ``xi`` as the greedy
-    computes them, one GEMV per column, so they carry the greedy's bits.
+    The basis, its operator images and the reduced blocks are read from
+    ``basis.npz`` as the greedy left them: nothing is recomputed, so no
+    ``dim x dim`` matrix is formed.
     """
     metadata_path = os.path.join(run_dir, "metadata.json")
     with open(metadata_path) as fh:
@@ -371,18 +374,14 @@ def load_run(run_dir):
     spec, disc, op = build_problem(config.problem, config.nodes_per_dim)
     basis_path = os.path.join(run_dir, "basis.npz")
     with np.load(basis_path) as data:
-        if not {"a_blocks", "f_blocks"} <= set(data.files):
-            raise ConfigError(f"{basis_path} holds no reduced blocks (saved by "
-                              "an older rbkit); rerun the experiment")
-        xi = data["xi"]
-        columns = [xi[:, m] for m in range(xi.shape[1])]
-        products = op.component_products(columns, xi[:, :0])
+        if not {"images", "a_blocks", "f_blocks"} <= set(data.files):
+            raise ConfigError(f"{basis_path} lacks images or reduced blocks "
+                              "(saved by an older rbkit); rerun the experiment")
         basis = ReducedBasis(
             sample_set=[np.atleast_1d(mu) for mu in data["sample_set"]],
-            xi=xi,
+            xi=data["xi"],
             chol_coeffs=data["chol_coeffs"],
-            images=np.column_stack([np.zeros((op.dim, 0))] + [
-                images[m] for m in range(len(columns)) for images, _ in products]),
+            images=data["images"],
         )
         model = ReducedModel(a_blocks=data["a_blocks"], f_blocks=data["f_blocks"])
     return config, op, basis, model

@@ -198,7 +198,7 @@ def extend_basis(basis, model, mu, values, op):
     a_blocks = np.zeros((Qa, N + 1, N + 1))
     a_blocks[:, :N, :N] = model.a_blocks
     images = [basis.images]
-    for q, ([image], old) in enumerate(op.component_products([xi_new], basis.xi)):
+    for q, (image, old) in enumerate(op.component_products(xi_new, basis.xi)):
         a_blocks[q, :, N] = new_xi.T @ image
         a_blocks[q, N, :N] = xi_new @ old
         images.append(image)

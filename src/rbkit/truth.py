@@ -145,18 +145,18 @@ class AffineOperator:
                 else _kron_affine_sum([1.0], [pair])
                 for diagonal, pair in zip(self.diagonals, self.kron_factors)]
 
-    def component_products(self, vectors, V):
-        """``([A^q v for v in vectors], A^q V)`` for each component q in
-        order, with ``V`` a ``(dim, N)`` block.
+    def component_products(self, v, V):
+        """``(A^q v, A^q V)`` for each component q in order, with ``v`` a
+        ``dim`` vector and ``V`` a ``(dim, N)`` block.
 
         The dense components are written in turn into one row-major array,
         each once per call, so one ``dim^2`` array is alive, with the
         writer's one ``(nx, ny, ny)`` term buffer, and none outlives the
         call.  Every Kronecker sum of factors of one shape writes the
         same entries and leaves the rest +0, so each overwrites the last
-        completely and the array holds that component bit for bit.  A vector
-        product is a GEMV and the block product a GEMM on that array, so
-        the bits do not depend on how long the matrix lives.  A diagonal
+        completely and the array holds that component bit for bit.  The
+        vector product is a GEMV and the block product a GEMM on that array,
+        so the bits do not depend on how long the matrix lives.  A diagonal
         component scales rows: each row of a diagonal matrix has one
         nonzero, so the BLAS product of the dense matrix is that one rounded
         product, and the two forms agree bit for bit.
@@ -164,10 +164,10 @@ class AffineOperator:
         products, dense = [], None
         for diagonal, pair in zip(self.diagonals, self.kron_factors):
             if diagonal is not None:
-                products.append(([diagonal * v for v in vectors], diagonal[:, None] * V))
+                products.append((diagonal * v, diagonal[:, None] * V))
             else:
                 dense = _kron_affine_sum([1.0], [pair], out=dense)
-                products.append(([dense @ v for v in vectors], dense @ V))
+                products.append((dense @ v, dense @ V))
         return products
 
     def theta_a_values(self, mus):

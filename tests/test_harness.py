@@ -8,13 +8,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import yaml
 
 import rbkit
-from rbkit import cli, rbm
+from rbkit import cli, rbm, truth
 from rbkit.cli import main as cli_main
 from rbkit.estimators import LebesgueEstimator, make_estimator
 from rbkit.harness import (
@@ -30,7 +31,7 @@ from rbkit.harness import (
     validate,
 )
 from rbkit.rbm import empty_basis, empty_model, extend_basis, rb_solve
-from rbkit.truth import truth_solve, truth_solve_many
+from rbkit.truth import PROBLEM_IDS, AffineOperator, truth_solve, truth_solve_many
 
 import oracles
 
@@ -305,13 +306,22 @@ def test_load_run_reproduces_reduced_model(tmp_path):
         assert err <= 1e-9 * np.linalg.norm(u)
 
 
-@pytest.mark.parametrize("problem", ["oned-continuous", "twod-first"])
-def test_load_run_rebuilds_the_greedys_images(tmp_path, problem):
-    # the images come back from xi with the bits of the greedy's own
-    # extend_basis, replayed here on the saved sample set
+@pytest.mark.parametrize("problem", PROBLEM_IDS)
+def test_load_run_rebuilds_the_greedys_images(tmp_path, problem, monkeypatch):
+    # the images are read back as the greedy's extend_basis left them, with
+    # no operator product and no dense component written; a replay on the
+    # saved sample set gives the greedy's bits
     config = _small_config(tmp_path, problem=problem,
                            training_grid=[24] if problem.startswith("oned") else [6, 5])
-    _, op, basis, model = load_run(run_experiment(config).directory)
+    directory = run_experiment(config).directory
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("load_run recomputed an operator product")
+
+    monkeypatch.setattr(AffineOperator, "component_products", forbidden)
+    monkeypatch.setattr(truth, "_kron_affine_sum", forbidden)
+    _, op, basis, model = load_run(directory)
+    monkeypatch.undo()
     replay, replay_model = empty_basis(op.dim), empty_model(len(op.kron_factors), 1)
     for mu in basis.sample_set:
         replay, replay_model = extend_basis(replay, replay_model, mu,
@@ -320,6 +330,22 @@ def test_load_run_rebuilds_the_greedys_images(tmp_path, problem):
     assert np.array_equal(replay_model.a_blocks, model.a_blocks)
     assert basis.images.shape == (op.dim, basis.size * len(op.kron_factors))
     assert np.array_equal(replay.images, basis.images)
+
+
+def test_load_run_forms_no_dense_matrix(tmp_path):
+    # at 50 nodes one dense twod-first component is dim^2 doubles (42.5 MB);
+    # loading the run allocates a small fraction of that
+    config = _small_config(tmp_path, problem="twod-first", nodes_per_dim=50,
+                           training_grid=[4, 3], N_max=6, checkpoints=[])
+    directory = run_experiment(config).directory
+    tracemalloc.start()
+    try:
+        _, op, basis, _ = load_run(directory)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.size == 6
+    assert peak < op.dim**2 * 8 / 10
 
 
 def _csv_columns(path):
@@ -426,16 +452,19 @@ def test_cli_validate_rejects_saved_validate_fields_key(tmp_path, capsys):
 
 
 def test_cli_validate_rejects_run_without_reduced_blocks(tmp_path, capsys):
-    # a basis.npz saved before the reduced blocks were stored cannot give
-    # the greedy's reduced model; validate says so and exits 2
+    # a basis.npz saved before the reduced blocks, or before the operator
+    # images, were stored cannot give the greedy's state; validate says so
+    # and exits 2
     arts = run_experiment(_small_config(tmp_path))
     with np.load(arts.basis) as data:
-        kept = {key: data[key] for key in ("xi", "chol_coeffs", "sample_set")}
-    np.savez_compressed(arts.basis, **kept)
-    with pytest.raises(ConfigError):
-        load_run(arts.directory)
-    assert cli_main(["validate", arts.directory]) == 2
-    assert "rerun" in capsys.readouterr().err
+        saved = {key: data[key] for key in data.files}
+    older = ("xi", "chol_coeffs", "sample_set")
+    for keys in (older, older + ("a_blocks", "f_blocks")):
+        np.savez_compressed(arts.basis, **{key: saved[key] for key in keys})
+        with pytest.raises(ConfigError):
+            load_run(arts.directory)
+        assert cli_main(["validate", arts.directory]) == 2
+        assert "rerun" in capsys.readouterr().err
 
 
 def test_cli_validate_singular_reduced_system_exits_3(tmp_path, capsys):
@@ -513,6 +542,23 @@ def test_python_m_rbkit_help():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: rbkit")
+
+
+def test_flags_only_run_never_imports_yaml(tmp_path):
+    # PyYAML is loaded only to read a config file
+    src = os.path.dirname(os.path.dirname(rbkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = (
+        "import sys\n"
+        "from rbkit.cli import main\n"
+        "assert main(['run', '--problem', 'oned-continuous', '--nodes-per-dim',"
+        " '8', '--training-grid', '8', '--n-max', '2', '--output-dir',"
+        f" {str(tmp_path / 'run')!r}]) == 0\n"
+        "assert 'yaml' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_run_and_validate(tmp_path, capsys):
