@@ -20,6 +20,7 @@ import numpy as np
 
 from .estimators import ALPHA_MODES, ESTIMATOR_KINDS
 from .harness import (
+    VALIDATE_MODES,
     ConfigError,
     ExperimentConfig,
     _read_yaml,
@@ -30,7 +31,6 @@ from .harness import (
     run_float_demo,
     validate,
 )
-from .rbm import VALIDATE_MODES
 from .truth import PROBLEM_IDS, problem_spec
 
 

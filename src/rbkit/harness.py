@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .estimators import float_demo, make_estimator
 from .rbm import (
-    VALIDATE_MODES,
     GreedyConfig,
     greedy,
     lagrange_coefficients,
@@ -59,6 +58,9 @@ TRAINING_GRIDS = {
     "twod-second": ([80, 80], [160, 160]),
 }
 
+#: True-error modes of ``history.csv``: none, at each pick, or the training grid.
+VALIDATE_MODES = ("none", "argmax", "full")
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
@@ -81,7 +83,10 @@ def _read_yaml(path):
     PyYAML is imported here, so a run set by flags alone never loads it."""
     import yaml
     with open(path) as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must contain a mapping")
     return data
@@ -100,7 +105,7 @@ class ExperimentConfig:
     validation_grid: list | None = None  # None: the training grid
     output_dir: str = "runs/out"
     checkpoints: list = field(default_factory=list)
-    validate: str = "none"  # one of VALIDATE_MODES (per-sweep true errors)
+    validate: str = "none"  # one of VALIDATE_MODES (history true errors)
     workers: int = 1
 
     def __post_init__(self):
@@ -238,6 +243,23 @@ def _batched_truth(op, points):
     return truth_solve_many(op, points)
 
 
+def _history_errors(history, basis, model, op, train, mode, truth):
+    """Each record's ``(true_error_argmax, true_error_max)`` on the leading-n
+    restriction of the final basis, the greedy's state at size n: ``argmax``
+    validates each pick, ``full`` the training grid with truth rows ``truth``."""
+    records = history.records[1:] if mode != "none" else []
+    rows = [(None, None)] * (len(history.records) - len(records))
+    for r in records:
+        sub_b, sub_m = _sub_basis(basis, model, r.n)
+        if mode == "argmax":
+            rows.append((float(validate(sub_b, sub_m, op, r.mu)[0]), None))
+        else:
+            errs = validate(sub_b, sub_m, op, train, truth_values=truth)
+            [at] = np.flatnonzero(np.all(train == r.mu, axis=1))
+            rows.append((float(errs[at]), float(np.max(errs))))
+    return rows
+
+
 def run_experiment(config):
     """Execute the configured greedy run and emit all artifact files."""
     out_dir = config.output_dir
@@ -250,7 +272,6 @@ def run_experiment(config):
         N_max=config.N_max,
         training_set=train,
         seed=config.seed,
-        validate=config.validate,
     )
     estimator = make_estimator(config.estimator_kind, alpha_mode=config.alpha_mode)
     t_start = time.perf_counter()
@@ -259,17 +280,6 @@ def run_experiment(config):
 
     pdim = spec.param_dim
     mu_names = [f"mu{d + 1}" for d in range(pdim)]
-
-    history_path = os.path.join(out_dir, "history.csv")
-    _write_csv(
-        history_path,
-        ["n"] + mu_names + ["estimate", "true_error_argmax", "true_error_max"],
-        [
-            [r.n] + [float(v) for v in r.mu]
-            + [float(r.estimate), r.true_error_argmax, r.true_error_max]
-            for r in history.records
-        ],
-    )
 
     snapshots_path = os.path.join(out_dir, "snapshots.csv")
     _write_csv(
@@ -289,15 +299,27 @@ def run_experiment(config):
         f_blocks=model.f_blocks,
     )
 
-    val_points = make_training_grid(spec.param_domain, config.validation_grid)
     t_start = time.perf_counter()
+    # the training grid's truth serves --validate full and default field files
+    truth = _batched_truth(op, train) if config.validate == "full" else None
+    errors = _history_errors(history, basis, model, op, train, config.validate, truth)
+    history_path = os.path.join(out_dir, "history.csv")
+    _write_csv(
+        history_path,
+        ["n"] + mu_names + ["estimate", "true_error_argmax", "true_error_max"],
+        [[r.n] + [float(v) for v in r.mu] + [float(r.estimate), *errs]
+         for r, errs in zip(history.records, errors)],
+    )
+
+    val_points = make_training_grid(spec.param_domain, config.validation_grid)
     fields = {}
     lagrange = {}
     checkpoints = [k for k in config.checkpoints if k <= basis.size]
     if checkpoints:
         # the point-only data serve every checkpoint; the estimator's offline
         # data depend only on the basis it is refreshed on
-        truth = _batched_truth(op, val_points)
+        if truth is None or config.validation_grid != config.training_grid:
+            truth = _batched_truth(op, val_points)
         val_ta = op.theta_a_values(val_points)
         val_tf = op.theta_f_values(val_points)
         val_alpha = estimator.alpha_values(op, val_points)

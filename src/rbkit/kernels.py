@@ -59,6 +59,11 @@ USE_JIT = False
 #: Parameters per batched call; bounds the stacked reduced systems in memory.
 CHUNK = 256
 
+#: Doubles per term product in a chunk's assembly: the 256 KB buffer stays in
+#: cache at large N, while up to N = 11 a whole chunk takes one product per
+#: term (a fixed row count made small-N sweeps pay per-call overhead).
+BLOCK_DOUBLES = 32768
+
 
 def _solve_chunks(theta_a, theta_f, a_blocks, f_blocks, write, workers=1):
     """Call ``write(lo, hi, u)`` with the reduced solutions ``u (hi - lo, N)``
@@ -72,20 +77,32 @@ def _solve_chunks(theta_a, theta_f, a_blocks, f_blocks, write, workers=1):
     """
     M, Q_a = theta_a.shape
     N = a_blocks.shape[1]
+    a_flat = a_blocks.reshape(Q_a, N * N)
+    block = max(1, BLOCK_DOUBLES // (N * N))
 
     def run(starts):
-        # one loop per thread: a chunk's arrays stay alive until the next
-        # chunk's are allocated, so the allocator keeps reusing their memory
-        # (a function call per chunk made the serial sweep 1.5x slower)
+        # work buffers, one set per thread and call: a chunk's A and rhs
+        # start from zeros and add the terms, q in order, ``block`` rows at
+        # a time through one product buffer
+        A = np.empty((min(CHUNK, M), N * N))
+        rhs = np.empty((min(CHUNK, M), N))
+        tmp = np.empty((min(block, CHUNK, M), N * N))
         for lo in starts:
             hi = min(lo + CHUNK, M)
-            A = np.zeros((hi - lo, N, N))
-            for q in range(Q_a):
-                A += theta_a[lo:hi, q, None, None] * a_blocks[q]
-            rhs = np.zeros((hi - lo, N))
-            for q in range(f_blocks.shape[0]):
-                rhs += theta_f[lo:hi, q, None] * f_blocks[q]
-            write(lo, hi, np.linalg.solve(A, rhs[:, :, None])[:, :, 0])
+            m, ta, tf = hi - lo, theta_a[lo:hi], theta_f[lo:hi]
+            A[:m] = 0.0
+            rhs[:m] = 0.0
+            for b in range(0, m, block):
+                e = min(b + block, m)
+                a_rows, f_rows, t = A[b:e], rhs[b:e], tmp[:e - b]
+                for q in range(Q_a):
+                    np.multiply(ta[b:e, q, None], a_flat[q], out=t)
+                    a_rows += t
+                for q in range(f_blocks.shape[0]):
+                    np.multiply(tf[b:e, q, None], f_blocks[q], out=t[:, :N])
+                    f_rows += t[:, :N]
+            write(lo, hi, np.linalg.solve(A[:m].reshape(m, N, N),
+                                          rhs[:m, :, None])[:, :, 0])
 
     starts = range(0, M, CHUNK)
     # the affinity set is reported on Linux only; elsewhere count every CPU

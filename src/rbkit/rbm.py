@@ -21,7 +21,6 @@ __all__ = [
     "DependentSnapshotError",
     "ReducedBasis",
     "ReducedModel",
-    "VALIDATE_MODES",
     "GreedyConfig",
     "GreedyRecord",
     "GreedyHistory",
@@ -72,18 +71,12 @@ class ReducedModel:
         return self.a_blocks.shape[1]
 
 
-#: Per-sweep true-error modes: none, at the argmax only, or over the whole
-#: training set.
-VALIDATE_MODES = ("none", "argmax", "full")
-
-
 @dataclass
 class GreedyConfig:
     eps_tol: float
     N_max: int
     training_set: np.ndarray  # (M, p)
     seed: int = 0
-    validate: str = "none"  # one of VALIDATE_MODES
 
     def __post_init__(self):
         if self.eps_tol <= 0:
@@ -93,8 +86,6 @@ class GreedyConfig:
         self.training_set = np.atleast_2d(np.asarray(self.training_set, dtype=float))
         if self.training_set.shape[0] == 0:
             raise ValueError("training set must be nonempty")
-        if self.validate not in VALIDATE_MODES:
-            raise ValueError(f"unknown validate mode {self.validate!r}")
 
 
 @dataclass
@@ -102,9 +93,7 @@ class GreedyRecord:
     n: int  # basis size when the sweep ran (0 for the seeded initial pick)
     mu: np.ndarray
     estimate: float
-    seconds: float  # sweep and selection, not validation; 0.0 for the seeded pick
-    true_error_argmax: float | None = None
-    true_error_max: float | None = None
+    seconds: float  # sweep and selection; 0.0 for the seeded pick
 
 
 @dataclass
@@ -218,13 +207,15 @@ def extend_basis(basis, model, mu, values, op):
 def validate(basis, model, op, points, truth_values=None):
     """True error ``||u(mu) - xi u_hat(mu)||`` at each point, in input order.
 
-    The one true-error computation: the greedy's ``validate`` modes, the
+    The one true-error computation: the history's ``validate`` modes, the
     field files and ``rbkit validate`` all call it.  The reduced solutions
-    come from one ``rb_solve`` call over all points, and the reconstruction
-    is one stacked product, so a point's error does not depend on the points
-    validated with it.  A point where the operator is singular (a NaN row
-    from ``truth_solve_many``) gets a NaN error; an exactly singular reduced
-    system raises ``np.linalg.LinAlgError``.
+    come from one ``rb_solve`` call over all points; the reconstruction and
+    the difference are formed ``kernels.CHUNK`` points at a time, one stacked
+    product each, so a point's error does not depend on the points validated
+    with it and no temporary is larger than ``CHUNK x dim``.  A point where
+    the operator is singular (a NaN row from ``truth_solve_many``) gets a NaN
+    error; an exactly singular reduced system raises
+    ``np.linalg.LinAlgError``.
     ``truth_values`` can carry precomputed truth rows, one per point, to
     validate several bases on one grid.
     """
@@ -233,8 +224,13 @@ def validate(basis, model, op, points, truth_values=None):
         return np.empty(0)
     if truth_values is None:
         truth_values = truth_solve_many(op, points)
-    u_rb = np.matmul(basis.xi, rb_solve(model, op, points)[:, :, None])[:, :, 0]
-    return np.linalg.norm(truth_values - u_rb, axis=1)
+    u_hat = rb_solve(model, op, points)[:, :, None]
+    errors = np.empty(points.shape[0])
+    for lo in range(0, points.shape[0], kernels.CHUNK):
+        rows = slice(lo, lo + kernels.CHUNK)
+        u_rb = np.matmul(basis.xi, u_hat[rows])[:, :, 0]
+        errors[rows] = np.linalg.norm(truth_values[rows] - u_rb, axis=1)
+    return errors
 
 
 def greedy(config, op, estimator, workers=1):
@@ -266,8 +262,6 @@ def greedy(config, op, estimator, workers=1):
     theta_a = op.theta_a_values(train)
     theta_f = op.theta_f_values(train)
     alpha = estimator.alpha_values(op, train)
-    # the truth rows do not depend on the basis: solve them once
-    truth = truth_solve_many(op, train) if config.validate == "full" else None
 
     history = GreedyHistory()
     basis = empty_basis(op.dim)
@@ -304,10 +298,4 @@ def greedy(config, op, estimator, workers=1):
             break
         record = GreedyRecord(basis.size, train[best].copy(), float(values[best]),
                               time.perf_counter() - t0)
-        if config.validate == "argmax":
-            record.true_error_argmax = float(validate(basis, model, op, train[best])[0])
-        elif config.validate == "full":
-            errs = validate(basis, model, op, train, truth_values=truth)
-            record.true_error_argmax = float(errs[best])
-            record.true_error_max = float(np.max(errs))
     return basis, model, history

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 import yaml
 
 import rbkit
-from rbkit import cli, rbm, truth
+from rbkit import cli, harness, rbm, truth
 from rbkit.cli import main as cli_main
 from rbkit.estimators import LebesgueEstimator, make_estimator
 from rbkit.harness import (
@@ -411,18 +412,90 @@ def test_greedy_full_validation_matches_validate(tmp_path):
         assert float(history["true_error_argmax"][row]) == errs[best]
 
 
-def test_greedy_full_validation_solves_truth_once(tmp_path, monkeypatch):
-    # the training grid's truth rows do not depend on the basis
-    calls = []
+#: history.csv text of small --validate runs (stable, 12 nodes, N_max 6,
+#: checkpoints 2 and 6), recorded when the greedy still computed its own true
+#: errors: the post-pass over the hierarchical basis writes the same bytes.
+PINNED_HISTORIES = {
+    ("oned-continuous", "argmax"): (
+        "n,mu1,estimate,true_error_argmax,true_error_max\n"
+        "0,0.73543478260869588,nan,nan,nan\n"
+        "1,-0.995,74.040494541396683,2.2136038395358142,nan\n"
+        "2,-0.38934782608695651,40.622080623878333,0.5067195714896956,nan\n"
+        "3,0.995,20.72908167668454,0.46181643080110912,nan\n"
+        "4,-0.82195652173913047,6.7737037190974005,0.061843337511269268,nan\n"
+        "5,0.30282608695652191,2.7882729152172105,0.016207605729366501,nan\n"),
+    ("oned-continuous", "full"): (
+        "n,mu1,estimate,true_error_argmax,true_error_max\n"
+        "0,0.73543478260869588,nan,nan,nan\n"
+        "1,-0.995,74.040494541396683,2.2136038395358142,2.2136038395358142\n"
+        "2,-0.38934782608695651,40.622080623878333,0.5067195714896956,0.69541255765937882\n"
+        "3,0.995,20.72908167668454,0.46181643080110912,0.46181643080110912\n"
+        "4,-0.82195652173913047,6.7737037190974005,0.061843337511269268,0.062939075933352226\n"
+        "5,0.30282608695652191,2.7882729152172105,0.016207605729366501,0.018025854752097059\n"),
+    ("twod-second", "argmax"): (
+        "n,mu1,mu2,estimate,true_error_argmax,true_error_max\n"
+        "0,-0.98999999999999999,0.98999999999999999,nan,nan,nan\n"
+        "1,0.98999999999999999,0.98999999999999999,120.63949185549433,6.7287987134466736,nan\n"
+        "2,-0.98999999999999999,-0.98999999999999999,136.18113740553173,6.6310440324280275,nan\n"
+        "3,0.98999999999999999,-0.98999999999999999,94.152671950862214,1.9864953527317795,nan\n"
+        "4,-0.19799999999999995,-0.98999999999999999,70.322096477690607,1.5310989314846173,nan\n"
+        "5,-0.98999999999999999,-0.19799999999999995,72.987666276244155,1.432925884403754,nan\n"),
+    ("twod-second", "full"): (
+        "n,mu1,mu2,estimate,true_error_argmax,true_error_max\n"
+        "0,-0.98999999999999999,0.98999999999999999,nan,nan,nan\n"
+        "1,0.98999999999999999,0.98999999999999999,120.63949185549433,6.7287987134466736,6.7287987134466736\n"
+        "2,-0.98999999999999999,-0.98999999999999999,136.18113740553173,6.6310440324280275,6.6310440324280275\n"
+        "3,0.98999999999999999,-0.98999999999999999,94.152671950862214,1.9864953527317795,1.9864953527317795\n"
+        "4,-0.19799999999999995,-0.98999999999999999,70.322096477690607,1.5310989314846173,1.6107089645247912\n"
+        "5,-0.98999999999999999,-0.19799999999999995,72.987666276244155,1.432925884403754,1.5238480320101722\n"),
+}
 
-    def counting(op, points):
-        calls.append(len(points))
-        return truth_solve_many(op, points)
 
-    monkeypatch.setattr(rbm, "truth_solve_many", counting)
+@pytest.mark.parametrize("problem, mode", sorted(PINNED_HISTORIES))
+def test_history_true_errors_pinned(tmp_path, problem, mode):
+    grid = [24] if problem.startswith("oned") else [6, 6]
+    arts = run_experiment(_small_config(tmp_path, problem=problem, training_grid=grid,
+                                        N_max=6, eps_tol=1e-14, checkpoints=[2, 6],
+                                        validate=mode))
+    with open(arts.history) as fh:
+        assert fh.read() == PINNED_HISTORIES[problem, mode]
+
+
+def test_full_validation_and_fields_solve_training_truth_once(tmp_path, monkeypatch):
+    # the training grid's truth rows do not depend on the basis: with the
+    # field files on the default grid, one solve serves the history and the
+    # checkpoints
+    points = []
+
+    def counting(solve):
+        def wrapped(op, mus):
+            points.append(len(mus))
+            return solve(op, mus)
+        return wrapped
+
+    monkeypatch.setattr(rbm, "truth_solve_many", counting(rbm.truth_solve_many))
+    monkeypatch.setattr(harness, "_batched_truth", counting(harness._batched_truth))
     run_experiment(_small_config(tmp_path, N_max=5, eps_tol=1e-14,
-                                 validate="full", checkpoints=[]))
-    assert calls == [24]
+                                 validate="full", checkpoints=[2, 5]))
+    assert points == [24]
+
+
+@pytest.mark.parametrize("mode", ["argmax", "full"])
+def test_history_true_errors_timed_as_validation(tmp_path, monkeypatch, mode):
+    # the history's true errors are computed after the greedy: they count in
+    # validation_seconds, not in greedy_seconds or a record's sweep_seconds
+    def slow_validate(*args, **kwargs):
+        time.sleep(0.25)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "validate", slow_validate)
+    arts = run_experiment(_small_config(tmp_path, N_max=3, checkpoints=[],
+                                        validate=mode))
+    with open(arts.metadata) as fh:
+        timings = json.load(fh)["timings"]
+    assert len(timings["sweep_seconds"]) == 3
+    assert timings["greedy_seconds"] < 0.25
+    assert timings["validation_seconds"] >= 2 * 0.25
 
 
 def test_metadata_records_resolved_validation_grid(tmp_path):
@@ -619,6 +692,18 @@ def test_cli_bad_validation_grid_exits_2(tmp_path, capsys, argv):
     assert "config error" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(run_dir, "validate.csv"))
     assert not os.path.exists(run_dir + "-new")
+
+
+def test_cli_malformed_yaml_exits_2(tmp_path, capsys):
+    # a YAML syntax error is a configuration error naming the file, raised
+    # before the output directory is made
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("problem: [oned-continuous\nN_max: 3\n")
+    out_dir = tmp_path / "out"
+    assert cli_main(["run", str(bad), "--output-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(bad) in err
+    assert not out_dir.exists()
 
 
 def test_cli_config_errors_exit_2(tmp_path, capsys):

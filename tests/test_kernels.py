@@ -32,7 +32,10 @@ SIZES = [0, 1, kernels.CHUNK - 1, kernels.CHUNK, kernels.CHUNK + 1,
 #: (N, Q_a, Q_f): the worked problems' Q_f = 1, and Q_f = 2, where the load
 #: products become gemv calls instead of scalar products.  N = 12 is long
 #: enough that a reordered sum (numpy's unrolled ``sum``) changes the bits.
-SHAPES = [(6, 2, 1), (12, 3, 2)]
+#: At N = 12 and 40 a chunk is assembled in blocks of 227 and 20 rows
+#: (``kernels.BLOCK_DOUBLES`` / N^2), so every nonempty size ends in the
+#: middle of a block.
+SHAPES = [(6, 2, 1), (12, 3, 2), (40, 3, 1)]
 
 
 def _random_inputs(seed=0, M=64, N=6, Qa=2, Qf=1):

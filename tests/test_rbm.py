@@ -2,15 +2,16 @@
 and the greedy loop."""
 
 import dataclasses
-import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rbkit import rbm
+from rbkit import kernels, rbm
 from rbkit.rbm import (
     DependentSnapshotError,
     GreedyConfig,
+    ReducedBasis,
     empty_basis,
     empty_model,
     extend_basis,
@@ -97,6 +98,33 @@ def test_rb_solve_galerkin_orthogonality(oned):
     for i, mu in enumerate(pts):
         assert np.array_equal(U[i], rb_solve(model, oned, mu))
         assert errs[i] == validate(basis, model, oned, pts[i:i + 1])[0]
+
+
+@pytest.mark.parametrize("chunks", [3, 12])
+def test_validate_memory_is_bounded_by_one_chunk(chunks):
+    # with the truth rows given, validate's temporaries are a few CHUNK x dim
+    # arrays whatever the point count; the errors keep the bits of the
+    # unchunked reconstruction
+    _, _, op = build_problem("twod-first", 34)
+    rng = np.random.default_rng(chunks)
+    N, M = 4, chunks * kernels.CHUNK + 5
+    basis = ReducedBasis([], np.linalg.qr(rng.standard_normal((op.dim, N)))[0],
+                         np.eye(N), np.zeros((op.dim, 0)))
+    model = ReducedModel(a_blocks=np.stack([np.eye(N)] * len(op.kron_factors)),
+                         f_blocks=rng.standard_normal((1, N)))
+    points = make_training_grid(op.spec.param_domain, [M, 1])
+    truth = rng.standard_normal((M, op.dim))
+    u_rb = np.matmul(basis.xi, rb_solve(model, op, points)[:, :, None])[:, :, 0]
+    expected = np.linalg.norm(truth - u_rb, axis=1)
+    del u_rb
+    tracemalloc.start()
+    try:
+        errors = validate(basis, model, op, points, truth_values=truth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(errors, expected)
+    assert peak < 6 * kernels.CHUNK * op.dim * 8
 
 
 def test_rb_solve_empty_model_raises(oned):
@@ -431,19 +459,22 @@ def test_greedy_stops_saturated_on_fully_clamped_sweep(oned):
     assert np.all(est.last_clamped[~selected])
 
 
-@pytest.mark.parametrize("mode", ["argmax", "full"])
-def test_greedy_sweep_seconds_exclude_validation(oned, monkeypatch, mode):
-    # a record's seconds time the sweep and the selection; the true-error
-    # validation after them is not counted
-    def slow_validate(*args, **kwargs):
-        time.sleep(0.2)
-        return validate(*args, **kwargs)
+def test_greedy_holds_no_validation_mode(oned, monkeypatch):
+    # the greedy only selects: its config has no validate mode, its records
+    # no true errors, and it solves no truth but the snapshot's
+    assert "validate" not in {f.name for f in dataclasses.fields(GreedyConfig)}
+    assert {f.name for f in dataclasses.fields(rbm.GreedyRecord)} == {
+        "n", "mu", "estimate", "seconds"}
+    assert not hasattr(rbm, "VALIDATE_MODES")
 
-    monkeypatch.setattr(rbm, "validate", slow_validate)
-    cfg, est = _greedy_setup(oned, N_max=3, validate=mode)
-    _, _, history = greedy(cfg, oned, est)
-    assert len(history.records) == 3
-    assert all(r.seconds < 0.2 for r in history.records)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the greedy solved a validation truth")
+
+    monkeypatch.setattr(rbm, "truth_solve_many", forbidden)
+    monkeypatch.setattr(rbm, "validate", forbidden)
+    cfg, est = _greedy_setup(oned, N_max=4)
+    basis, _, _ = greedy(cfg, oned, est)
+    assert basis.size == 4
 
 
 def test_greedy_seed_record_runs_no_sweep(oned):
