@@ -18,7 +18,6 @@ from .truth import (
 )
 from .rbm import (
     DependentSnapshotError,
-    GreedyConfig,
     GreedyHistory,
     ReducedBasis,
     ReducedModel,

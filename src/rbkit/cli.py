@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .estimators import ALPHA_MODES, ESTIMATOR_KINDS
+from .estimators import ALPHA_MODES, ESTIMATOR_KINDS, float_demo
 from .harness import (
     VALIDATE_MODES,
     ConfigError,
@@ -28,7 +28,6 @@ from .harness import (
     load_run,
     make_training_grid,
     run_experiment,
-    run_float_demo,
     validate,
 )
 from .truth import PROBLEM_IDS, problem_spec
@@ -88,8 +87,14 @@ def _cmd_run(args):
 
 
 def _cmd_float_demo(args):
-    rows = run_float_demo(range(args.n_min, args.n_max + 1), args.mu_samples,
-                          args.seed, args.output)
+    n_range = range(args.n_min, args.n_max + 1)
+    if not n_range:
+        raise ConfigError("float-demo needs n_min <= n_max")
+    try:
+        rows = float_demo(n_range, args.mu_samples, args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    _write_csv(args.output, ["N", "max_stable", "max_expanded"], rows)
     print(f"{'N':>4} {'max_stable':>14} {'max_expanded':>14}")
     for n, s, e in rows:
         print(f"{n:>4} {s:>14.6e} {e:>14.6e}")

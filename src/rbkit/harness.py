@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .estimators import float_demo, make_estimator
+from .estimators import make_estimator
 from .rbm import (
-    GreedyConfig,
     greedy,
     lagrange_coefficients,
     rb_solve,
@@ -45,7 +44,6 @@ __all__ = [
     "build_problem",
     "run_experiment",
     "validate",
-    "run_float_demo",
     "load_run",
 ]
 
@@ -169,10 +167,6 @@ class ExperimentConfig:
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
-    @classmethod
-    def from_yaml(cls, path):
-        return cls.from_dict(_read_yaml(path))
-
     def to_dict(self):
         return dataclasses.asdict(self)
 
@@ -243,12 +237,15 @@ def _batched_truth(op, points):
     return truth_solve_many(op, points)
 
 
-def _history_errors(history, basis, model, op, train, mode, truth):
+def _history_errors(history, basis, model, op, train, mode, truth, keep=()):
     """Each record's ``(true_error_argmax, true_error_max)`` on the leading-n
     restriction of the final basis, the greedy's state at size n: ``argmax``
-    validates each pick, ``full`` the training grid with truth rows ``truth``."""
+    validates each pick, ``full`` the training grid with truth rows ``truth``.
+    Also returns ``{n: grid errors}`` for the sizes n in ``keep`` that
+    ``full`` validated."""
     records = history.records[1:] if mode != "none" else []
     rows = [(None, None)] * (len(history.records) - len(records))
+    kept = {}
     for r in records:
         sub_b, sub_m = _sub_basis(basis, model, r.n)
         if mode == "argmax":
@@ -257,7 +254,9 @@ def _history_errors(history, basis, model, op, train, mode, truth):
             errs = validate(sub_b, sub_m, op, train, truth_values=truth)
             [at] = np.flatnonzero(np.all(train == r.mu, axis=1))
             rows.append((float(errs[at]), float(np.max(errs))))
-    return rows
+            if r.n in keep:
+                kept[r.n] = errs
+    return rows, kept
 
 
 def run_experiment(config):
@@ -267,15 +266,11 @@ def run_experiment(config):
 
     spec, disc, op = build_problem(config.problem, config.nodes_per_dim)
     train = make_training_grid(spec.param_domain, config.training_grid)
-    gcfg = GreedyConfig(
-        eps_tol=config.eps_tol,
-        N_max=config.N_max,
-        training_set=train,
-        seed=config.seed,
-    )
     estimator = make_estimator(config.estimator_kind, alpha_mode=config.alpha_mode)
     t_start = time.perf_counter()
-    basis, model, history = greedy(gcfg, op, estimator, workers=config.workers)
+    basis, model, history = greedy(op, estimator, train, N_max=config.N_max,
+                                   eps_tol=config.eps_tol, seed=config.seed,
+                                   workers=config.workers)
     greedy_seconds = time.perf_counter() - t_start
 
     pdim = spec.param_dim
@@ -300,9 +295,13 @@ def run_experiment(config):
     )
 
     t_start = time.perf_counter()
-    # the training grid's truth serves --validate full and default field files
+    checkpoints = [k for k in config.checkpoints if k <= basis.size]
+    # --validate full's truth rows and grid errors serve default-grid field files
+    default_grid = config.validation_grid == config.training_grid
     truth = _batched_truth(op, train) if config.validate == "full" else None
-    errors = _history_errors(history, basis, model, op, train, config.validate, truth)
+    errors, grid_errors = _history_errors(
+        history, basis, model, op, train, config.validate, truth,
+        keep=checkpoints if default_grid else ())
     history_path = os.path.join(out_dir, "history.csv")
     _write_csv(
         history_path,
@@ -314,11 +313,10 @@ def run_experiment(config):
     val_points = make_training_grid(spec.param_domain, config.validation_grid)
     fields = {}
     lagrange = {}
-    checkpoints = [k for k in config.checkpoints if k <= basis.size]
     if checkpoints:
         # the point-only data serve every checkpoint; the estimator's offline
         # data depend only on the basis it is refreshed on
-        if truth is None or config.validation_grid != config.training_grid:
+        if truth is None or not default_grid:
             truth = _batched_truth(op, val_points)
         val_ta = op.theta_a_values(val_points)
         val_tf = op.theta_f_values(val_points)
@@ -328,7 +326,9 @@ def run_experiment(config):
         estimator.refresh(op, sub_b, sub_m)
         est_field, _ = estimator.sweep(sub_m, val_ta, val_tf, val_alpha,
                                        config.workers)
-        errs = validate(sub_b, sub_m, op, val_points, truth_values=truth)
+        errs = grid_errors.get(k)
+        if errs is None:
+            errs = validate(sub_b, sub_m, op, val_points, truth_values=truth)
         path = os.path.join(out_dir, f"field_N{k}.csv")
         _write_csv(
             path,
@@ -408,18 +408,3 @@ def load_run(run_dir):
         model = ReducedModel(a_blocks=data["a_blocks"], f_blocks=data["f_blocks"])
     return config, op, basis, model
 
-
-def run_float_demo(N_range, mu_samples, seed, output_path):
-    """Run the scalar cancellation demo and write one row per N."""
-    if len(N_range) == 0:
-        raise ConfigError("float-demo needs n_min <= n_max")
-    try:
-        rows = float_demo(N_range, mu_samples, seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    _write_csv(
-        output_path,
-        ["N", "max_stable", "max_expanded"],
-        [[n, s, e] for n, s, e in rows],
-    )
-    return rows

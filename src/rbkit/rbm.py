@@ -15,13 +15,12 @@ from . import kernels
 from .numerics import DROP_TOL, _mgs_coeffs
 # unused here; kept because bench/tracing.py wraps ``rbkit.rbm.solve_dense``
 from .numerics import solve_dense  # noqa: F401
-from .truth import truth_solve, truth_solve_many
+from .truth import _truth_solver, truth_solve
 
 __all__ = [
     "DependentSnapshotError",
     "ReducedBasis",
     "ReducedModel",
-    "GreedyConfig",
     "GreedyRecord",
     "GreedyHistory",
     "empty_basis",
@@ -69,23 +68,6 @@ class ReducedModel:
     @property
     def size(self):
         return self.a_blocks.shape[1]
-
-
-@dataclass
-class GreedyConfig:
-    eps_tol: float
-    N_max: int
-    training_set: np.ndarray  # (M, p)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.eps_tol <= 0:
-            raise ValueError("eps_tol must be positive")
-        if self.N_max < 1:
-            raise ValueError("N_max must be at least 1")
-        self.training_set = np.atleast_2d(np.asarray(self.training_set, dtype=float))
-        if self.training_set.shape[0] == 0:
-            raise ValueError("training set must be nonempty")
 
 
 @dataclass
@@ -209,12 +191,14 @@ def validate(basis, model, op, points, truth_values=None):
 
     The one true-error computation: the history's ``validate`` modes, the
     field files and ``rbkit validate`` all call it.  The reduced solutions
-    come from one ``rb_solve`` call over all points; the reconstruction and
-    the difference are formed ``kernels.CHUNK`` points at a time, one stacked
-    product each, so a point's error does not depend on the points validated
-    with it and no temporary is larger than ``CHUNK x dim``.  A point where
-    the operator is singular (a NaN row from ``truth_solve_many``) gets a NaN
-    error; an exactly singular reduced system raises
+    come from one ``rb_solve`` call over all points; the truth rows (unless
+    given), the reconstruction and the difference are formed
+    ``kernels.CHUNK`` points at a time, one stacked product each, so a
+    point's error does not depend on the points validated with it and no
+    temporary is larger than ``CHUNK x dim``.  One ``truth_solve_many``
+    solver serves every chunk, so each Schur form is still computed once per
+    call.  A point where the operator is singular (a NaN truth row) gets a
+    NaN error; an exactly singular reduced system raises
     ``np.linalg.LinAlgError``.
     ``truth_values`` can carry precomputed truth rows, one per point, to
     validate several bases on one grid.
@@ -222,21 +206,22 @@ def validate(basis, model, op, points, truth_values=None):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.size == 0:
         return np.empty(0)
-    if truth_values is None:
-        truth_values = truth_solve_many(op, points)
+    solve = _truth_solver(op) if truth_values is None else None
     u_hat = rb_solve(model, op, points)[:, :, None]
     errors = np.empty(points.shape[0])
     for lo in range(0, points.shape[0], kernels.CHUNK):
         rows = slice(lo, lo + kernels.CHUNK)
+        truth = truth_values[rows] if solve is None else solve(points[rows])
         u_rb = np.matmul(basis.xi, u_hat[rows])[:, :, 0]
-        errors[rows] = np.linalg.norm(truth_values[rows] - u_rb, axis=1)
+        errors[rows] = np.linalg.norm(truth - u_rb, axis=1)
     return errors
 
 
-def greedy(config, op, estimator, workers=1):
-    """Greedy construction of the reduced space, driven by ``estimator``.
+def greedy(op, estimator, training_set, *, N_max, eps_tol, seed=0, workers=1):
+    """Greedy construction of the reduced space, driven by ``estimator``,
+    over the training points ``training_set (M, p)``.
 
-    The first pick is a seed-deterministic uniform draw from the training
+    The first pick is a ``seed``-deterministic uniform draw from the training
     set, recorded with estimate NaN and seconds 0.0 since no sweep chose it.
     Each step solves the snapshot at the pick, extends the basis, refreshes
     the estimator, then sweeps every not-yet-selected training point and
@@ -257,8 +242,14 @@ def greedy(config, op, estimator, workers=1):
     Returns ``(basis, model, history)``; ``estimator`` is left refreshed on
     the final basis.
     """
-    train = config.training_set
-    best = int(np.random.default_rng(config.seed).integers(train.shape[0]))
+    if eps_tol <= 0:
+        raise ValueError("eps_tol must be positive")
+    if N_max < 1:
+        raise ValueError("N_max must be at least 1")
+    train = np.atleast_2d(np.asarray(training_set, dtype=float))
+    if train.shape[0] == 0:
+        raise ValueError("training set must be nonempty")
+    best = int(np.random.default_rng(seed).integers(train.shape[0]))
     theta_a = op.theta_a_values(train)
     theta_f = op.theta_f_values(train)
     alpha = estimator.alpha_values(op, train)
@@ -270,7 +261,7 @@ def greedy(config, op, estimator, workers=1):
     record = GreedyRecord(0, train[best].copy(), float("nan"), 0.0)
     while True:
         history.records.append(record)
-        if record.estimate <= config.eps_tol:  # False for the seed's NaN
+        if record.estimate <= eps_tol:  # False for the seed's NaN
             break
         try:
             basis, model = extend_basis(basis, model, train[best],
@@ -282,7 +273,7 @@ def greedy(config, op, estimator, workers=1):
             break
         estimator.refresh(op, basis, model)
         selected.append(best)
-        if basis.size >= config.N_max:
+        if basis.size >= N_max:
             break
         t0 = time.perf_counter()
         values, clamped = estimator.sweep(model, theta_a, theta_f, alpha, workers)

@@ -344,34 +344,44 @@ def truth_solve_many(op, mus):
     each factor then takes as many Schur forms as its axis has points, and on
     the oned problems ``Ay`` takes one.
     """
-    mus = np.atleast_2d(np.asarray(mus, dtype=float))
-    ta = op.theta_a_values(mus)
-    tf = op.theta_f_values(mus)
+    return _truth_solver(op)(mus)
+
+
+def _truth_solver(op):
+    """``truth_solve_many`` on ``op`` as a function of the points; its Schur
+    forms are cached across calls, so a grid solved in chunks gets one call's rows."""
     Fx, Fy = zip(*op.kron_factors)
     nx, ny = Fx[0].shape[0], Fy[0].shape[0]
-    out = np.empty((mus.shape[0], nx * ny))
-    (trsyl,) = sla.get_lapack_funcs(("trsyl",), (out,))
+    (trsyl,) = sla.get_lapack_funcs(("trsyl",), dtype=float)
     schur_x, schur_y = (_FactorCache(F, lambda S: sla.schur(S, output="real"))
                         for F in (Fx, Fy))
-    for i in range(mus.shape[0]):
-        Tx, Qx = schur_x.get(ta[i])
-        Ty, Qy = schur_y.get(ta[i])
-        F = _affine_sum(tf[i], op.f_components)
-        C = Qx.T @ F.reshape(nx, ny) @ Qy
-        Y, scale, info = trsyl(Tx, Ty, C, tranb="T")
-        U = Qx @ Y @ Qy.T
-        if info != 0 or scale != 1.0 or not np.all(np.isfinite(U)):
-            out[i] = np.nan
-        else:
-            out[i] = U.ravel()
-    return out
+
+    def solve(mus):
+        mus = np.atleast_2d(np.asarray(mus, dtype=float))
+        ta = op.theta_a_values(mus)
+        tf = op.theta_f_values(mus)
+        out = np.empty((mus.shape[0], nx * ny))
+        for i in range(mus.shape[0]):
+            Tx, Qx = schur_x.get(ta[i])
+            Ty, Qy = schur_y.get(ta[i])
+            F = _affine_sum(tf[i], op.f_components)
+            C = Qx.T @ F.reshape(nx, ny) @ Qy
+            Y, scale, info = trsyl(Tx, Ty, C, tranb="T")
+            U = Qx @ Y @ Qy.T
+            if info != 0 or scale != 1.0 or not np.all(np.isfinite(U)):
+                out[i] = np.nan
+            else:
+                out[i] = U.ravel()
+        return out
+
+    return solve
 
 
 class _FactorCache:
     """``fn(sum_q w[q] * factors[q])``, computed once per tuple of the
     weights of the nonzero factors: a zero factor adds only zeros to an
     accumulation that starts at +0, so that tuple fixes every bit of the
-    sum.  A cache lives for one call over many parameter points."""
+    sum.  A cache serves one truth solver or one bound call over many points."""
 
     def __init__(self, factors, fn):
         self.factors, self.fn = factors, fn

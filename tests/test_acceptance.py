@@ -29,7 +29,6 @@ from rbkit.harness import (
     validate,
 )
 from rbkit.rbm import (
-    GreedyConfig,
     extend_basis,
     greedy,
     lagrange_coefficients,
@@ -48,9 +47,9 @@ def _greedy_run(problem, nodes, training_counts, kind, N_max,
                 eps_tol=1e-16, seed=0):
     spec, _, op = build_problem(problem, nodes)
     train = make_training_grid(spec.param_domain, training_counts)
-    cfg = GreedyConfig(eps_tol=eps_tol, N_max=N_max, training_set=train, seed=seed)
     est = make_estimator(kind)
-    basis, model, history = greedy(cfg, op, est)
+    basis, model, history = greedy(op, est, train, N_max=N_max, eps_tol=eps_tol,
+                                   seed=seed)
     return op, train, basis, model, history
 
 

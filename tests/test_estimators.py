@@ -26,7 +26,6 @@ from rbkit.numerics import (
     smallest_symmetric_eigenvalue,
 )
 from rbkit.rbm import (
-    GreedyConfig,
     empty_basis,
     empty_model,
     extend_basis,
@@ -581,8 +580,8 @@ def test_exact_eig_greedy_divides_unit_estimate_by_the_bound(nodes):
     # sweep saw, divided by the bound at the recorded point
     _, _, op = build_problem("twod-first", nodes)
     train = make_training_grid(op.spec.param_domain, [5, 5])
-    cfg = GreedyConfig(training_set=train, N_max=6, eps_tol=1e-14)
-    basis, model, history = greedy(cfg, op, StableEstimator("exact-eig"))
+    basis, model, history = greedy(op, StableEstimator("exact-eig"), train,
+                                   N_max=6, eps_tol=1e-14)
     assert len(history.records) > 2
     for rec in history.records[1:]:
         sub_b, sub_m = _sub_basis(basis, model, rec.n)
@@ -709,9 +708,8 @@ def test_classical_greedy_tables_match_fresh_refresh(oned):
     # a refresh reads nothing of the earlier ones: the tables the greedy ends
     # with are the bits of one refresh on the returned basis
     train = np.linspace(-0.995, 0.995, 41)[:, None]
-    cfg = GreedyConfig(training_set=train, N_max=10, eps_tol=1e-14)
     est = make_estimator("classical")
-    basis, model, _ = greedy(cfg, oned, est)
+    basis, model, _ = greedy(oned, est, train, N_max=10, eps_tol=1e-14)
     assert basis.size == 10
     fresh = _refreshed("classical", oned, basis, model)
     for name, got, want in zip(("cc", "cl", "ll"), est.tables, fresh.tables):

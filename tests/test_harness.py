@@ -28,7 +28,6 @@ from rbkit.harness import (
     load_run,
     make_training_grid,
     run_experiment,
-    run_float_demo,
     validate,
 )
 from rbkit.rbm import empty_basis, empty_model, extend_basis, rb_solve
@@ -164,12 +163,15 @@ def test_config_from_yaml(tmp_path):
         "training_grid": [16],
         "N_max": 3,
     }))
-    cfg = ExperimentConfig.from_yaml(path)
+    def from_file(p):
+        return cli._config_from_args(cli.build_parser().parse_args(["run", str(p)]))
+
+    cfg = from_file(path)
     assert cfg.nodes_per_dim == 12
     bad = tmp_path / "bad.yaml"
     bad.write_text("- just\n- a list\n")
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_yaml(bad)
+        from_file(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -466,18 +468,47 @@ def test_full_validation_and_fields_solve_training_truth_once(tmp_path, monkeypa
     # field files on the default grid, one solve serves the history and the
     # checkpoints
     points = []
+    make_solver = truth._truth_solver
 
-    def counting(solve):
-        def wrapped(op, mus):
+    def counting_solver(op):
+        solve = make_solver(op)
+
+        def wrapped(mus):
             points.append(len(mus))
-            return solve(op, mus)
+            return solve(mus)
         return wrapped
 
-    monkeypatch.setattr(rbm, "truth_solve_many", counting(rbm.truth_solve_many))
-    monkeypatch.setattr(harness, "_batched_truth", counting(harness._batched_truth))
+    # every truth row is solved by a _truth_solver, in harness and in validate
+    monkeypatch.setattr(truth, "_truth_solver", counting_solver)
+    monkeypatch.setattr(rbm, "_truth_solver", counting_solver)
     run_experiment(_small_config(tmp_path, N_max=5, eps_tol=1e-14,
                                  validate="full", checkpoints=[2, 5]))
     assert points == [24]
+
+
+def test_full_validation_validates_each_checkpoint_basis_once(tmp_path, monkeypatch):
+    # with the field files on the training grid, a checkpoint's field errors
+    # are the history pass's grid errors of that basis: 11 history records
+    # and the final basis make 12 validate calls, and the field files keep
+    # the bits of their own validate call
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "validate", counting)
+    runs = {}
+    for mode in ("full", "none"):
+        calls.clear()
+        runs[mode] = run_experiment(_small_config(
+            tmp_path / mode, problem="twod-second", nodes_per_dim=16,
+            training_grid=[12, 12], N_max=12, eps_tol=1e-14, checkpoints=[6, 12],
+            validate=mode))
+        assert len(calls) == {"full": 12, "none": 2}[mode]
+    for k in (6, 12):
+        with open(runs["full"].fields[k]) as a, open(runs["none"].fields[k]) as b:
+            assert a.read() == b.read()
 
 
 @pytest.mark.parametrize("mode", ["argmax", "full"])
@@ -584,10 +615,11 @@ def test_validate_against_manual_recomputation():
 # float demo file
 
 
-def test_run_float_demo_rows(tmp_path):
+def test_run_float_demo_rows(tmp_path, capsys):
     out = tmp_path / "float_demo.csv"
-    rows = run_float_demo(range(1, 9), 100, 0, str(out))
-    assert len(rows) == 8
+    assert cli_main(["float-demo", "--n-min", "1", "--n-max", "8",
+                     "--mu-samples", "100", "--output", str(out)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 8 + 1
     data = np.genfromtxt(out, delimiter=",", names=True)
     assert data.shape[0] == 8
 

@@ -19,7 +19,7 @@ from rbkit.harness import (
     make_training_grid,
     run_experiment,
 )
-from rbkit.rbm import GreedyConfig, empty_basis, empty_model, extend_basis, greedy
+from rbkit.rbm import empty_basis, empty_model, extend_basis, greedy
 from rbkit.truth import truth_solve
 
 import oracles
@@ -124,9 +124,8 @@ def saturated_state():
     22 with two), with the theta tables of a 515-point grid."""
     _, _, op = build_problem("oned-continuous", 32)
     train = make_training_grid(op.spec.param_domain, [128])
-    cfg = GreedyConfig(training_set=train, N_max=30, eps_tol=1e-16)
     est = make_estimator("classical")
-    basis, model, history = greedy(cfg, op, est)
+    basis, model, history = greedy(op, est, train, N_max=30, eps_tol=1e-16)
     assert history.saturated
     grid = make_training_grid(op.spec.param_domain, [515])
     return (basis, model, est.tables, build_riesz_data(op, basis),

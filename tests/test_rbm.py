@@ -2,15 +2,16 @@
 and the greedy loop."""
 
 import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from rbkit import kernels, rbm
 from rbkit.rbm import (
     DependentSnapshotError,
-    GreedyConfig,
     ReducedBasis,
     empty_basis,
     empty_model,
@@ -125,6 +126,32 @@ def test_validate_memory_is_bounded_by_one_chunk(chunks):
         tracemalloc.stop()
     assert np.array_equal(errors, expected)
     assert peak < 6 * kernels.CHUNK * op.dim * 8
+
+
+def test_validate_solves_truth_rows_chunk_by_chunk(monkeypatch):
+    # without truth rows, validate solves them CHUNK points at a time through
+    # one Schur-form cache: the errors keep the bits of the whole grid's
+    # truth_solve_many rows, each axis point takes one Schur form, and the
+    # whole grid's truth rows are never held at once
+    _, _, op = build_problem("twod-first", 16)
+    points = make_training_grid(op.spec.param_domain, [65, 33])
+    assert points.shape[0] > 8 * kernels.CHUNK
+    basis, model = _build_basis(op, points[[0, 700, 1400, 2144]])
+    expected = validate(basis, model, op, points,
+                        truth_values=truth_solve_many(op, points))
+    calls = []
+    schur = sla.schur
+    monkeypatch.setattr(sla, "schur",
+                        lambda *a, **k: calls.append(1) or schur(*a, **k))
+    tracemalloc.start()
+    try:
+        errors = validate(basis, model, op, points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(errors, expected)
+    assert len(calls) == 65 + 33
+    assert peak < points.shape[0] * op.dim * 8
 
 
 def test_rb_solve_empty_model_raises(oned):
@@ -269,8 +296,8 @@ def test_greedy_basis_images_are_the_dense_products(problem):
     # oracle matrix times the basis vector
     _, _, op = build_problem(problem, 12)
     train = make_training_grid(op.spec.param_domain, [7] * op.spec.param_dim)
-    cfg = GreedyConfig(eps_tol=1e-14, N_max=6, training_set=train, seed=1)
-    basis, _, _ = greedy(cfg, op, make_estimator("stable"))
+    basis, _, _ = greedy(op, make_estimator("stable"), train, N_max=6,
+                         eps_tol=1e-14, seed=1)
     Qa = len(op.kron_factors)
     assert basis.images.shape == (op.dim, basis.size * Qa)
     for q, (Ax, Ay) in enumerate(op.kron_factors):
@@ -294,37 +321,37 @@ def test_snapshot_reproduction_through_chol_coeffs(oned, oned_basis):
 
 def _greedy_setup(op, count=24, kind="stable", **kwargs):
     train = make_training_grid(op.spec.param_domain, [count])
-    defaults = dict(eps_tol=1e-12, N_max=8, training_set=train)
-    defaults.update(kwargs)
-    return GreedyConfig(**defaults), make_estimator(kind)
+    settings = dict(eps_tol=1e-12, N_max=8, training_set=train)
+    settings.update(kwargs)
+    return settings, make_estimator(kind)
 
 
 def test_greedy_immediate_tolerance_hit(oned):
-    cfg, est = _greedy_setup(oned, eps_tol=1e30)
-    basis, model, history = greedy(cfg, oned, est)
+    settings, est = _greedy_setup(oned, eps_tol=1e30)
+    basis, model, history = greedy(oned, est, **settings)
     assert basis.size == 1
     assert len(history.records) == 2  # seeded pick plus one recorded sweep
     assert not history.saturated
 
 
 def test_greedy_nmax_cap(oned):
-    cfg, est = _greedy_setup(oned, N_max=3)
-    basis, _, history = greedy(cfg, oned, est)
+    settings, est = _greedy_setup(oned, N_max=3)
+    basis, _, history = greedy(oned, est, **settings)
     assert basis.size == 3
     assert len(history.records) == 3  # seed + 2 sweeps
     assert history.estimates.shape == (2,)
 
 
 def test_greedy_estimates_decrease_overall(oned):
-    cfg, est = _greedy_setup(oned, N_max=8)
-    _, _, history = greedy(cfg, oned, est)
+    settings, est = _greedy_setup(oned, N_max=8)
+    _, _, history = greedy(oned, est, **settings)
     eps = history.estimates
     assert eps[-1] < 1e-2 * eps[0]
 
 
 def test_greedy_sample_set_distinct(oned):
-    cfg, est = _greedy_setup(oned, N_max=8)
-    basis, _, _ = greedy(cfg, oned, est)
+    settings, est = _greedy_setup(oned, N_max=8)
+    basis, _, _ = greedy(oned, est, **settings)
     mus = [tuple(mu) for mu in basis.sample_set]
     assert len(set(mus)) == len(mus)
 
@@ -332,8 +359,8 @@ def test_greedy_sample_set_distinct(oned):
 def test_greedy_seed_determinism(oned):
     runs = []
     for _ in range(2):
-        cfg, est = _greedy_setup(oned, N_max=6, seed=3)
-        _, _, history = greedy(cfg, oned, est)
+        settings, est = _greedy_setup(oned, N_max=6, seed=3)
+        _, _, history = greedy(oned, est, **settings)
         runs.append(history.estimates)
     assert np.array_equal(runs[0], runs[1])
 
@@ -341,15 +368,15 @@ def test_greedy_seed_determinism(oned):
 def test_greedy_different_seed_changes_first_pick(oned):
     firsts = set()
     for seed in range(6):
-        cfg, est = _greedy_setup(oned, N_max=2, seed=seed)
-        _, _, history = greedy(cfg, oned, est)
+        settings, est = _greedy_setup(oned, N_max=2, seed=seed)
+        _, _, history = greedy(oned, est, **settings)
         firsts.add(float(history.records[0].mu[0]))
     assert len(firsts) > 1
 
 
 def test_greedy_saturates_on_tiny_training_set(oned):
-    cfg, est = _greedy_setup(oned, count=2, N_max=10, eps_tol=1e-30)
-    basis, _, history = greedy(cfg, oned, est)
+    settings, est = _greedy_setup(oned, count=2, N_max=10, eps_tol=1e-30)
+    basis, _, history = greedy(oned, est, **settings)
     assert history.saturated
     assert basis.size <= 2
 
@@ -397,8 +424,7 @@ def test_greedy_selections_pinned(problem, kind):
     counts = {"oned-continuous": [64], "twod-second": [12, 12]}[problem]
     spec, _, op = build_problem(problem, 16)
     train = make_training_grid(spec.param_domain, counts)
-    cfg = GreedyConfig(eps_tol=1e-14, N_max=8, training_set=train)
-    _, _, history = greedy(cfg, op, make_estimator(kind))
+    _, _, history = greedy(op, make_estimator(kind), train, N_max=8, eps_tol=1e-14)
     picked = [int(np.flatnonzero(np.all(train == r.mu, axis=1))[0])
               for r in history.records]
     want_picked, want_estimates = PINNED_SELECTIONS[problem, kind]
@@ -407,19 +433,20 @@ def test_greedy_selections_pinned(problem, kind):
     np.testing.assert_allclose(history.estimates, want_estimates, rtol=1e-10, atol=0)
 
 
-def test_greedy_config_validation():
+def test_greedy_config_validation(oned):
     train = np.array([[0.0], [1.0]])
-    with pytest.raises(ValueError):
-        GreedyConfig(eps_tol=0.0, N_max=5, training_set=train)
-    with pytest.raises(ValueError):
-        GreedyConfig(eps_tol=1e-6, N_max=0, training_set=train)
-    with pytest.raises(ValueError):
-        GreedyConfig(eps_tol=1e-6, N_max=5, training_set=np.zeros((0, 1)))
+    est = make_estimator("stable")
+    with pytest.raises(ValueError, match="eps_tol must be positive"):
+        greedy(oned, est, train, N_max=5, eps_tol=0.0)
+    with pytest.raises(ValueError, match="N_max must be at least 1"):
+        greedy(oned, est, train, N_max=0, eps_tol=1e-6)
+    with pytest.raises(ValueError, match="training set must be nonempty"):
+        greedy(oned, est, np.zeros((0, 1)), N_max=5, eps_tol=1e-6)
 
 
 def test_greedy_lebesgue_builds_usable_basis(oned):
-    cfg, est = _greedy_setup(oned, N_max=6, kind="lebesgue")
-    basis, model, history = greedy(cfg, oned, est)
+    settings, est = _greedy_setup(oned, N_max=6, kind="lebesgue")
+    basis, model, history = greedy(oned, est, **settings)
     assert basis.size == 6
     # the built space approximates an unseen parameter reasonably well
     mu = [0.37]
@@ -447,22 +474,22 @@ class _ClampsFromSize(ClassicalEstimator):
 
 def test_greedy_stops_saturated_on_fully_clamped_sweep(oned):
     # the clamped zeros must neither be recorded nor satisfy eps_tol
-    cfg, _ = _greedy_setup(oned, N_max=30, eps_tol=1e-16)
+    settings, _ = _greedy_setup(oned, N_max=30, eps_tol=1e-16)
     est = _ClampsFromSize(4)
-    basis, _, history = greedy(cfg, oned, est)
+    basis, _, history = greedy(oned, est, **settings)
     assert history.saturated
     assert basis.size == 4
     assert len(history.records) == basis.size  # the clamped sweep is not recorded
     assert np.all(history.estimates > 0.0)
-    selected = np.isin(cfg.training_set[:, 0],
+    selected = np.isin(settings["training_set"][:, 0],
                        [mu[0] for mu in basis.sample_set])
     assert np.all(est.last_clamped[~selected])
 
 
 def test_greedy_holds_no_validation_mode(oned, monkeypatch):
-    # the greedy only selects: its config has no validate mode, its records
-    # no true errors, and it solves no truth but the snapshot's
-    assert "validate" not in {f.name for f in dataclasses.fields(GreedyConfig)}
+    # the greedy only selects: it takes no validate mode, its records no
+    # true errors, and it solves no truth but the snapshot's
+    assert "validate" not in inspect.signature(greedy).parameters
     assert {f.name for f in dataclasses.fields(rbm.GreedyRecord)} == {
         "n", "mu", "estimate", "seconds"}
     assert not hasattr(rbm, "VALIDATE_MODES")
@@ -470,17 +497,17 @@ def test_greedy_holds_no_validation_mode(oned, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the greedy solved a validation truth")
 
-    monkeypatch.setattr(rbm, "truth_solve_many", forbidden)
+    monkeypatch.setattr(rbm, "_truth_solver", forbidden)
     monkeypatch.setattr(rbm, "validate", forbidden)
-    cfg, est = _greedy_setup(oned, N_max=4)
-    basis, _, _ = greedy(cfg, oned, est)
+    settings, est = _greedy_setup(oned, N_max=4)
+    basis, _, _ = greedy(oned, est, **settings)
     assert basis.size == 4
 
 
 def test_greedy_seed_record_runs_no_sweep(oned):
     # the seeded pick is recorded before any sweep: no estimate, no time
-    cfg, est = _greedy_setup(oned, N_max=3)
-    _, _, history = greedy(cfg, oned, est)
+    settings, est = _greedy_setup(oned, N_max=3)
+    _, _, history = greedy(oned, est, **settings)
     seed = history.records[0]
     assert seed.n == 0 and np.isnan(seed.estimate) and seed.seconds == 0.0
     assert [r.n for r in history.records] == [0, 1, 2]
@@ -492,7 +519,7 @@ def test_greedy_solves_and_refreshes_once_per_basis_vector(oned, monkeypatch, st
     # one step per pick: each accepted snapshot is solved once and the
     # estimator refreshed once on its basis; a dependent pick (here the
     # third, given twice the seed's snapshot) is solved but refreshes nothing
-    cfg, est = _greedy_setup(oned, N_max=30 if stop == "saturated" else 4,
+    settings, est = _greedy_setup(oned, N_max=30 if stop == "saturated" else 4,
                              eps_tol=1e30 if stop == "eps_tol" else 1e-16,
                              kind="classical")
     if stop == "saturated":
@@ -508,7 +535,7 @@ def test_greedy_solves_and_refreshes_once_per_basis_vector(oned, monkeypatch, st
     monkeypatch.setattr(rbm, "truth_solve", solve)
     monkeypatch.setattr(est, "refresh",
                         lambda *args: refreshes.append(1) or refresh(*args))
-    basis, _, history = greedy(cfg, oned, est)
+    basis, _, history = greedy(oned, est, **settings)
     sizes = {"eps_tol": 1, "N_max": 4, "saturated": 3, "dependent": 2}
     assert basis.size == sizes[stop]
     assert history.saturated == (stop in ("saturated", "dependent"))
@@ -526,6 +553,5 @@ def test_greedy_raises_on_dependent_seed_snapshot():
         theta_a=[lambda mu: 1.0],
         theta_f=[lambda mu: 1.0],
     )
-    cfg = GreedyConfig(eps_tol=1e-8, N_max=4, training_set=[[-0.5], [0.5]])
     with pytest.raises(DependentSnapshotError):
-        greedy(cfg, op, make_estimator("stable"))
+        greedy(op, make_estimator("stable"), [[-0.5], [0.5]], N_max=4, eps_tol=1e-8)
