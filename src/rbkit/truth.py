@@ -104,6 +104,9 @@ class TruthDiscretization:
 class AffineOperator:
     """Affine decomposition: sum_q theta_a^q(mu) A^q and sum_q theta_f^q(mu) f^q.
 
+    The weights are two array functions, read through ``theta_a_values`` and
+    ``theta_f_values``: ``(M, p)`` parameter rows to ``(M, Q_a)`` and ``(M, Q_f)``.
+
     The operator is given by its Q_a factor pairs ``(Ax^q, Ay^q)``; the
     components, the Kronecker sums ``A^q = kron(Ax^q, I) + kron(I, Ay^q)``,
     are derived from them.  A dense matrix ``A`` without Kronecker structure
@@ -120,8 +123,8 @@ class AffineOperator:
     spec: ProblemSpec
     kron_factors: list  # Q_a pairs (Ax^q, Ay^q)
     f_components: list  # Q_f interior vectors
-    theta_a: list  # Q_a callables mu -> float
-    theta_f: list  # Q_f callables mu -> float
+    theta_a: object  # (M, p) parameter rows -> (M, Q_a) weights
+    theta_f: object  # (M, p) parameter rows -> (M, Q_f) weights
     diagonals: list = field(init=False)  # Q_a: a diagonal component's vector, else None
 
     def __post_init__(self):
@@ -171,21 +174,25 @@ class AffineOperator:
         return products
 
     def theta_a_values(self, mus):
-        """Evaluate all theta_a over an (M, p) array of parameters -> (M, Q_a)."""
-        return self._theta_table(self.theta_a, mus)
+        """Evaluate theta_a over an (M, p) array of parameters -> (M, Q_a)."""
+        return self._theta_table(self.theta_a, mus, len(self.kron_factors))
 
     def theta_f_values(self, mus):
-        """Evaluate all theta_f over an (M, p) array of parameters -> (M, Q_f)."""
-        return self._theta_table(self.theta_f, mus)
+        """Evaluate theta_f over an (M, p) array of parameters -> (M, Q_f)."""
+        return self._theta_table(self.theta_f, mus, len(self.f_components))
 
-    def _theta_table(self, thetas, mus):
-        # every theta weight in the package is evaluated here, behind the check
+    def _theta_table(self, theta, mus, Q):
+        # every theta weight in the package is evaluated here, behind the checks
         mus = np.atleast_2d(np.asarray(mus, dtype=float))
         p = self.spec.param_dim
         if mus.ndim != 2 or mus.shape[1] != p:
             raise ValueError(f"parameter points must have width {p}, "
                              f"got width {mus.shape[-1]} (shape {mus.shape})")
-        return np.column_stack([np.array([th(mu) for mu in mus]) for th in thetas])
+        table = np.asarray(theta(mus), dtype=float)
+        if table.shape != (mus.shape[0], Q):
+            raise ValueError(f"theta table must have shape {(mus.shape[0], Q)}, "
+                             f"one weight per component, got shape {table.shape}")
+        return table
 
 
 def _is_diagonal(M):
@@ -263,10 +270,6 @@ def _kron_affine_sum(weights, pairs, out=None):
     return out
 
 
-def _sign(t):
-    return SIGN_AT_ZERO if t == 0 else float(np.sign(t))
-
-
 def assemble_affine(spec, disc):
     """Assemble the parameter-independent components for a built-in problem,
     stated once as 1-D factor pairs."""
@@ -276,29 +279,25 @@ def assemble_affine(spec, disc):
     X = disc.x_int
     Y = disc.y_int
     pid = spec.id
+    # the weights of every problem but oned-discontinuous are (1, mu)
+    theta_a = lambda m: np.column_stack([np.ones(len(m)), m])
     if pid in ("oned-continuous", "oned-discontinuous"):
         # (1 + l(mu) x) u_xx + u_yy = e^{4xy}, l = identity or the
         # discontinuous sin((mu - sign(mu)) pi/2)
         pairs = [(D2, D2), (x[:, None] * D2, Z)]
         f_components = [np.exp(4.0 * X * Y)]
-        if pid == "oned-continuous":
-            theta2 = lambda mu: float(mu[0])
-        else:
-            theta2 = lambda mu: float(np.sin((mu[0] - _sign(mu[0])) * np.pi / 2.0))
-        theta_a = [lambda mu: 1.0, theta2]
-        theta_f = [lambda mu: 1.0]
+        if pid == "oned-discontinuous":
+            def theta_a(m):
+                t = m[:, 0] - np.where(m[:, 0] == 0, SIGN_AT_ZERO, np.sign(m[:, 0]))
+                return np.column_stack([np.ones(len(m)), np.sin(t * np.pi / 2.0)])
     elif pid == "twod-first":
         # -u_xx - mu1 u_yy - mu2 u = -10 sin(8x(y-1))
         pairs = [(-D2, Z), (Z, -D2), (-np.eye(D2.shape[0]), Z)]
         f_components = [-10.0 * np.sin(8.0 * X * (Y - 1.0))]
-        theta_a = [lambda mu: 1.0, lambda mu: float(mu[0]), lambda mu: float(mu[1])]
-        theta_f = [lambda mu: 1.0]
     elif pid == "twod-second":
         # (1 + mu1 x) u_xx + (1 + mu2 y) u_yy = e^{4xy}; y has the nodes of x
         pairs = [(D2, D2), (x[:, None] * D2, Z), (Z, x[:, None] * D2)]
         f_components = [np.exp(4.0 * X * Y)]
-        theta_a = [lambda mu: 1.0, lambda mu: float(mu[0]), lambda mu: float(mu[1])]
-        theta_f = [lambda mu: 1.0]
     else:
         raise ValueError(f"unknown problem id {pid!r}")
     return AffineOperator(
@@ -306,7 +305,7 @@ def assemble_affine(spec, disc):
         kron_factors=pairs,
         f_components=f_components,
         theta_a=theta_a,
-        theta_f=theta_f,
+        theta_f=lambda m: np.ones((len(m), 1)),
     )
 
 

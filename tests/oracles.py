@@ -62,10 +62,9 @@ def true_error_reference(op, basis, mu):
     the explicit Galerkin system ``xi^T A xi``, with neither the package's
     truth solvers nor its stored components or reduced blocks: the operator
     is built from the 1-D factors by ``kron_sum`` below."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    A = sum(th(mu) * kron_sum(Ax, Ay)
-            for th, (Ax, Ay) in zip(op.theta_a, op.kron_factors))
-    f = sum(th(mu) * fq for th, fq in zip(op.theta_f, op.f_components))
+    A = sum(th * kron_sum(Ax, Ay)
+            for th, (Ax, Ay) in zip(op.theta_a_values([mu])[0], op.kron_factors))
+    f = sum(th * fq for th, fq in zip(op.theta_f_values([mu])[0], op.f_components))
     xi = basis.xi
     u = np.linalg.solve(A, f)
     u_hat = np.linalg.solve(xi.T @ A @ xi, xi.T @ f)

@@ -69,6 +69,11 @@ def _stable_row(factors, theta_f, c):
                                  factors.w_coords, factors.qtc, factors.rzt)[0]
 
 
+def _ones(m):
+    """One unit weight per parameter row."""
+    return np.ones((len(m), 1))
+
+
 def _toy_operator(dim=30, Q_a=1, Q_f=1, seed=0):
     """Small synthetic affine operator with well-conditioned components."""
     rng = np.random.default_rng(seed)
@@ -78,17 +83,13 @@ def _toy_operator(dim=30, Q_a=1, Q_f=1, seed=0):
         for q in range(Q_a)
     ]
     f_components = [rng.standard_normal(dim) for _ in range(Q_f)]
-    theta_a = [lambda mu: 1.0] + [
-        (lambda k: (lambda mu: float(mu[0]) ** k))(q) for q in range(1, Q_a)
-    ]
-    theta_f = [(lambda k: (lambda mu: 1.0 / (1.0 + k + float(mu[0]) ** 2)))(q)
-               for q in range(Q_f)]
     return AffineOperator(
         spec=spec,
         kron_factors=[(A, np.zeros((1, 1))) for A in a_components],
         f_components=f_components,
-        theta_a=theta_a,
-        theta_f=theta_f,
+        # weights mu^q for q < Q_a and 1 / (1 + q + mu^2) for q < Q_f
+        theta_a=lambda m: m[:, :1] ** np.arange(Q_a),
+        theta_f=lambda m: 1.0 / (1.0 + np.arange(Q_f) + m[:, :1] ** 2),
     )
 
 
@@ -173,7 +174,7 @@ def test_classical_zero_load_zero_solution(oned, oned_basis):
         kron_factors=oned.kron_factors,
         f_components=[np.zeros(oned.dim)],
         theta_a=oned.theta_a,
-        theta_f=[lambda mu: 0.0],
+        theta_f=lambda m: np.zeros((len(m), 1)),
     )
     est = _refreshed("classical", op0, basis)
     assert est.value_at(op0, [0.3], np.zeros(basis.size), 1.0).value == 0.0
@@ -466,8 +467,8 @@ def test_coercivity_exact_eig_identity_operator():
         spec=spec,
         kron_factors=[(np.eye(8), np.zeros((1, 1)))],
         f_components=[np.ones(8)],
-        theta_a=[lambda mu: 1.0],
-        theta_f=[lambda mu: 1.0],
+        theta_a=_ones,
+        theta_f=_ones,
     )
     assert coercivity_lower_bound(op, [[0.0]])[0] == pytest.approx(1.0)
 
@@ -478,8 +479,8 @@ def test_coercivity_floor_and_flag():
         spec=spec,
         kron_factors=[(-np.eye(5), np.zeros((1, 1)))],
         f_components=[np.ones(5)],
-        theta_a=[lambda mu: 1.0],
-        theta_f=[lambda mu: 1.0],
+        theta_a=_ones,
+        theta_f=_ones,
     )
     # a degenerate bound is the floor itself
     assert coercivity_lower_bound(op, [[0.0]])[0] == ALPHA_FLOOR == 1e-12
@@ -633,7 +634,7 @@ def test_oracle_matches_dense_operator(pid):
     for mu in lo + (hi - lo) * rng.random((6, len(lo))):
         u_hat = rng.standard_normal(4)
         u = basis.xi @ u_hat
-        theta = [th(mu) for th in op.theta_a]
+        theta = op.theta_a_values([mu])[0]
         f = load_vector(op, mu)
         A = sum(t * Aq for t, Aq in zip(theta, components))
         ref = np.linalg.norm(f - A @ u)

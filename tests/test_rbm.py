@@ -76,7 +76,7 @@ def test_rb_solve_zero_load(oned, oned_basis):
         kron_factors=oned.kron_factors,
         f_components=oned.f_components,
         theta_a=oned.theta_a,
-        theta_f=[lambda mu: 0.0],
+        theta_f=lambda m: np.zeros((len(m), 1)),
     )
     u_hat = rb_solve(model, op0, [0.2])
     assert np.allclose(u_hat, 0.0)
@@ -185,7 +185,7 @@ def test_rb_solve_singular_decision(oned, oned_basis):
     # it; an exactly singular one raises in rb_solve and validate
     near = ReducedModel(a_blocks=np.array([np.diag([1.0, 1e-20]), np.zeros((2, 2))]),
                         f_blocks=np.array([[1.0, 1.0]]))
-    theta = np.array([th(np.array([0.3])) for th in oned.theta_a])
+    theta = oned.theta_a_values([0.3])[0]
     u_hat = rb_solve(near, oned, [0.3])
     assert np.array_equal(u_hat, np.linalg.solve(theta[0] * near.a_blocks[0],
                                                  near.f_blocks[0]))
@@ -550,8 +550,8 @@ def test_greedy_raises_on_dependent_seed_snapshot():
         spec=ProblemSpec("toy", ((-1.0, 1.0),)),
         kron_factors=[(np.eye(6), np.zeros((1, 1)))],
         f_components=[np.zeros(6)],
-        theta_a=[lambda mu: 1.0],
-        theta_f=[lambda mu: 1.0],
+        theta_a=lambda m: np.ones((len(m), 1)),
+        theta_f=lambda m: np.ones((len(m), 1)),
     )
     with pytest.raises(DependentSnapshotError):
         greedy(op, make_estimator("stable"), [[-0.5], [0.5]], N_max=4, eps_tol=1e-8)

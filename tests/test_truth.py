@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from rbkit.harness import TRAINING_GRIDS, make_training_grid
 from rbkit.rbm import empty_basis, empty_model, extend_basis, validate
 from rbkit.truth import (
     PROBLEM_IDS,
@@ -26,6 +27,16 @@ from rbkit.truth import (
 )
 
 import oracles
+
+
+def _ones(m):
+    """One unit weight per parameter row."""
+    return np.ones((len(m), 1))
+
+
+def _one_and_mu(m):
+    """The weights (1, mu_1) of each parameter row."""
+    return np.column_stack([np.ones(len(m)), m[:, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +167,58 @@ def test_load_vectors():
 def test_discontinuous_theta_jump_at_zero():
     disc = build_discretization(8)
     op = assemble_affine(problem_spec("oned-discontinuous"), disc)
-    theta2 = op.theta_a[1]
+    theta2 = op.theta_a_values([[1e-9], [-1e-9], [0.0], [0.995]])[:, 1]
     # ell(mu) jumps by 2 across mu = 0 and nearly vanishes at the domain ends
-    assert theta2(np.array([1e-9])) == pytest.approx(-1.0, abs=1e-6)
-    assert theta2(np.array([-1e-9])) == pytest.approx(1.0, abs=1e-6)
-    assert theta2(np.array([0.0])) == pytest.approx(-1.0, abs=1e-12)
-    assert abs(theta2(np.array([0.995]))) < 0.01
+    assert theta2[0] == pytest.approx(-1.0, abs=1e-6)
+    assert theta2[1] == pytest.approx(1.0, abs=1e-6)
+    assert theta2[2] == pytest.approx(-1.0, abs=1e-12)
+    assert abs(theta2[3]) < 0.01
+
+
+def _sign(t):
+    return SIGN_AT_ZERO if t == 0 else float(np.sign(t))
+
+
+#: the per-point weight formulas that the array tables replace
+_SCALAR_THETA_A = {
+    "oned-continuous": [lambda mu: 1.0, lambda mu: float(mu[0])],
+    "oned-discontinuous": [
+        lambda mu: 1.0,
+        lambda mu: float(np.sin((mu[0] - _sign(mu[0])) * np.pi / 2.0))],
+    "twod-first": [lambda mu: 1.0, lambda mu: float(mu[0]), lambda mu: float(mu[1])],
+    "twod-second": [lambda mu: 1.0, lambda mu: float(mu[0]), lambda mu: float(mu[1])],
+}
+
+
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_theta_tables_match_per_point_formulas(pid):
+    # bit for bit on the paper-scale default grid plus mu = 0, where
+    # oned-discontinuous takes SIGN_AT_ZERO
+    spec = problem_spec(pid)
+    op = assemble_affine(spec, build_discretization(8))
+    grid = make_training_grid(spec.param_domain, TRAINING_GRIDS[pid][1])
+    mus = np.vstack([grid, np.zeros(spec.param_dim)])
+    want = np.array([[th(mu) for th in _SCALAR_THETA_A[pid]] for mu in mus])
+    got = op.theta_a_values(mus)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert op.theta_f_values(mus).tobytes() == np.ones((len(mus), 1)).tobytes()
+
+
+def test_theta_table_must_have_one_weight_per_component():
+    # a table one weight short or long is an error, not a truncated sum
+    op = AffineOperator(
+        spec=ProblemSpec("toy", ((0.0, 1.0),)),
+        kron_factors=[(np.eye(2), np.zeros((1, 1))), (2.0 * np.eye(2), np.zeros((1, 1)))],
+        f_components=[np.ones(2)],
+        theta_a=_ones,
+        theta_f=_one_and_mu,
+    )
+    with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
+        assemble(op, [0.5])
+    with pytest.raises(ValueError, match=r"shape \(1, 1\)"):
+        load_vector(op, [0.5])
+    with pytest.raises(ValueError, match=r"shape \(3, 2\)"):
+        op.theta_a_values([[0.1], [0.2], [0.3]])
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +293,7 @@ def test_diagonal_component_is_stored_as_its_diagonal():
     Ax, Ay = np.diag([1.0, -2.0, 3.5]), np.diag([0.25, 7.0])
     toy = AffineOperator(spec=ProblemSpec("diag-toy", ((0.0, 1.0),)),
                          kron_factors=[(Ax, Ay)], f_components=[np.ones(6)],
-                         theta_a=[lambda mu: 1.0], theta_f=[lambda mu: 1.0])
+                         theta_a=_ones, theta_f=_ones)
     assert toy.dim == 6 and toy.diagonals[0].shape == (6,)
     V = np.random.default_rng(3).standard_normal((6, 4))
     [(Kv, KV)] = toy.component_products(V[:, 0], V)
@@ -359,8 +416,8 @@ def test_kron_sum_matches_two_kron_construction(nx, ny):
 def _dense_affine_sum(op, mu):
     """``sum(th(mu) * A^q)`` over components from the two-``np.kron``
     construction, C-ordered."""
-    return sum(th(mu) * oracles.kron_sum(Ax, Ay)
-               for th, (Ax, Ay) in zip(op.theta_a, op.kron_factors))
+    return sum(th * oracles.kron_sum(Ax, Ay)
+               for th, (Ax, Ay) in zip(op.theta_a_values([mu])[0], op.kron_factors))
 
 
 def _assert_is_dense_affine_sum(op, mu):
@@ -389,8 +446,8 @@ def test_assemble_hand_built_dense_operator():
         spec=ProblemSpec("dense-toy", ((0.0, 1.0),)),
         kron_factors=[(A, np.zeros((1, 1))) for A in comps],
         f_components=[np.ones(6)],
-        theta_a=[lambda mu: 1.0, lambda mu: float(mu[0])],
-        theta_f=[lambda mu: 1.0],
+        theta_a=_one_and_mu,
+        theta_f=_ones,
     )
     for mu in ([0.0], [0.3]):
         _assert_is_dense_affine_sum(op, mu)
@@ -442,8 +499,8 @@ def _singular_kron_operator():
         spec=ProblemSpec("kron-toy", ((-0.5, 1.0),)),
         kron_factors=pairs,
         f_components=[np.array([1.0, 2.0, 3.0, 4.0])],
-        theta_a=[lambda mu: 1.0, lambda mu: float(mu[0])],
-        theta_f=[lambda mu: 1.0],
+        theta_a=_one_and_mu,
+        theta_f=_ones,
     )
 
 
