@@ -29,7 +29,6 @@ from . import kernels
 from .numerics import (
     DROP_TOL,
     _mgs_coeffs,
-    complement_project,
     pivoted_qr,
     smallest_symmetric_eigenvalue,
 )
@@ -94,14 +93,13 @@ def build_riesz_data(op, basis):
 
 def build_stable_factors(L, C):
     """Pivoted-QR factors and online products from the Riesz matrices
-    ``L`` (operator columns) and ``C`` (load columns)."""
+    ``L`` (operator columns) and ``C`` (load columns).
+
+    Each load column is split by one Gram-Schmidt routine, ``_mgs_coeffs``:
+    its remainder outside the span of Q, then that remainder's part outside
+    the load directions W kept so far."""
     Q, R, perm, rank = pivoted_qr(L)
-    if L.shape[1]:
-        invperm = np.empty_like(perm)
-        invperm[perm] = np.arange(perm.shape[0])
-        rzt = R[:, invperm]
-    else:
-        rzt = np.zeros((0, 0))
+    rzt = R[:, np.argsort(perm)]
     qtc = Q.T @ C
 
     # orthonormal basis for the span of the complement parts of the load
@@ -109,7 +107,7 @@ def build_stable_factors(L, C):
     W = np.zeros((C.shape[0], 0))
     c_perp = np.empty_like(C)
     for j in range(C.shape[1]):
-        c_perp[:, j] = complement_project(Q, C[:, j])
+        _, c_perp[:, j] = _mgs_coeffs(Q, C[:, j])
         _, r = _mgs_coeffs(W, c_perp[:, j])
         rnorm = np.linalg.norm(r)
         if rnorm > DROP_TOL * max(np.linalg.norm(C[:, j]), 1e-300):

@@ -12,7 +12,6 @@ import scipy.linalg as sla
 
 __all__ = [
     "pivoted_qr",
-    "complement_project",
     "solve_dense",
     "smallest_symmetric_eigenvalue",
 ]
@@ -42,8 +41,10 @@ def _check_finite(a, name):
 
 
 def _mgs_coeffs(basis, v):
-    """Project v onto the span of ``basis`` columns via modified Gram-Schmidt
-    with one re-orthogonalization pass.  Returns (coefficients, remainder)."""
+    """Project v onto the span of the orthonormal ``basis`` columns by
+    modified Gram-Schmidt with one re-orthogonalization pass, which leaves
+    the remainder orthogonal to working precision (Giraud-Langou-Rozloznik
+    2005).  Returns (coefficients, remainder)."""
     w = np.array(v, dtype=float)
     n = basis.shape[1]
     coeffs = np.zeros(n)
@@ -65,34 +66,11 @@ def pivoted_qr(B):
     """
     B = np.asarray(B, dtype=float)
     _check_finite(B, "B")
-    if B.size == 0 or not np.any(B):
-        ncols = B.shape[1] if B.ndim == 2 else 0
-        return (
-            np.zeros((B.shape[0], 0)),
-            np.zeros((0, ncols)),
-            np.arange(ncols),
-            0,
-        )
     Q, R, perm = sla.qr(B, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
-    rank = int(np.count_nonzero(diag > RANK_TOL * diag[0]))
+    # diag[:1] is empty with diag, so an empty B has rank 0; so has a zero B
+    rank = int(np.count_nonzero(diag > RANK_TOL * diag[:1]))
     return Q[:, :rank], R[:rank, :], perm, rank
-
-
-def complement_project(Q, v):
-    """Apply the orthogonal-complement projector (I - Q Q^T) to v.
-
-    Two projection passes are used so that the result is orthogonal to the
-    columns of Q at machine-precision level even for large columns counts.
-    """
-    v = np.asarray(v, dtype=float)
-    if Q.size == 0:
-        return v.copy()
-    if Q.shape[0] != v.shape[0]:
-        raise ValueError("dimension mismatch between Q and v")
-    w = v - Q @ (Q.T @ v)
-    w -= Q @ (Q.T @ w)
-    return w
 
 
 def solve_dense(A, b):
@@ -115,7 +93,9 @@ def solve_dense(A, b):
         lu, piv = sla.lu_factor(A, overwrite_a=True, check_finite=False)
     diag = np.abs(np.diag(lu))
     pivot_min = float(diag.min()) if diag.size else 0.0
-    if pivot_min <= np.finfo(float).eps * max(diag.max(initial=0.0), 1.0) * A.shape[0]:
+    # relative to the largest pivot, so the decision does not depend on
+    # the scale of A; an all-zero diagonal still raises
+    if pivot_min <= np.finfo(float).eps * A.shape[0] * diag.max(initial=0.0):
         raise np.linalg.LinAlgError(
             f"matrix singular to working precision (pivot {pivot_min:.3e})")
     return sla.lu_solve((lu, piv), b, check_finite=False)

@@ -21,7 +21,7 @@ from rbkit.estimators import (
     residual_norm_oracle,
 )
 from rbkit.numerics import (
-    complement_project,
+    _mgs_coeffs,
     pivoted_qr,
     smallest_symmetric_eigenvalue,
 )
@@ -33,7 +33,12 @@ from rbkit.rbm import (
     lagrange_coefficients,
     rb_solve,
 )
-from rbkit.harness import _sub_basis, build_problem, make_training_grid
+from rbkit.harness import (
+    TRAINING_GRIDS,
+    _sub_basis,
+    build_problem,
+    make_training_grid,
+)
 from rbkit.truth import (
     AffineOperator,
     ProblemSpec,
@@ -313,12 +318,58 @@ def test_stable_isometry_steps(oned, oned_basis):
     )
     # the complement parts of the load representers are isometrically
     # represented by their coordinates
-    c_perp = complement_project(Q, C[:, 0])
+    _, c_perp = _mgs_coeffs(Q, C[:, 0])
     coord_norm = np.linalg.norm(factors.w_coords[:, 0])
     c_scale = np.linalg.norm(C[:, 0])
     assert coord_norm == pytest.approx(
         np.linalg.norm(c_perp), rel=1e-10, abs=1e-9 * c_scale
     )
+
+
+def test_stable_loads_outside_representer_span_match_oracle():
+    # three random loads and one snapshot: f(mu_1) lies in the span of the
+    # snapshot's two images, the other two load directions stick out of it,
+    # so W has two columns and the stable value reads w_coords
+    op = _toy_operator(dim=30, Q_a=2, Q_f=3, seed=3)
+    basis, model = _build_basis(op, [[0.3]])
+    stable = _refreshed("stable", op, basis, model)
+    assert stable.factors.w_coords.shape == (2, 3)
+    rng = np.random.default_rng(20)
+    for mu in np.linspace(-1.0, 1.0, 11)[:, None]:
+        u_hat = rng.standard_normal(basis.size)
+        ref = residual_norm_oracle(op, basis, mu, u_hat)
+        assert stable.value_at(op, mu, u_hat, 1.0).value == pytest.approx(ref, rel=1e-12)
+
+
+class _LoadDirectionsSeen(StableEstimator):
+    """A stable estimator that records the load directions W of each refresh."""
+
+    def __init__(self):
+        super().__init__()
+        self.w_rows = []
+
+    def refresh(self, op, basis, model):
+        super().refresh(op, basis, model)
+        self.w_rows.append(self.factors.w_coords.shape[0])
+
+
+@pytest.mark.parametrize("nodes", [16, 32])
+@pytest.mark.parametrize("pid", ["oned-continuous", "oned-discontinuous",
+                                 "twod-first", "twod-second"])
+def test_stable_refresh_keeps_no_load_direction_on_builtin_problems(pid, nodes):
+    # with one load, f(mu_1) = A(mu_1) u_1 lies in the span of the first
+    # snapshot's images, so each load remainder is rounding noise (at most
+    # 6e-12 of the load norm on the desk grids) and is dropped: W stays
+    # empty, and the stable values do not read the Gram-Schmidt remainder's
+    # last bits.  Beyond N = 16 this can end: on twod-first at 24 and 32
+    # nodes the rank decision drops directions from N = 18 or 19, and one
+    # load direction is kept
+    _, _, op = build_problem(pid, nodes)
+    train = make_training_grid(op.spec.param_domain, TRAINING_GRIDS[pid][0])
+    est = _LoadDirectionsSeen()
+    basis, _, _ = greedy(op, est, train, N_max=16, eps_tol=1e-14)
+    assert len(est.w_rows) == basis.size
+    assert est.w_rows == [0] * basis.size
 
 
 def test_stable_rank_deficiency_duplicate_columns(oned, oned_basis):

@@ -7,7 +7,7 @@ import pytest
 
 from rbkit.numerics import (
     FINITE_BLOCK,
-    complement_project,
+    _mgs_coeffs,
     pivoted_qr,
     smallest_symmetric_eigenvalue,
     solve_dense,
@@ -57,45 +57,53 @@ def test_pivoted_qr_invariants_random():
 
 
 def test_pivoted_qr_zero_matrix():
-    Q, R, perm, rank = pivoted_qr(np.zeros((4, 3)))
-    assert rank == 0
-    assert Q.shape == (4, 0)
-    assert sorted(perm) == [0, 1, 2]
+    # an all-zero matrix and one without columns both have rank 0
+    for ncols in (3, 0):
+        Q, R, perm, rank = pivoted_qr(np.zeros((4, ncols)))
+        assert rank == 0
+        assert Q.shape == (4, 0)
+        assert R.shape == (0, ncols)
+        assert sorted(perm) == list(range(ncols))
 
 
 # ---------------------------------------------------------------------------
-# complement_project
+# _mgs_coeffs: the remainder is the orthogonal-complement part of v
 
 
 def test_complement_annihilates_range():
     rng = np.random.default_rng(6)
     Q, _ = np.linalg.qr(rng.standard_normal((20, 5)))
     v = Q @ rng.standard_normal(5)
-    w = complement_project(Q, v)
+    _, w = _mgs_coeffs(Q, v)
     assert np.linalg.norm(w) <= 1e-12 * np.linalg.norm(v)
 
 
 def test_complement_empty_q_is_identity():
     v = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(complement_project(np.zeros((3, 0)), v), v)
+    coeffs, w = _mgs_coeffs(np.zeros((3, 0)), v)
+    assert coeffs.shape == (0,)
+    assert np.array_equal(w, v)
+    assert w is not v
 
 
 def test_complement_pythagoras_and_idempotence():
     rng = np.random.default_rng(7)
     Q, _ = np.linalg.qr(rng.standard_normal((40, 7)))
     v = rng.standard_normal(40)
-    w = complement_project(Q, v)
+    coeffs, w = _mgs_coeffs(Q, v)
     lhs = np.linalg.norm(v) ** 2
     rhs = np.linalg.norm(Q.T @ v) ** 2 + np.linalg.norm(w) ** 2
     assert lhs == pytest.approx(rhs, rel=1e-12)
-    assert np.linalg.norm(complement_project(Q, w) - w) <= 1e-12 * np.linalg.norm(v)
+    assert np.linalg.norm(_mgs_coeffs(Q, w)[1] - w) <= 1e-12 * np.linalg.norm(v)
     # orthogonality to every column
     assert np.max(np.abs(Q.T @ w)) <= 1e-12 * np.linalg.norm(v)
+    # the coefficients and the remainder give back v
+    assert np.linalg.norm(Q @ coeffs + w - v) <= 1e-12 * np.linalg.norm(v)
 
 
 def test_complement_dimension_mismatch():
     with pytest.raises(ValueError):
-        complement_project(np.eye(3), np.ones(4))
+        _mgs_coeffs(np.eye(3), np.ones(4))
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +130,19 @@ def test_solve_random_residual():
 
 
 def test_solve_singular_raises_with_pivot():
+    # singular at any scale, and the all-zero matrix, raise
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(np.linalg.LinAlgError, match=r"\(pivot \d\.\d{3}e[+-]\d+\)"):
-        solve_dense(A, np.ones(2))
+    for M in (A, 1e-17 * A, np.zeros((2, 2))):
+        with pytest.raises(np.linalg.LinAlgError, match=r"\(pivot \d\.\d{3}e[+-]\d+\)"):
+            solve_dense(M, np.ones(2))
+
+
+@pytest.mark.parametrize("scale", [1e-17, 1e-200])
+def test_solve_scaled_identity(scale):
+    # the singularity decision is relative to the largest pivot, so a
+    # well-conditioned matrix of any scale is solved
+    x = solve_dense(scale * np.eye(3), scale * np.array([1.0, -2.0, 0.5]))
+    assert np.allclose(x, [1.0, -2.0, 0.5], rtol=1e-14, atol=0)
 
 
 #: Order of a matrix whose memory spans two full ``FINITE_BLOCK`` blocks and
