@@ -23,12 +23,12 @@ from .harness import (
     VALIDATE_MODES,
     ConfigError,
     ExperimentConfig,
+    _grid_errors,
     _read_yaml,
     _write_csv,
     load_run,
     make_training_grid,
     run_experiment,
-    validate,
 )
 from .truth import PROBLEM_IDS, problem_spec
 
@@ -109,7 +109,7 @@ def _cmd_validate(args):
         config = dataclasses.replace(config, validation_grid=args.grid)
     spec = problem_spec(config.problem)
     points = make_training_grid(spec.param_domain, config.validation_grid)
-    errors = validate(basis, model, op, points)
+    errors = _grid_errors(op, points, basis, model, [basis.size])[basis.size]
     out_path = args.output or os.path.join(args.run_dir, "validate.csv")
     mu_names = [f"mu{d + 1}" for d in range(spec.param_dim)]
     _write_csv(

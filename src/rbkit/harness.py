@@ -13,11 +13,12 @@ import numbers
 import os
 import time
 import warnings
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, kernels
 from .estimators import make_estimator
 from .rbm import (
     greedy,
@@ -31,8 +32,8 @@ from .truth import (
     PROBLEM_IDS,
     build_discretization,
     assemble_affine,
+    _truth_solver,
     problem_spec,
-    truth_solve_many,
 )
 
 __all__ = [
@@ -231,32 +232,27 @@ def _sub_basis(basis, model, k):
     return sub_basis, sub_model
 
 
-def _batched_truth(op, points):
-    """Validation truth solutions, one row per point, NaN where singular
-    (``truth_solve_many``; the benchmark traces this name)."""
-    return truth_solve_many(op, points)
+def _batched_truth(solve, points):
+    """One slice's truth rows from a ``_truth_solver`` (the benchmark traces this)."""
+    return solve(points)
 
 
-def _history_errors(history, basis, model, op, train, mode, truth, keep=()):
-    """Each record's ``(true_error_argmax, true_error_max)`` on the leading-n
-    restriction of the final basis, the greedy's state at size n: ``argmax``
-    validates each pick, ``full`` the training grid with truth rows ``truth``.
-    Also returns ``{n: grid errors}`` for the sizes n in ``keep`` that
-    ``full`` validated."""
-    records = history.records[1:] if mode != "none" else []
-    rows = [(None, None)] * (len(history.records) - len(records))
-    kept = {}
-    for r in records:
-        sub_b, sub_m = _sub_basis(basis, model, r.n)
-        if mode == "argmax":
-            rows.append((float(validate(sub_b, sub_m, op, r.mu)[0]), None))
-        else:
-            errs = validate(sub_b, sub_m, op, train, truth_values=truth)
-            [at] = np.flatnonzero(np.all(train == r.mu, axis=1))
-            rows.append((float(errs[at]), float(np.max(errs))))
-            if r.n in keep:
-                kept[r.n] = errs
-    return rows, kept
+def _grid_errors(op, points, basis, model, sizes):
+    """``{n: true errors on points}`` of the leading-n restriction of the
+    basis (the greedy's state at size n) for each n in ``sizes``: one pass in
+    ``kernels.CHUNK``-point slices through one ``_truth_solver`` (one Schur-form
+    cache), each slice's truth rows solved once for every basis."""
+    bases = {n: _sub_basis(basis, model, n) for n in sizes}
+    errors = {n: np.empty(points.shape[0]) for n in bases}
+    if not bases:  # a grid no basis is validated on is not solved
+        return errors
+    solve = _truth_solver(op)
+    for lo in range(0, points.shape[0], kernels.CHUNK):
+        rows = slice(lo, lo + kernels.CHUNK)
+        truth = _batched_truth(solve, points[rows])
+        for n, (sub_b, sub_m) in bases.items():
+            errors[n][rows] = validate(sub_b, sub_m, op, points[rows], truth)
+    return errors
 
 
 def run_experiment(config):
@@ -296,28 +292,36 @@ def run_experiment(config):
 
     t_start = time.perf_counter()
     checkpoints = [k for k in config.checkpoints if k <= basis.size]
-    # --validate full's truth rows and grid errors serve default-grid field files
-    default_grid = config.validation_grid == config.training_grid
-    truth = _batched_truth(op, train) if config.validate == "full" else None
-    errors, grid_errors = _history_errors(
-        history, basis, model, op, train, config.validate, truth,
-        keep=checkpoints if default_grid else ())
-    history_path = os.path.join(out_dir, "history.csv")
-    _write_csv(
-        history_path,
-        ["n"] + mu_names + ["estimate", "true_error_argmax", "true_error_max"],
-        [[r.n] + [float(v) for v in r.mu] + [float(r.estimate), *errs]
-         for r, errs in zip(history.records, errors)],
-    )
-
     val_points = make_training_grid(spec.param_domain, config.validation_grid)
+    # with field files on the training grid (the default) one pass serves
+    # the history and the fields
+    default_grid = config.validation_grid == config.training_grid
+    sizes = [r.n for r in history.records[1:]] if config.validate == "full" else []
+    train_errors = _grid_errors(op, train, basis, model,
+                                sizes + checkpoints if default_grid else sizes)
+    field_errors = (train_errors if default_grid else
+                    _grid_errors(op, val_points, basis, model, checkpoints))
+    rows = []
+    for r in history.records:
+        if r.n == 0 or config.validate == "none":  # n = 0: the seeded pick
+            errs = (None, None)
+        elif config.validate == "argmax":
+            at_mu = _grid_errors(op, np.atleast_2d(r.mu), basis, model, [r.n])
+            errs = (float(at_mu[r.n][0]), None)
+        else:
+            grid = train_errors[r.n]
+            [at] = np.flatnonzero(np.all(train == r.mu, axis=1))
+            errs = (float(grid[at]), float(np.max(grid)))
+        rows.append([r.n] + [float(v) for v in r.mu] + [float(r.estimate), *errs])
+    history_path = os.path.join(out_dir, "history.csv")
+    _write_csv(history_path, ["n"] + mu_names + [
+        "estimate", "true_error_argmax", "true_error_max"], rows)
+
     fields = {}
     lagrange = {}
     if checkpoints:
         # the point-only data serve every checkpoint; the estimator's offline
         # data depend only on the basis it is refreshed on
-        if truth is None or not default_grid:
-            truth = _batched_truth(op, val_points)
         val_ta = op.theta_a_values(val_points)
         val_tf = op.theta_f_values(val_points)
         val_alpha = estimator.alpha_values(op, val_points)
@@ -326,9 +330,7 @@ def run_experiment(config):
         estimator.refresh(op, sub_b, sub_m)
         est_field, _ = estimator.sweep(sub_m, val_ta, val_tf, val_alpha,
                                        config.workers)
-        errs = grid_errors.get(k)
-        if errs is None:
-            errs = validate(sub_b, sub_m, op, val_points, truth_values=truth)
+        errs = field_errors[k]
         path = os.path.join(out_dir, f"field_N{k}.csv")
         _write_csv(
             path,
@@ -391,20 +393,29 @@ def load_run(run_dir):
     """
     metadata_path = os.path.join(run_dir, "metadata.json")
     with open(metadata_path) as fh:
-        meta = json.load(fh)
-    config = ExperimentConfig.from_dict(meta["config"])
+        try:
+            saved = dict(json.load(fh)["config"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"no run config in {metadata_path}: {exc!r}") from None
+    config = ExperimentConfig.from_dict(saved)
     spec, disc, op = build_problem(config.problem, config.nodes_per_dim)
     basis_path = os.path.join(run_dir, "basis.npz")
-    with np.load(basis_path) as data:
-        if not {"images", "a_blocks", "f_blocks"} <= set(data.files):
-            raise ConfigError(f"{basis_path} lacks images or reduced blocks "
-                              "(saved by an older rbkit); rerun the experiment")
-        basis = ReducedBasis(
-            sample_set=[np.atleast_1d(mu) for mu in data["sample_set"]],
-            xi=data["xi"],
-            chol_coeffs=data["chol_coeffs"],
-            images=data["images"],
-        )
-        model = ReducedModel(a_blocks=data["a_blocks"], f_blocks=data["f_blocks"])
+    # np.load leaves a path it opened open when the archive is corrupt
+    with open(basis_path, "rb") as fh:
+        try:
+            with np.load(fh) as npz:
+                data = {key: npz[key] for key in npz.files}
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ConfigError(f"{basis_path} is not a saved basis: {exc!r}") from None
+    if not {"images", "a_blocks", "f_blocks"} <= set(data):
+        raise ConfigError(f"{basis_path} lacks images or reduced blocks "
+                          "(saved by an older rbkit); rerun the experiment")
+    basis = ReducedBasis(
+        sample_set=[np.atleast_1d(mu) for mu in data["sample_set"]],
+        xi=data["xi"],
+        chol_coeffs=data["chol_coeffs"],
+        images=data["images"],
+    )
+    model = ReducedModel(a_blocks=data["a_blocks"], f_blocks=data["f_blocks"])
     return config, op, basis, model
 

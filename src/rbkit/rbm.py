@@ -15,7 +15,7 @@ from . import kernels
 from .numerics import DROP_TOL, _mgs_coeffs
 # unused here; kept because bench/tracing.py wraps ``rbkit.rbm.solve_dense``
 from .numerics import solve_dense  # noqa: F401
-from .truth import _truth_solver, truth_solve
+from .truth import truth_solve
 
 __all__ = [
     "DependentSnapshotError",
@@ -186,35 +186,22 @@ def extend_basis(basis, model, mu, values, op):
     return new_basis, ReducedModel(a_blocks=a_blocks, f_blocks=f_blocks)
 
 
-def validate(basis, model, op, points, truth_values=None):
-    """True error ``||u(mu) - xi u_hat(mu)||`` at each point, in input order.
+def validate(basis, model, op, points, truth):
+    """True error ``||u(mu) - xi u_hat(mu)||`` at each point, in input order,
+    against ``truth``, the points' truth rows (``truth_solve_many``).
 
-    The one true-error computation: the history's ``validate`` modes, the
-    field files and ``rbkit validate`` all call it.  The reduced solutions
-    come from one ``rb_solve`` call over all points; the truth rows (unless
-    given), the reconstruction and the difference are formed
-    ``kernels.CHUNK`` points at a time, one stacked product each, so a
-    point's error does not depend on the points validated with it and no
-    temporary is larger than ``CHUNK x dim``.  One ``truth_solve_many``
-    solver serves every chunk, so each Schur form is still computed once per
-    call.  A point where the operator is singular (a NaN truth row) gets a
-    NaN error; an exactly singular reduced system raises
-    ``np.linalg.LinAlgError``.
-    ``truth_values`` can carry precomputed truth rows, one per point, to
-    validate several bases on one grid.
+    The one true-error formula; ``harness._grid_errors`` passes it a grid
+    ``kernels.CHUNK`` points at a time, so no temporary is larger than
+    ``truth``.  The reduced solve and the reconstruction go point by point, so
+    a point's error does not depend on the points validated with it.  A NaN
+    truth row (a singular operator) gives a NaN error; an exactly singular
+    reduced system raises ``np.linalg.LinAlgError``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.size == 0:
         return np.empty(0)
-    solve = _truth_solver(op) if truth_values is None else None
-    u_hat = rb_solve(model, op, points)[:, :, None]
-    errors = np.empty(points.shape[0])
-    for lo in range(0, points.shape[0], kernels.CHUNK):
-        rows = slice(lo, lo + kernels.CHUNK)
-        truth = truth_values[rows] if solve is None else solve(points[rows])
-        u_rb = np.matmul(basis.xi, u_hat[rows])[:, :, 0]
-        errors[rows] = np.linalg.norm(truth - u_rb, axis=1)
-    return errors
+    u_rb = np.matmul(basis.xi, rb_solve(model, op, points)[:, :, None])[:, :, 0]
+    return np.linalg.norm(truth - u_rb, axis=1)
 
 
 def greedy(op, estimator, training_set, *, N_max, eps_tol, seed=0, workers=1):

@@ -12,8 +12,8 @@ equation ``Ax(mu) U + U Ay(mu)^T = F``.  Dense matrices are written from the
 1-D factors by one row-major writer.  The greedy's snapshots use the dense
 LU solve: ``truth_solve`` returns the snapshot vector, and ``assemble``
 writes the transpose of A(mu) and returns its column-major transposed view,
-which ``solve_dense`` factors in place.  Validation sweeps solve the
-Sylvester form by Bartels-Stewart (``truth_solve_many``).
+which ``solve_dense`` factors in place.  Validation truth rows solve the
+Sylvester form by Bartels-Stewart (``truth_solve_many``, ``_truth_solver``).
 """
 
 from dataclasses import dataclass, field
@@ -347,8 +347,8 @@ def truth_solve_many(op, mus):
 
 
 def _truth_solver(op):
-    """``truth_solve_many`` on ``op`` as a function of the points; its Schur
-    forms are cached across calls, so a grid solved in chunks gets one call's rows."""
+    """``truth_solve_many`` on ``op`` as a function of the points; its Schur forms
+    are cached across calls, so a grid solved in slices gets one call's rows."""
     Fx, Fy = zip(*op.kron_factors)
     nx, ny = Fx[0].shape[0], Fy[0].shape[0]
     (trsyl,) = sla.get_lapack_funcs(("trsyl",), dtype=float)

@@ -21,7 +21,6 @@ from rbkit.estimators import (
 )
 from rbkit.harness import (
     ExperimentConfig,
-    _batched_truth,
     _sub_basis,
     build_problem,
     make_training_grid,
@@ -34,7 +33,7 @@ from rbkit.rbm import (
     lagrange_coefficients,
     rb_solve,
 )
-from rbkit.truth import truth_solve
+from rbkit.truth import truth_solve, truth_solve_many
 
 import oracles
 
@@ -303,11 +302,11 @@ def twod_desk_runs():
         )
         runs[kind] = (op, train, basis, model, history)
     op, train = runs["stable"][0], runs["stable"][1]
-    truth_cache = _batched_truth(op, train)
+    truth_rows = truth_solve_many(op, train)
     errors = {}
     for kind in ("stable", "lebesgue"):
         _, _, basis, model, _ = runs[kind]
-        errs = validate(basis, model, op, train, truth_values=truth_cache)
+        errs = validate(basis, model, op, train, truth_rows)
         errors[kind] = float(np.nanmax(errs))
     return runs, errors, time.perf_counter() - t0
 

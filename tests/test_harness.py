@@ -16,7 +16,7 @@ import pytest
 import yaml
 
 import rbkit
-from rbkit import cli, harness, rbm, truth
+from rbkit import cli, harness, kernels, truth
 from rbkit.cli import main as cli_main
 from rbkit.estimators import LebesgueEstimator, make_estimator
 from rbkit.harness import (
@@ -303,7 +303,8 @@ def test_load_run_reproduces_reduced_model(tmp_path):
     loaded_config, op, basis, model = load_run(arts.directory)
     assert loaded_config == config
     assert basis.size == model.size
-    errors = validate(basis, model, op, basis.sample_set)
+    errors = validate(basis, model, op, basis.sample_set,
+                      truth_solve_many(op, basis.sample_set))
     for mu, err in zip(basis.sample_set, errors):
         u = truth_solve(op, mu)
         assert err <= 1e-9 * np.linalg.norm(u)
@@ -406,9 +407,10 @@ def test_greedy_full_validation_matches_validate(tmp_path):
     train = make_training_grid(op.spec.param_domain, config.training_grid)
     history = _csv_columns(out_dir / "history.csv")
     assert history["n"] == ["0", "1", "2", "3", "4"]
+    rows = truth_solve_many(op, train)
     for row, n in enumerate(history["n"][1:], start=1):
         sub_b, sub_m = _sub_basis(basis, model, int(n))
-        errs = validate(sub_b, sub_m, op, train)
+        errs = validate(sub_b, sub_m, op, train, rows)
         [best] = np.flatnonzero(train[:, 0] == float(history["mu1"][row]))
         assert float(history["true_error_max"][row]) == np.max(errs)
         assert float(history["true_error_argmax"][row]) == errs[best]
@@ -463,27 +465,73 @@ def test_history_true_errors_pinned(tmp_path, problem, mode):
         assert fh.read() == PINNED_HISTORIES[problem, mode]
 
 
+def _count_truth_rows(monkeypatch):
+    """Patch every ``truth._truth_solver`` a run can reach to log its calls:
+    returns a list that gets one list of per-call row counts per solver."""
+    solvers = []
+    make_solver = truth._truth_solver
+
+    def counting_solver(op):
+        solve, calls = make_solver(op), []
+        solvers.append(calls)
+
+        def wrapped(mus):
+            calls.append(len(mus))
+            return solve(mus)
+        return wrapped
+
+    monkeypatch.setattr(truth, "_truth_solver", counting_solver)
+    monkeypatch.setattr(harness, "_truth_solver", counting_solver)
+    return solvers
+
+
 def test_full_validation_and_fields_solve_training_truth_once(tmp_path, monkeypatch):
     # the training grid's truth rows do not depend on the basis: with the
     # field files on the default grid, one solve serves the history and the
     # checkpoints
-    points = []
-    make_solver = truth._truth_solver
-
-    def counting_solver(op):
-        solve = make_solver(op)
-
-        def wrapped(mus):
-            points.append(len(mus))
-            return solve(mus)
-        return wrapped
-
-    # every truth row is solved by a _truth_solver, in harness and in validate
-    monkeypatch.setattr(truth, "_truth_solver", counting_solver)
-    monkeypatch.setattr(rbm, "_truth_solver", counting_solver)
+    solvers = _count_truth_rows(monkeypatch)
     run_experiment(_small_config(tmp_path, N_max=5, eps_tol=1e-14,
                                  validate="full", checkpoints=[2, 5]))
-    assert points == [24]
+    assert solvers == [[24]]
+
+
+@pytest.mark.parametrize("mode, validation_grid, rows", [
+    ("none", [40, 20], [800]),
+    ("full", None, [2145]),
+    ("full", [40, 20], [2145, 800]),
+    ("argmax", [40, 20], [800] + [1] * 5),
+])
+def test_each_grid_is_solved_once_in_slices(tmp_path, monkeypatch, mode,
+                                            validation_grid, rows):
+    # every validation truth row is solved in slices of at most CHUNK rows,
+    # through one solver per grid: a grid no basis is validated on (here the
+    # 2,145-point training grid under --validate none) is not solved, the
+    # default grid is solved once for the history and the fields, and
+    # --validate argmax solves one row per record
+    solvers = _count_truth_rows(monkeypatch)
+    run_experiment(_small_config(
+        tmp_path, problem="twod-first", nodes_per_dim=16, training_grid=[65, 33],
+        N_max=6, eps_tol=1e-14, checkpoints=[3, 6], validate=mode,
+        validation_grid=validation_grid))
+    assert sorted(map(sum, solvers), reverse=True) == rows
+    assert max(max(calls) for calls in solvers) <= kernels.CHUNK
+
+
+def test_full_validation_memory_is_bounded_by_a_few_chunks(tmp_path):
+    # --validate full with field files on another grid holds one CHUNK slice
+    # of truth rows at a time, never a whole grid's (2,145 and 800 points)
+    _, _, op = build_problem("twod-first", 16)
+    config = _small_config(tmp_path, problem="twod-first", nodes_per_dim=16,
+                           training_grid=[65, 33], N_max=6, eps_tol=1e-14,
+                           checkpoints=[3, 6], validate="full",
+                           validation_grid=[40, 20])
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * kernels.CHUNK * op.dim * 8
 
 
 def test_full_validation_validates_each_checkpoint_basis_once(tmp_path, monkeypatch):
@@ -571,6 +619,39 @@ def test_cli_validate_rejects_run_without_reduced_blocks(tmp_path, capsys):
         assert "rerun" in capsys.readouterr().err
 
 
+def _truncate(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[:len(data) // 2])
+
+
+def _overwrite(text):
+    def write(path):
+        with open(path, "w") as fh:
+            fh.write(text)
+    return write
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("metadata.json", _overwrite("{not json")),
+    ("metadata.json", _overwrite('{"n_final": 4}')),
+    ("metadata.json", _overwrite('{"config": 5}')),
+    ("basis.npz", _overwrite("not an archive\n")),
+    ("basis.npz", _truncate),
+], ids=["malformed-metadata", "metadata-without-config", "config-not-a-mapping",
+        "text-basis", "truncated-basis"])
+def test_cli_validate_unreadable_run_exits_2(tmp_path, capsys, name, damage):
+    # a saved run rbkit validate cannot read is a configuration error that
+    # names the file, not a numerical error or a traceback
+    arts = run_experiment(_small_config(tmp_path))
+    damage(os.path.join(arts.directory, name))
+    with pytest.raises(ConfigError, match=name):
+        load_run(arts.directory)
+    assert cli_main(["validate", arts.directory]) == 2
+    assert name in capsys.readouterr().err
+
+
 def test_cli_validate_singular_reduced_system_exits_3(tmp_path, capsys):
     # an exactly singular reduced system is a numerical failure, not a NaN
     arts = run_experiment(_small_config(tmp_path))
@@ -592,11 +673,13 @@ def test_validate_snapshots_and_empty():
     model = empty_model(2, 1)
     for mu in [[-0.5], [0.5]]:
         basis, model = extend_basis(basis, model, mu, truth_solve(op, mu), op)
-    errors = validate(basis, model, op, basis.sample_set)
+    errors = validate(basis, model, op, basis.sample_set,
+                      truth_solve_many(op, basis.sample_set))
     assert errors.shape == (2,)
     for mu, err in zip(basis.sample_set, errors):
         assert err <= 1e-9 * np.linalg.norm(truth_solve(op, mu))
-    assert validate(basis, model, op, np.zeros((0, 1))).shape == (0,)
+    assert validate(basis, model, op, np.zeros((0, 1)),
+                    np.zeros((0, op.dim))).shape == (0,)
 
 
 def test_validate_against_manual_recomputation():
@@ -606,7 +689,7 @@ def test_validate_against_manual_recomputation():
     for mu in [[-0.5], [0.5]]:
         basis, model = extend_basis(basis, model, mu, truth_solve(op, mu), op)
     mu = np.array([0.123])
-    [err] = validate(basis, model, op, [mu])
+    [err] = validate(basis, model, op, [mu], truth_solve_many(op, [mu]))
     assert err == pytest.approx(oracles.true_error_reference(op, basis, mu),
                                 rel=1e-10)
 

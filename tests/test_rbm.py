@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from rbkit import kernels, rbm
+from rbkit import kernels, rbm, truth
 from rbkit.rbm import (
     DependentSnapshotError,
     ReducedBasis,
@@ -23,7 +23,7 @@ from rbkit.rbm import (
     ReducedModel,
 )
 from rbkit.estimators import ClassicalEstimator, make_estimator
-from rbkit.harness import build_problem, make_training_grid
+from rbkit.harness import _grid_errors, build_problem, make_training_grid
 from rbkit.truth import (
     AffineOperator,
     ProblemSpec,
@@ -95,32 +95,32 @@ def test_rb_solve_galerkin_orthogonality(oned):
         scale = np.linalg.norm(load_vector(oned, mu))
         assert np.max(np.abs(defect)) <= 1e-10 * scale
     # a point's reduced solution and true error do not depend on its batch
-    errs = validate(basis, model, oned, pts)
+    rows = truth_solve_many(oned, pts)
+    errs = validate(basis, model, oned, pts, rows)
     for i, mu in enumerate(pts):
         assert np.array_equal(U[i], rb_solve(model, oned, mu))
-        assert errs[i] == validate(basis, model, oned, pts[i:i + 1])[0]
+        assert errs[i] == validate(basis, model, oned, pts[i:i + 1], rows[i:i + 1])[0]
 
 
 @pytest.mark.parametrize("chunks", [3, 12])
 def test_validate_memory_is_bounded_by_one_chunk(chunks):
-    # with the truth rows given, validate's temporaries are a few CHUNK x dim
-    # arrays whatever the point count; the errors keep the bits of the
-    # unchunked reconstruction
+    # a grid's true errors are formed one kernels.CHUNK slice at a time, so
+    # the temporaries are a few CHUNK x dim arrays whatever the point count;
+    # the errors keep the bits of the unchunked validate call
     _, _, op = build_problem("twod-first", 34)
     rng = np.random.default_rng(chunks)
-    N, M = 4, chunks * kernels.CHUNK + 5
+    N = 4
     basis = ReducedBasis([], np.linalg.qr(rng.standard_normal((op.dim, N)))[0],
                          np.eye(N), np.zeros((op.dim, 0)))
     model = ReducedModel(a_blocks=np.stack([np.eye(N)] * len(op.kron_factors)),
                          f_blocks=rng.standard_normal((1, N)))
-    points = make_training_grid(op.spec.param_domain, [M, 1])
-    truth = rng.standard_normal((M, op.dim))
-    u_rb = np.matmul(basis.xi, rb_solve(model, op, points)[:, :, None])[:, :, 0]
-    expected = np.linalg.norm(truth - u_rb, axis=1)
-    del u_rb
+    # the grid spans `chunks` full slices and a partial one, with few enough
+    # axis points that its Schur forms stay small
+    points = make_training_grid(op.spec.param_domain, [chunks * 8 + 1, 32])
+    expected = validate(basis, model, op, points, truth_solve_many(op, points))
     tracemalloc.start()
     try:
-        errors = validate(basis, model, op, points, truth_values=truth)
+        errors = _grid_errors(op, points, basis, model, [N])[N]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -129,23 +129,22 @@ def test_validate_memory_is_bounded_by_one_chunk(chunks):
 
 
 def test_validate_solves_truth_rows_chunk_by_chunk(monkeypatch):
-    # without truth rows, validate solves them CHUNK points at a time through
-    # one Schur-form cache: the errors keep the bits of the whole grid's
+    # a grid's truth rows are solved CHUNK points at a time through one
+    # Schur-form cache: the errors keep the bits of the whole grid's
     # truth_solve_many rows, each axis point takes one Schur form, and the
     # whole grid's truth rows are never held at once
     _, _, op = build_problem("twod-first", 16)
     points = make_training_grid(op.spec.param_domain, [65, 33])
     assert points.shape[0] > 8 * kernels.CHUNK
     basis, model = _build_basis(op, points[[0, 700, 1400, 2144]])
-    expected = validate(basis, model, op, points,
-                        truth_values=truth_solve_many(op, points))
+    expected = validate(basis, model, op, points, truth_solve_many(op, points))
     calls = []
     schur = sla.schur
     monkeypatch.setattr(sla, "schur",
                         lambda *a, **k: calls.append(1) or schur(*a, **k))
     tracemalloc.start()
     try:
-        errors = validate(basis, model, op, points)
+        errors = _grid_errors(op, points, basis, model, [4])[4]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -166,7 +165,7 @@ def test_parameter_width_is_checked(oned, oned_basis):
     row = np.array([-0.5, 0.0, 0.5])
     msg = "width 1, got width 3"
     with pytest.raises(ValueError, match=msg):
-        validate(basis, model, oned, row)
+        validate(basis, model, oned, row, np.zeros((1, oned.dim)))
     with pytest.raises(ValueError, match=msg):
         rb_solve(model, oned, row)
     with pytest.raises(ValueError, match=msg):
@@ -174,7 +173,9 @@ def test_parameter_width_is_checked(oned, oned_basis):
     with pytest.raises(ValueError, match=msg):
         truth_solve(oned, [0.1, 5.0, 7.0])
     # as a column the same values are three points
-    assert validate(basis, model, oned, row[:, None]).shape == (3,)
+    column = row[:, None]
+    assert validate(basis, model, oned, column,
+                    truth_solve_many(oned, column)).shape == (3,)
     _, _, twod = build_problem("twod-first", 6)
     with pytest.raises(ValueError, match="width 2, got width 1"):
         twod.theta_f_values([[1.0], [2.0]])
@@ -195,8 +196,9 @@ def test_rb_solve_singular_decision(oned, oned_basis):
                         f_blocks=model.f_blocks)
     with pytest.raises(np.linalg.LinAlgError):
         rb_solve(zero, oned, [0.3])
+    points = [[0.3], [0.5]]
     with pytest.raises(np.linalg.LinAlgError):
-        validate(basis, zero, oned, [[0.3], [0.5]])
+        validate(basis, zero, oned, points, truth_solve_many(oned, points))
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +499,7 @@ def test_greedy_holds_no_validation_mode(oned, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the greedy solved a validation truth")
 
-    monkeypatch.setattr(rbm, "_truth_solver", forbidden)
+    monkeypatch.setattr(truth, "_truth_solver", forbidden)
     monkeypatch.setattr(rbm, "validate", forbidden)
     settings, est = _greedy_setup(oned, N_max=4)
     basis, _, _ = greedy(oned, est, **settings)

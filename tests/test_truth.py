@@ -519,7 +519,7 @@ def test_singular_point_gives_nan_rows_and_errors():
     basis, model = empty_basis(op.dim), empty_model(2, 1)
     for mu in ([0.25], [1.0]):
         basis, model = extend_basis(basis, model, mu, truth_solve(op, mu), op)
-    errs = validate(basis, model, op, mus)
+    errs = validate(basis, model, op, mus, U)
     assert np.isnan(errs[0])
     assert errs[1] == pytest.approx(
         oracles.true_error_reference(op, basis, mus[1]), rel=1e-12)
