@@ -159,7 +159,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -10,7 +10,8 @@
   coefficients of the reduced solution.
 
 This module holds each indicator's offline data and the greedy-facing
-drivers; the formulas themselves live once, in ``kernels``.  Also here: the
+drivers, which only forward that data to the formulas and sweeps in
+``kernels`` and pass on their ``(values, clamped)``.  Also here: the
 coercivity lower-bound plug-in, a truth-space residual-norm oracle used by
 the tests, and the scalar loss-of-significance demo that motivates the
 stable evaluation.
@@ -130,10 +131,10 @@ def coercivity_lower_bound(op, mus):
     ``ALPHA_FLOOR``.  A value equal to ``ALPHA_FLOOR`` marks a degenerate
     bound.  sym A(mu) is the Kronecker sum of sym Sx and sym Sy, so its
     smallest eigenvalue is the sum of theirs (Lynch-Rice-Thomas 1964) and no
-    ``dim x dim`` matrix is formed.  Each factor's eigenvalue is computed
-    once per distinct tuple of the weights of its nonzero terms, as the Schur
-    forms of ``truth_solve_many`` are, so on a tensor grid a factor takes as
-    many eigensolves as its axis has points."""
+    ``dim x dim`` matrix is formed.  Each factor's eigenvalue is kept once
+    per recurring tuple of the weights of its nonzero terms, as the Schur
+    forms of ``truth_solve_many`` are, so on a tensor grid a factor takes two
+    eigensolves per point of its axis."""
     Fx, Fy = zip(*op.kron_factors)
     lam_x, lam_y = (_FactorCache(F, smallest_symmetric_eigenvalue) for F in (Fx, Fy))
     return np.array([max(lam_x.get(w) + lam_y.get(w), ALPHA_FLOOR)
@@ -180,10 +181,6 @@ def float_demo(N_values, mu_samples=1000, seed=0):
 # Greedy-facing estimator drivers
 
 
-def _unclamped(values):
-    return values, np.zeros(values.shape, dtype=bool)
-
-
 class _EstimatorBase:
     def __init__(self, alpha_mode="unit"):
         if alpha_mode not in ALPHA_MODES:
@@ -208,13 +205,6 @@ class _EstimatorBase:
                                        np.array([float(alpha_lb)]), u)
         return EstimateValue(float(values[0]), bool(clamped[0]))
 
-    def _values(self, theta_f, c, alpha, u):
-        """``(values, clamped)`` on rows of coefficients ``c`` and ``u``."""
-        raise NotImplementedError
-
-    def refresh(self, op, basis, model):
-        raise NotImplementedError
-
     def sweep(self, model, theta_a, theta_f, alpha, workers=1):
         """The indicator at every row of the theta tables from ``model``'s
         blocks and the last ``refresh``; returns ``(values, clamped)``, where
@@ -224,14 +214,11 @@ class _EstimatorBase:
 
 class ClassicalEstimator(_EstimatorBase):
     kind = "classical"
-
-    def __init__(self, alpha_mode="unit"):
-        super().__init__(alpha_mode)
-        self.tables = None
+    tables = None  # (cc, cl, ll)
 
     def refresh(self, op, basis, model):
         C, L = build_riesz_data(op, basis)
-        self.tables = (C.T @ C, C.T @ L, L.T @ L)  # cc, cl, ll
+        self.tables = (C.T @ C, C.T @ L, L.T @ L)
 
     def _values(self, theta_f, c, alpha, u):
         return kernels.classical_values(theta_f, c, alpha, *self.tables)
@@ -243,10 +230,7 @@ class ClassicalEstimator(_EstimatorBase):
 
 class StableEstimator(_EstimatorBase):
     kind = "stable"
-
-    def __init__(self, alpha_mode="unit"):
-        super().__init__(alpha_mode)
-        self.factors = None
+    factors = None
 
     def refresh(self, op, basis, model):
         # build_riesz_data, build_stable_factors and (inside it) pivoted_qr
@@ -258,36 +242,34 @@ class StableEstimator(_EstimatorBase):
 
     def _values(self, theta_f, c, alpha, u):
         fc = self.factors
-        return _unclamped(kernels.stable_values(theta_f, c, alpha, fc.w_coords,
-                                                fc.qtc, fc.rzt))
+        return kernels.stable_values(theta_f, c, alpha, fc.w_coords, fc.qtc, fc.rzt)
 
     def sweep(self, model, theta_a, theta_f, alpha, workers=1):
         fc = self.factors
-        return _unclamped(kernels.stable_sweep(
-            theta_a, theta_f, alpha, model.a_blocks, model.f_blocks,
-            fc.w_coords, fc.qtc, fc.rzt, workers))
+        return kernels.stable_sweep(theta_a, theta_f, alpha, model.a_blocks,
+                                    model.f_blocks, fc.w_coords, fc.qtc, fc.rzt,
+                                    workers)
 
 
 class LebesgueEstimator(_EstimatorBase):
     kind = "lebesgue"
+    chol_coeffs = None
 
     def __init__(self, alpha_mode="unit"):
         super().__init__(alpha_mode)
         if alpha_mode != "unit":
             raise ValueError(f"alpha mode {alpha_mode!r} has no effect on the "
                              "lebesgue estimator, which reads no stability constant")
-        self.chol_coeffs = None
 
     def refresh(self, op, basis, model):
         self.chol_coeffs = basis.chol_coeffs
 
     def _values(self, theta_f, c, alpha, u):
-        return _unclamped(kernels.lebesgue_values(u, self.chol_coeffs))
+        return kernels.lebesgue_values(u, self.chol_coeffs)
 
     def sweep(self, model, theta_a, theta_f, alpha, workers=1):
-        return _unclamped(kernels.lebesgue_sweep(
-            theta_a, theta_f, model.a_blocks, model.f_blocks, self.chol_coeffs,
-            workers))
+        return kernels.lebesgue_sweep(theta_a, theta_f, model.a_blocks, model.f_blocks,
+                                      self.chol_coeffs, workers)
 
 
 _ESTIMATORS = {cls.kind: cls

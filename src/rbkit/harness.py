@@ -77,11 +77,19 @@ def _int_entries(name, values):
     return [int(v) for v in values]
 
 
+def _open_input(path, mode="r"):
+    """``open(path, mode)`` of an input: a missing one is a ``ConfigError``."""
+    try:
+        return open(path, mode)
+    except FileNotFoundError:
+        raise ConfigError(f"{path} does not exist") from None
+
+
 def _read_yaml(path):
     """The mapping of a YAML config file, before defaults are filled in;
     PyYAML is imported here, so a run set by flags alone never loads it."""
     import yaml
-    with open(path) as fh:
+    with _open_input(path) as fh:
         try:
             data = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
@@ -392,7 +400,7 @@ def load_run(run_dir):
     ``dim x dim`` matrix is formed.
     """
     metadata_path = os.path.join(run_dir, "metadata.json")
-    with open(metadata_path) as fh:
+    with _open_input(metadata_path) as fh:
         try:
             saved = dict(json.load(fh)["config"])
         except (ValueError, KeyError, TypeError) as exc:
@@ -401,15 +409,23 @@ def load_run(run_dir):
     spec, disc, op = build_problem(config.problem, config.nodes_per_dim)
     basis_path = os.path.join(run_dir, "basis.npz")
     # np.load leaves a path it opened open when the archive is corrupt
-    with open(basis_path, "rb") as fh:
+    with _open_input(basis_path, "rb") as fh:
         try:
             with np.load(fh) as npz:
                 data = {key: npz[key] for key in npz.files}
         except (ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise ConfigError(f"{basis_path} is not a saved basis: {exc!r}") from None
-    if not {"images", "a_blocks", "f_blocks"} <= set(data):
-        raise ConfigError(f"{basis_path} lacks images or reduced blocks "
-                          "(saved by an older rbkit); rerun the experiment")
+    keys = ("xi", "chol_coeffs", "images", "a_blocks", "f_blocks", "sample_set")
+    if not set(keys) <= set(data):
+        raise ConfigError(f"{basis_path} lacks one of {', '.join(keys)} (an older "
+                          "rbkit saved no images or blocks); rerun the experiment")
+    N, Q_a, Q_f = len(data["sample_set"]), len(op.kron_factors), len(op.f_components)
+    shapes = [(op.dim, N), (N, N), (op.dim, N * Q_a), (Q_a, N, N), (Q_f, N),
+              (N, spec.param_dim)]
+    for key, shape in zip(keys, shapes):
+        if data[key].shape != shape:
+            raise ConfigError(f"{basis_path} does not fit the run's operator: "
+                              f"{key} has shape {data[key].shape}, expected {shape}")
     basis = ReducedBasis(
         sample_set=[np.atleast_1d(mu) for mu in data["sample_set"]],
         xi=data["xi"],

@@ -7,12 +7,12 @@ package: the three sweeps and ``reduced_solve`` (and through it
 ``rbm.rb_solve``, validation, the field and Lagrange files) all use it, so
 every reduced solution the program writes is the one the sweep scored.  It
 walks the parameters in fixed chunks of ``CHUNK``, serially or over threads.
-The classical and stable sweeps apply their formula (``classical_values``,
-``stable_values``) to a chunk's solutions inside the same loop, so their
-working memory is O(CHUNK N (N + Q_a)) whatever the grid size; the Lebesgue
-sweep applies ``lebesgue_values`` to all rows at once.  The three formulas
-are the only copy of the indicator math: the estimators' one-point
-``value_at`` calls them on a one-row batch.
+The classical and stable sweeps share one loop, ``_sweep``, which applies
+their formula (``classical_values``, ``stable_values``) to each chunk's
+solutions, so their working memory is O(CHUNK N (N + Q_a)) whatever the grid
+size; the Lebesgue sweep applies ``lebesgue_values`` to all rows at once.
+The three formulas are the only copy of the indicator math: the estimators'
+one-point ``value_at`` calls them on a one-row batch.
 
 Every parameter goes through the same BLAS/LAPACK calls, in the same order,
 as a per-point evaluation would give it (the test suite keeps that loop as the
@@ -28,8 +28,9 @@ coefficient trace sums to the Lebesgue indicator bit for bit.
 
 The kernels take precomputed theta tables, ``theta_a (M, Q_a)`` and
 ``theta_f (M, Q_f)``, the reduced blocks ``a_blocks (Q_a, N, N)`` and
-``f_blocks (Q_f, N)``; the sweeps return one indicator value per parameter
-(the classical sweep also its clamp mask).
+``f_blocks (Q_f, N)``.  Every formula and sweep returns ``(values, clamped)``,
+one indicator value per parameter and a mask of the values that are
+unresolved (clamped at zero); only the classical quadratic clamps.
 The residual-coefficient ordering is snapshot-major: ``c[m*Q_a + q]``.
 """
 
@@ -173,7 +174,8 @@ def stable_values(theta_f, c, alpha, w_coords, qtc, rzt):
     and the range part ``qtc theta_f - rzt c`` are normed separately."""
     t1 = _matvec(w_coords, theta_f)
     t2 = _matvec(qtc, theta_f) - _matvec(rzt, c)
-    return np.sqrt(_dot(t1, t1) + _dot(t2, t2)) / alpha
+    values = np.sqrt(_dot(t1, t1) + _dot(t2, t2)) / alpha
+    return values, np.zeros(values.shape, dtype=bool)
 
 
 def lagrange_values(u, rs):
@@ -197,12 +199,12 @@ def lagrange_values(u, rs):
 
 def lebesgue_values(u, rs):
     """Sum of absolute Lagrange coefficients (``lagrange_values``) for rows
-    of reduced solutions ``u (m, N)``."""
+    of reduced solutions ``u (m, N)`` (never clamped)."""
     c = lagrange_values(u, rs)
     acc = np.zeros(u.shape[0])
     for m in range(u.shape[1]):
         acc += np.abs(c[:, m])
-    return acc
+    return acc, np.zeros(acc.shape, dtype=bool)
 
 
 # The three sweeps keep their positional arguments 0-7 in this order (for
@@ -210,32 +212,31 @@ def lebesgue_values(u, rs):
 # ``bench/tracing.py`` counts points and flops from those positions.
 
 
-def classical_sweep(theta_a, theta_f, alpha, a_blocks, f_blocks, cc, cl, ll, workers=1):
-    """``classical_values`` at every parameter; returns (values, clamped)."""
+def _sweep(formula, tables, theta_a, theta_f, alpha, a_blocks, f_blocks, workers):
+    """``formula(theta_f, c, alpha, *tables)`` on each chunk's coefficients ``c``."""
     values = np.empty(theta_a.shape[0])
     clamped = np.empty(theta_a.shape[0], dtype=bool)
 
     def write(lo, hi, u):
         c = residual_coefficients(theta_a[lo:hi], u)
-        values[lo:hi], clamped[lo:hi] = classical_values(
-            theta_f[lo:hi], c, alpha[lo:hi], cc, cl, ll)
+        values[lo:hi], clamped[lo:hi] = formula(theta_f[lo:hi], c, alpha[lo:hi],
+                                                *tables)
 
     _solve_chunks(theta_a, theta_f, a_blocks, f_blocks, write, workers)
     return values, clamped
 
 
+def classical_sweep(theta_a, theta_f, alpha, a_blocks, f_blocks, cc, cl, ll, workers=1):
+    """``classical_values`` at every parameter."""
+    return _sweep(classical_values, (cc, cl, ll), theta_a, theta_f, alpha, a_blocks,
+                  f_blocks, workers)
+
+
 def stable_sweep(theta_a, theta_f, alpha, a_blocks, f_blocks, w_coords, qtc, rzt,
                  workers=1):
     """``stable_values`` at every parameter."""
-    values = np.empty(theta_a.shape[0])
-
-    def write(lo, hi, u):
-        c = residual_coefficients(theta_a[lo:hi], u)
-        values[lo:hi] = stable_values(
-            theta_f[lo:hi], c, alpha[lo:hi], w_coords, qtc, rzt)
-
-    _solve_chunks(theta_a, theta_f, a_blocks, f_blocks, write, workers)
-    return values
+    return _sweep(stable_values, (w_coords, qtc, rzt), theta_a, theta_f, alpha,
+                  a_blocks, f_blocks, workers)
 
 
 def lebesgue_sweep(theta_a, theta_f, a_blocks, f_blocks, rs, workers=1):

@@ -50,9 +50,10 @@ _PARAM_DOMAINS = {
 
 PROBLEM_IDS = tuple(_PARAM_DOMAINS)
 
-#: sign convention used in the discontinuous coefficient at mu = 0.  The
-#: training grids never place a point exactly at 0, so any total extension
-#: works; +1 is fixed here for reproducibility.
+#: sign convention used in the discontinuous coefficient at mu = 0.  A grid
+#: with an odd point count places its middle point exactly at 0 (129 points:
+#: ``np.linspace(-0.995, 0.995, 129)[64] == 0.0``), so the extension picks
+#: that point's coefficient; +1 is fixed here for reproducibility.
 SIGN_AT_ZERO = 1.0
 
 
@@ -338,10 +339,10 @@ def truth_solve_many(op, mus):
     nearly so (``trsyl`` reports close eigenvalues of ``Ax`` and ``-Ay``, or
     had to scale the solution down) or where the solution is not finite.
 
-    Each factor's Schur form is computed once per distinct tuple of the
-    theta weights of its nonzero terms (``_FactorCache``).  On a tensor grid
-    each factor then takes as many Schur forms as its axis has points, and on
-    the oned problems ``Ay`` takes one.
+    Each factor's Schur form is kept once per recurring tuple of the theta
+    weights of its nonzero terms (``_FactorCache``).  On a tensor grid each
+    factor then takes two Schur forms per point of its axis, and on the oned
+    problems ``Ay`` takes two and ``Ax`` one per point, which is not kept.
     """
     return _truth_solver(op)(mus)
 
@@ -377,18 +378,25 @@ def _truth_solver(op):
 
 
 class _FactorCache:
-    """``fn(sum_q w[q] * factors[q])``, computed once per tuple of the
-    weights of the nonzero factors: a zero factor adds only zeros to an
-    accumulation that starts at +0, so that tuple fixes every bit of the
-    sum.  A cache serves one truth solver or one bound call over many points."""
+    """``fn(sum_q w[q] * factors[q])`` keyed by the tuple of the weights of
+    the nonzero factors: a zero factor adds only zeros to an accumulation
+    that starts at +0, so that tuple fixes every bit of the sum.  A value is
+    stored on the second sighting of its key, so a key that never recurs
+    (the x factor of the oned problems, at every point) holds no form, and
+    a recurring key costs two evaluations.  A cache serves one truth solver
+    or one bound call over many points."""
 
     def __init__(self, factors, fn):
         self.factors, self.fn = factors, fn
         self.nonzero = [q for q, M in enumerate(factors) if np.any(M)]
-        self.values = {}
+        self.values, self.seen = {}, set()
 
     def get(self, weights):
         key = tuple(weights[self.nonzero])
-        if key not in self.values:
-            self.values[key] = self.fn(_affine_sum(weights, self.factors))
-        return self.values[key]
+        if key in self.values:
+            return self.values[key]
+        value = self.fn(_affine_sum(weights, self.factors))
+        if key in self.seen:
+            self.values[key] = value
+        self.seen.add(key)
+        return value

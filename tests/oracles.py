@@ -112,8 +112,8 @@ def classical_sweep_loop(theta_a, theta_f, alpha, a_blocks, f_blocks, cc, cl, ll
 
 def stable_sweep_loop(theta_a, theta_f, alpha, a_blocks, f_blocks, w_coords, qtc, rzt,
                       workers=1):
-    """Per-point reference for ``kernels.stable_sweep`` (``workers`` is
-    accepted and ignored)."""
+    """Per-point reference for ``kernels.stable_sweep``, never clamped
+    (``workers`` is accepted and ignored)."""
     M = theta_a.shape[0]
     Qa = a_blocks.shape[0]
     Qf = f_blocks.shape[0]
@@ -135,12 +135,12 @@ def stable_sweep_loop(theta_a, theta_f, alpha, a_blocks, f_blocks, w_coords, qtc
         t1 = np.dot(w_coords, tf)
         t2 = np.dot(qtc, tf) - np.dot(rzt, c)
         values[i] = np.sqrt(np.dot(t1, t1) + np.dot(t2, t2)) / alpha[i]
-    return values
+    return values, np.zeros(M, dtype=np.bool_)
 
 
 def lebesgue_sweep_loop(theta_a, theta_f, a_blocks, f_blocks, rs, workers=1):
-    """Per-point reference for ``kernels.lebesgue_sweep`` (``workers`` is
-    accepted and ignored)."""
+    """Per-point reference for ``kernels.lebesgue_sweep``, never clamped
+    (``workers`` is accepted and ignored)."""
     M = theta_a.shape[0]
     Qa = a_blocks.shape[0]
     Qf = f_blocks.shape[0]
@@ -164,7 +164,7 @@ def lebesgue_sweep_loop(theta_a, theta_f, a_blocks, f_blocks, rs, workers=1):
         for m in range(N):
             acc += abs(c[m])
         values[i] = acc
-    return values
+    return values, np.zeros(M, dtype=np.bool_)
 
 
 # ---------------------------------------------------------------------------

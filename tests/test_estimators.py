@@ -70,8 +70,11 @@ def _refreshed(kind, op, basis, model=None):
 
 def _stable_row(factors, theta_f, c):
     """``kernels.stable_values`` for one explicit coefficient row."""
-    return kernels.stable_values(theta_f[None], c[None], np.ones(1),
-                                 factors.w_coords, factors.qtc, factors.rzt)[0]
+    [value], [clamped] = kernels.stable_values(theta_f[None], c[None], np.ones(1),
+                                               factors.w_coords, factors.qtc,
+                                               factors.rzt)
+    assert not clamped
+    return value
 
 
 def _ones(m):
@@ -474,8 +477,8 @@ def test_scale_equivariance(oned, oned_basis):
     # the Lebesgue indicator sees the jointly scaled solution and snapshots
     # (u_hat and R both times s) as unchanged
     rs = basis.chol_coeffs
-    v3 = kernels.lebesgue_values(u_hat[None], rs)[0]
-    v3s = kernels.lebesgue_values(s * u_hat[None], s * rs)[0]
+    [v3], _ = kernels.lebesgue_values(u_hat[None], rs)
+    [v3s], _ = kernels.lebesgue_values(s * u_hat[None], s * rs)
     assert v3s == pytest.approx(v3, rel=1e-12)
 
 
@@ -486,7 +489,9 @@ def test_scale_equivariance(oned, oned_basis):
 def test_lebesgue_trivial_values():
     # with an identity change of basis the Lagrange coefficients are u itself
     def value(u):
-        return kernels.lebesgue_values(u[None], np.eye(u.size))[0]
+        [v], [clamped] = kernels.lebesgue_values(u[None], np.eye(u.size))
+        assert not clamped
+        return v
 
     assert value(np.eye(4)[:, 2]) == 1.0
     assert value(np.zeros(3)) == 0.0
@@ -607,8 +612,10 @@ def test_exact_eig_alpha_values_are_the_pointwise_bounds(nodes):
                                  "twod-first", "twod-second"])
 def test_exact_eig_alpha_values_cache_factor_eigenvalues(pid, monkeypatch):
     # a 4 x 3 tensor grid (a 5-point line for the oned problems): each factor
-    # takes one eigensolve per value of the weights of its nonzero terms, and
-    # each value is the per-point sum of the two factors' eigenvalues
+    # takes two eigensolves per recurring value of the weights of its nonzero
+    # terms (the cache keeps it from its second point on) and one per value
+    # seen once, and each value is the per-point sum of the two factors'
+    # eigenvalues
     _, _, op = build_problem(pid, 12)
     counts = [4, 3] if op.spec.param_dim == 2 else [5]
     train = make_training_grid(op.spec.param_domain, counts)
@@ -622,8 +629,8 @@ def test_exact_eig_alpha_values_cache_factor_eigenvalues(pid, monkeypatch):
                         lambda S: calls.append(1) or smallest_symmetric_eigenvalue(S))
     alpha = StableEstimator("exact-eig").alpha_values(op, train)
     assert np.array_equal(alpha, per_point)
-    # oned: Sy is the same matrix at every point
-    assert len(calls) == (7 if op.spec.param_dim == 2 else 6)
+    # twod: 2 x (4 + 3); oned: Sx changes at every point, Sy never does
+    assert len(calls) == (14 if op.spec.param_dim == 2 else 5 + 2)
 
 
 @pytest.mark.parametrize("nodes", [8, 12])
@@ -754,6 +761,47 @@ def test_sweep_values_match_pointwise_estimates(oned, oned_basis):
             point = est.value_at(oned, mu, u_hat, 1.0)
             assert point.value == value, kind
             assert point.clamped == flag, kind
+
+
+def _kernel_calls(kind, est, model, ta, tf, alpha, u):
+    """The ``kernels`` formula and sweep of an estimator of ``kind``, each
+    called on the offline data of its last refresh."""
+    c = kernels.residual_coefficients(ta, u)
+    blocks = (model.a_blocks, model.f_blocks)
+    if kind == "classical":
+        return (kernels.classical_values(tf, c, alpha, *est.tables),
+                kernels.classical_sweep(ta, tf, alpha, *blocks, *est.tables))
+    if kind == "stable":
+        online = (est.factors.w_coords, est.factors.qtc, est.factors.rzt)
+        return (kernels.stable_values(tf, c, alpha, *online),
+                kernels.stable_sweep(ta, tf, alpha, *blocks, *online))
+    return (kernels.lebesgue_values(u, est.chol_coeffs),
+            kernels.lebesgue_sweep(ta, tf, *blocks, est.chol_coeffs))
+
+
+@pytest.mark.parametrize("kind", ["classical", "stable", "lebesgue"])
+def test_every_formula_and_sweep_returns_values_and_clamp_mask(oned, oned_basis,
+                                                               kind):
+    # the one indicator contract: each formula and sweep returns float
+    # values and a bool mask of their shape, all False but for the classical
+    # quadratic, and value_at at rb_solve's solution is the one-row sweep,
+    # value and mask; the snapshot parameters, where the residual is
+    # rounding noise, are among the points
+    basis, model = oned_basis
+    est = _refreshed(kind, oned, basis, model)
+    train = np.vstack([np.linspace(-0.995, 0.995, 33)[:, None], basis.sample_set])
+    ta, tf = oned.theta_a_values(train), oned.theta_f_values(train)
+    alpha = np.ones(train.shape[0])
+    u = rb_solve(model, oned, train)
+    results = _kernel_calls(kind, est, model, ta, tf, alpha, u)
+    for values, clamped in results + (est.sweep(model, ta, tf, alpha),):
+        assert values.dtype == np.float64 and clamped.dtype == np.bool_
+        assert values.shape == clamped.shape == (train.shape[0],)
+        assert kind == "classical" or not clamped.any()
+    for i, mu in enumerate(train):
+        point = est.value_at(oned, mu, u[i], 1.0)
+        [value], [flag] = est.sweep(model, ta[i:i + 1], tf[i:i + 1], alpha[i:i + 1])
+        assert (point.value, point.clamped) == (value, flag), mu
 
 
 def test_classical_greedy_tables_match_fresh_refresh(oned):

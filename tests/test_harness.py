@@ -31,7 +31,13 @@ from rbkit.harness import (
     validate,
 )
 from rbkit.rbm import empty_basis, empty_model, extend_basis, rb_solve
-from rbkit.truth import PROBLEM_IDS, AffineOperator, truth_solve, truth_solve_many
+from rbkit.truth import (
+    PROBLEM_IDS,
+    AffineOperator,
+    problem_spec,
+    truth_solve,
+    truth_solve_many,
+)
 
 import oracles
 
@@ -605,13 +611,14 @@ def test_cli_validate_rejects_saved_validate_fields_key(tmp_path, capsys):
 
 def test_cli_validate_rejects_run_without_reduced_blocks(tmp_path, capsys):
     # a basis.npz saved before the reduced blocks, or before the operator
-    # images, were stored cannot give the greedy's state; validate says so
-    # and exits 2
+    # images, were stored cannot give the greedy's state, nor can one
+    # without the basis itself; validate says so and exits 2
     arts = run_experiment(_small_config(tmp_path))
     with np.load(arts.basis) as data:
         saved = {key: data[key] for key in data.files}
     older = ("xi", "chol_coeffs", "sample_set")
-    for keys in (older, older + ("a_blocks", "f_blocks")):
+    without_xi = tuple(key for key in saved if key != "xi")
+    for keys in (older, older + ("a_blocks", "f_blocks"), without_xi):
         np.savez_compressed(arts.basis, **{key: saved[key] for key in keys})
         with pytest.raises(ConfigError):
             load_run(arts.directory)
@@ -827,6 +834,7 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     bad.write_text(yaml.safe_dump({"problem": "oned-continuous", "zzz": 1}))
     assert cli_main(["run", str(bad)]) == 2
     assert cli_main(["validate", str(tmp_path / "missing")]) == 2
+    assert cli_main(["run", str(tmp_path / "missing.yaml")]) == 2
     # unknown values are caught with the config, before any solve runs
     for key, value in [("estimator_kind", "nope"), ("alpha_mode", "bogus"),
                        ("validate", "bogus"), ("eps_tol", 0.0), ("N_max", 0),
@@ -858,3 +866,39 @@ def test_cli_filesystem_error_exits_4(tmp_path, capsys):
     assert cli_main(["run", "--problem", "oned-continuous",
                      "--output-dir", str(blocker / "x")]) == 4
     assert capsys.readouterr().err.startswith("filesystem error")
+
+
+def test_cli_float_demo_output_in_missing_directory_exits_4(tmp_path, capsys):
+    out = tmp_path / "missing" / "fd.csv"
+    assert cli_main(["float-demo", "--n-max", "2", "--mu-samples", "10",
+                     "--output", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("filesystem error")
+
+
+def test_cli_validate_output_in_missing_directory_exits_4(tmp_path, capsys):
+    arts = run_experiment(_small_config(tmp_path))
+    out = tmp_path / "missing" / "v.csv"
+    assert cli_main(["validate", arts.directory, "--output", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("filesystem error")
+
+
+@pytest.mark.parametrize("problem, nodes, key", [
+    ("oned-continuous", 10, "xi"),
+    ("twod-first", 8, "images"),
+], ids=["oned-10-nodes", "twod-first"])
+def test_cli_validate_basis_of_another_operator_exits_2(tmp_path, capsys, problem,
+                                                         nodes, key):
+    # a basis.npz saved by another run does not fit this run's operator (an
+    # 8-node oned one): validate names the file and the first array that
+    # does not fit, and exits 2
+    arts = run_experiment(_small_config(tmp_path, nodes_per_dim=8))
+    other = run_experiment(_small_config(
+        tmp_path, problem=problem, nodes_per_dim=nodes,
+        training_grid=[4] * problem_spec(problem).param_dim,
+        output_dir=str(tmp_path / "other")))
+    os.replace(other.basis, arts.basis)
+    with pytest.raises(ConfigError, match=f"basis.npz .*{key} has shape"):
+        load_run(arts.directory)
+    assert cli_main(["validate", arts.directory]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "basis.npz" in err

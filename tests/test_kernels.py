@@ -84,9 +84,11 @@ def test_stable_matches_per_point(M, shape):
         qtc = rng.standard_normal((rank, Qf))
         rzt = rng.standard_normal((rank, N * Qa))
         args = (ta, tf, al, ab, fb, w, qtc, rzt)
-        values = kernels.stable_sweep(*args)
-        assert values.shape == (M,)
-        assert np.array_equal(values, oracles.stable_sweep_loop(*args)), k
+        values, clamped = kernels.stable_sweep(*args)
+        ref_values, ref_clamped = oracles.stable_sweep_loop(*args)
+        assert values.shape == clamped.shape == (M,)
+        assert np.array_equal(values, ref_values), k
+        assert np.array_equal(clamped, ref_clamped) and not clamped.any(), k
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -94,9 +96,11 @@ def test_stable_matches_per_point(M, shape):
 def test_lebesgue_matches_per_point(M, shape):
     N, Qa, Qf = shape
     ta, tf, _, ab, fb, _, _, _, rs = _random_inputs(M + 2, M, N, Qa, Qf)
-    values = kernels.lebesgue_sweep(ta, tf, ab, fb, rs)
-    assert values.shape == (M,)
-    assert np.array_equal(values, oracles.lebesgue_sweep_loop(ta, tf, ab, fb, rs))
+    values, clamped = kernels.lebesgue_sweep(ta, tf, ab, fb, rs)
+    ref_values, ref_clamped = oracles.lebesgue_sweep_loop(ta, tf, ab, fb, rs)
+    assert values.shape == clamped.shape == (M,)
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(clamped, ref_clamped) and not clamped.any()
 
 
 def test_classical_clamp_mask_matches_per_point_in_cancellation_regime():
@@ -140,17 +144,21 @@ def test_kernels_match_per_point_on_greedy_state(saturated_state):
     assert 0 < clamped.sum() < ta.shape[0]
 
     fc = build_stable_factors(L, C)
-    args = (ta, tf, alpha, *blocks, fc.w_coords, fc.qtc, fc.rzt)
-    assert np.array_equal(kernels.stable_sweep(*args), oracles.stable_sweep_loop(*args))
-
-    args = (ta, tf, *blocks, basis.chol_coeffs)
-    assert np.array_equal(kernels.lebesgue_sweep(*args),
-                          oracles.lebesgue_sweep_loop(*args))
+    for sweep, loop, args in [
+        (kernels.stable_sweep, oracles.stable_sweep_loop,
+         (ta, tf, alpha, *blocks, fc.w_coords, fc.qtc, fc.rzt)),
+        (kernels.lebesgue_sweep, oracles.lebesgue_sweep_loop,
+         (ta, tf, *blocks, basis.chol_coeffs)),
+    ]:
+        values, clamped = sweep(*args)
+        assert np.array_equal(values, loop(*args)[0])
+        assert not clamped.any()
 
 
 def test_lebesgue_back_substitution_matches_solve_triangular():
     ta, tf, _, ab, fb, _, _, _, rs = _random_inputs(4, M=8)
-    values = kernels.lebesgue_sweep(ta, tf, ab, fb, rs)
+    values, clamped = kernels.lebesgue_sweep(ta, tf, ab, fb, rs)
+    assert not clamped.any()
     for i in range(ta.shape[0]):
         A = np.tensordot(ta[i], ab, axes=1)
         u = np.linalg.solve(A, tf[i] @ fb)

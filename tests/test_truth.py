@@ -16,6 +16,7 @@ from rbkit.truth import (
     AffineOperator,
     ProblemSpec,
     _kron_affine_sum,
+    _truth_solver,
     assemble,
     assemble_affine,
     build_discretization,
@@ -376,8 +377,10 @@ def test_truth_solve_many_matches_dense_lu(pid):
 
 @pytest.mark.parametrize("pid", PROBLEM_IDS)
 def test_truth_solve_many_caches_schur_forms_bit_exactly(pid, monkeypatch):
-    # a 4 x 3 tensor grid (a 5-point line for the oned problems): each factor
-    # takes one Schur form per value of the weights of its nonzero terms
+    # a 4 x 3 tensor grid (a 5-point line for the oned problems): the cache
+    # keeps a factor's Schur form from the second point with the same
+    # weights of its nonzero terms on, so each recurring weight value takes
+    # two forms and a value seen once takes one
     spec = problem_spec(pid)
     op = assemble_affine(spec, build_discretization(12))
     counts = (4, 3) if spec.param_dim == 2 else (5,)
@@ -391,8 +394,25 @@ def test_truth_solve_many_caches_schur_forms_bit_exactly(pid, monkeypatch):
                         lambda *a, **k: calls.append(1) or schur(*a, **k))
     U = truth_solve_many(op, mus)
     assert np.array_equal(U, per_point)
-    # oned: Ay is the same matrix at every point
-    assert len(calls) == (7 if spec.param_dim == 2 else 6)
+    # twod: 2 x (4 + 3); oned: Ax changes at every point, Ay never does
+    assert len(calls) == (14 if spec.param_dim == 2 else 5 + 2)
+
+
+def test_truth_solver_keeps_no_form_that_never_recurs():
+    # on the oned problems Ax's weights change at every point, so no Ax form
+    # is read again: a slice-by-slice pass over 512 points keeps only Ay's
+    # (it held 7.6 MB when every form was kept)
+    op = assemble_affine(problem_spec("oned-continuous"), build_discretization(32))
+    points = np.linspace(-0.995, 0.995, 512)[:, None]
+    tracemalloc.start()
+    try:
+        solve = _truth_solver(op)
+        for lo in range(0, points.shape[0], 256):
+            solve(points[lo:lo + 256])
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1e6
 
 
 def test_kron_sum_with_zero_one_by_one_factor_is_the_matrix():
