@@ -109,8 +109,11 @@ def _cmd_validate(args):
         config = dataclasses.replace(config, validation_grid=args.grid)
     spec = problem_spec(config.problem)
     points = make_training_grid(spec.param_domain, config.validation_grid)
-    errors = _grid_errors(op, points, basis, model, [basis.size])[basis.size]
     out_path = args.output or os.path.join(args.run_dir, "validate.csv")
+    # a missing output directory fails before the grid's truth solves
+    if not os.path.isdir(os.path.dirname(out_path) or os.curdir):
+        raise FileNotFoundError(f"the directory of {out_path} does not exist")
+    errors = _grid_errors(op, points, basis, model, [basis.size])[basis.size]
     mu_names = [f"mu{d + 1}" for d in range(spec.param_dim)]
     _write_csv(
         out_path,

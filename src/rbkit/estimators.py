@@ -33,7 +33,7 @@ from .numerics import (
     pivoted_qr,
     smallest_symmetric_eigenvalue,
 )
-from .truth import _affine_sum, _FactorCache, load_vector
+from .truth import _FactorCache, _factor_sums, load_vector
 
 __all__ = [
     "StableFactors",
@@ -117,28 +117,19 @@ def build_stable_factors(L, C):
     return StableFactors(rank=rank, w_coords=w_coords, qtc=qtc, rzt=rzt)
 
 
-def _factor_sums(op, mu):
-    """``(Sx, Sy)``, the theta-weighted sums of the 1-D factors at mu, so
-    that A(mu) = kron(Sx, I) + kron(I, Sy)."""
-    theta = op.theta_a_values([mu])[0]
-    Fx, Fy = zip(*op.kron_factors)
-    return _affine_sum(theta, Fx), _affine_sum(theta, Fy)
-
-
 def coercivity_lower_bound(op, mus):
     """The ``exact-eig`` lower bound for the stability constant at each row
     of ``mus``: the smallest eigenvalue of sym A(mu), floored at
     ``ALPHA_FLOOR``.  A value equal to ``ALPHA_FLOOR`` marks a degenerate
     bound.  sym A(mu) is the Kronecker sum of sym Sx and sym Sy, so its
     smallest eigenvalue is the sum of theirs (Lynch-Rice-Thomas 1964) and no
-    ``dim x dim`` matrix is formed.  Each factor's eigenvalue is kept once
-    per recurring tuple of the weights of its nonzero terms, as the Schur
-    forms of ``truth_solve_many`` are, so on a tensor grid a factor takes two
-    eigensolves per point of its axis."""
-    Fx, Fy = zip(*op.kron_factors)
-    lam_x, lam_y = (_FactorCache(F, smallest_symmetric_eigenvalue) for F in (Fx, Fy))
-    return np.array([max(lam_x.get(w) + lam_y.get(w), ALPHA_FLOOR)
-                     for w in op.theta_a_values(mus)])
+    ``dim x dim`` matrix is formed.  A factor takes one eigensolve per tuple
+    of the weights of its nonzero terms among ``mus`` (``_FactorCache``), as
+    in ``truth_solve_many``: one per point of its axis on a tensor grid."""
+    table = op.theta_a_values(mus)
+    lam = _FactorCache(op, smallest_symmetric_eigenvalue, table)
+    return np.array([max(lam_x + lam_y, ALPHA_FLOOR)
+                     for lam_x, lam_y in map(lam.get, table)])
 
 
 def residual_norm_oracle(op, basis, mu, u_hat):
@@ -147,7 +138,7 @@ def residual_norm_oracle(op, basis, mu, u_hat):
 
     A(mu) u is applied in its Kronecker form ``Sx U + U Sy^T`` on
     ``U = u.reshape(nx, ny)``, so no ``dim x dim`` matrix is formed."""
-    Sx, Sy = _factor_sums(op, mu)
+    Sx, Sy = _factor_sums(op, op.theta_a_values([mu])[0])
     U = (basis.xi @ np.asarray(u_hat, dtype=float)).reshape(Sx.shape[0], Sy.shape[0])
     r = load_vector(op, mu) - (Sx @ U + U @ Sy.T).ravel()
     return float(np.linalg.norm(r))

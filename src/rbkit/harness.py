@@ -254,7 +254,7 @@ def _grid_errors(op, points, basis, model, sizes):
     errors = {n: np.empty(points.shape[0]) for n in bases}
     if not bases:  # a grid no basis is validated on is not solved
         return errors
-    solve = _truth_solver(op)
+    solve = _truth_solver(op, points)
     for lo in range(0, points.shape[0], kernels.CHUNK):
         rows = slice(lo, lo + kernels.CHUNK)
         truth = _batched_truth(solve, points[rows])

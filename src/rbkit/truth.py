@@ -16,6 +16,7 @@ which ``solve_dense`` factors in place.  Validation truth rows solve the
 Sylvester form by Bartels-Stewart (``truth_solve_many``, ``_truth_solver``).
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -339,31 +340,28 @@ def truth_solve_many(op, mus):
     nearly so (``trsyl`` reports close eigenvalues of ``Ax`` and ``-Ay``, or
     had to scale the solution down) or where the solution is not finite.
 
-    Each factor's Schur form is kept once per recurring tuple of the theta
-    weights of its nonzero terms (``_FactorCache``).  On a tensor grid each
-    factor then takes two Schur forms per point of its axis, and on the oned
-    problems ``Ay`` takes two and ``Ax`` one per point, which is not kept.
+    A factor takes one Schur form per tuple of the theta weights of its
+    nonzero terms among ``mus`` (``_FactorCache``): one per point of its axis
+    on a tensor grid, and on the oned problems one for ``Ay`` and one per
+    point for ``Ax``.
     """
-    return _truth_solver(op)(mus)
+    return _truth_solver(op, mus)(mus)
 
 
-def _truth_solver(op):
-    """``truth_solve_many`` on ``op`` as a function of the points; its Schur forms
-    are cached across calls, so a grid solved in slices gets one call's rows."""
-    Fx, Fy = zip(*op.kron_factors)
-    nx, ny = Fx[0].shape[0], Fy[0].shape[0]
+def _truth_solver(op, points):
+    """``truth_solve_many`` on ``op`` as a function of the points, with one
+    Schur-form cache for ``points``, the grid its calls walk in slices."""
+    nx, ny = (F.shape[0] for F in op.kron_factors[0])
     (trsyl,) = sla.get_lapack_funcs(("trsyl",), dtype=float)
-    schur_x, schur_y = (_FactorCache(F, lambda S: sla.schur(S, output="real"))
-                        for F in (Fx, Fy))
+    schur = _FactorCache(op, lambda S: sla.schur(S, output="real"),
+                         op.theta_a_values(points))
 
     def solve(mus):
-        mus = np.atleast_2d(np.asarray(mus, dtype=float))
         ta = op.theta_a_values(mus)
         tf = op.theta_f_values(mus)
-        out = np.empty((mus.shape[0], nx * ny))
-        for i in range(mus.shape[0]):
-            Tx, Qx = schur_x.get(ta[i])
-            Ty, Qy = schur_y.get(ta[i])
+        out = np.empty((ta.shape[0], nx * ny))
+        for i in range(ta.shape[0]):
+            (Tx, Qx), (Ty, Qy) = schur.get(ta[i])
             F = _affine_sum(tf[i], op.f_components)
             C = Qx.T @ F.reshape(nx, ny) @ Qy
             Y, scale, info = trsyl(Tx, Ty, C, tranb="T")
@@ -377,26 +375,34 @@ def _truth_solver(op):
     return solve
 
 
-class _FactorCache:
-    """``fn(sum_q w[q] * factors[q])`` keyed by the tuple of the weights of
-    the nonzero factors: a zero factor adds only zeros to an accumulation
-    that starts at +0, so that tuple fixes every bit of the sum.  A value is
-    stored on the second sighting of its key, so a key that never recurs
-    (the x factor of the oned problems, at every point) holds no form, and
-    a recurring key costs two evaluations.  A cache serves one truth solver
-    or one bound call over many points."""
+def _factor_sums(op, weights):
+    """``(Sx, Sy)``, the sums of the 1-D factors under one row of theta_a
+    weights, so that A = kron(Sx, I) + kron(I, Sy)."""
+    return tuple(_affine_sum(weights, F) for F in zip(*op.kron_factors))
 
-    def __init__(self, factors, fn):
-        self.factors, self.fn = factors, fn
-        self.nonzero = [q for q, M in enumerate(factors) if np.any(M)]
-        self.values, self.seen = {}, set()
+
+class _FactorCache:
+    """``[fn(Sx), fn(Sy)]`` at a row of ``table``, the theta_a weights of the
+    points the cache serves.  Each side is keyed by the tuple of the weights
+    of its nonzero factors: a zero factor adds only zeros to an accumulation
+    that starts at +0, so that tuple fixes every bit of the sum.  A side's
+    value is kept only when its key occurs more than once in ``table``, so a
+    recurring key costs one evaluation and a key that occurs once (the x
+    factor of the oned problems, at every point) holds nothing."""
+
+    def __init__(self, op, fn, table):
+        self.fn, self.sides = fn, []
+        for factors in zip(*op.kron_factors):
+            nonzero = [q for q, M in enumerate(factors) if np.any(M)]
+            counts = Counter(map(tuple, table[:, nonzero]))
+            recurring = {key for key, count in counts.items() if count > 1}
+            self.sides.append((factors, nonzero, recurring, {}))
 
     def get(self, weights):
-        key = tuple(weights[self.nonzero])
-        if key in self.values:
-            return self.values[key]
-        value = self.fn(_affine_sum(weights, self.factors))
-        if key in self.seen:
-            self.values[key] = value
-        self.seen.add(key)
-        return value
+        values = []
+        for factors, nonzero, recurring, kept in self.sides:
+            key = tuple(weights[nonzero])
+            if key not in kept:
+                kept[key] = self.fn(_affine_sum(weights, factors))
+            values.append(kept[key] if key in recurring else kept.pop(key))
+        return values

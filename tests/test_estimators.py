@@ -42,6 +42,7 @@ from rbkit.harness import (
 from rbkit.truth import (
     AffineOperator,
     ProblemSpec,
+    _factor_sums,
     assemble,
     assemble_affine,
     build_discretization,
@@ -612,16 +613,15 @@ def test_exact_eig_alpha_values_are_the_pointwise_bounds(nodes):
                                  "twod-first", "twod-second"])
 def test_exact_eig_alpha_values_cache_factor_eigenvalues(pid, monkeypatch):
     # a 4 x 3 tensor grid (a 5-point line for the oned problems): each factor
-    # takes two eigensolves per recurring value of the weights of its nonzero
-    # terms (the cache keeps it from its second point on) and one per value
-    # seen once, and each value is the per-point sum of the two factors'
-    # eigenvalues
+    # takes one eigensolve per value of the weights of its nonzero terms (the
+    # cache keeps the values that recur among the points), and each value is
+    # the per-point sum of the two factors' eigenvalues
     _, _, op = build_problem(pid, 12)
     counts = [4, 3] if op.spec.param_dim == 2 else [5]
     train = make_training_grid(op.spec.param_domain, counts)
     per_point = []
     for mu in train:
-        Sx, Sy = estimators._factor_sums(op, mu)
+        Sx, Sy = _factor_sums(op, op.theta_a_values([mu])[0])
         per_point.append(max(smallest_symmetric_eigenvalue(Sx)
                              + smallest_symmetric_eigenvalue(Sy), ALPHA_FLOOR))
     calls = []
@@ -629,8 +629,8 @@ def test_exact_eig_alpha_values_cache_factor_eigenvalues(pid, monkeypatch):
                         lambda S: calls.append(1) or smallest_symmetric_eigenvalue(S))
     alpha = StableEstimator("exact-eig").alpha_values(op, train)
     assert np.array_equal(alpha, per_point)
-    # twod: 2 x (4 + 3); oned: Sx changes at every point, Sy never does
-    assert len(calls) == (14 if op.spec.param_dim == 2 else 5 + 2)
+    # twod: 4 + 3; oned: Sx changes at every point, Sy never does
+    assert len(calls) == (4 + 3 if op.spec.param_dim == 2 else 5 + 1)
 
 
 @pytest.mark.parametrize("nodes", [8, 12])

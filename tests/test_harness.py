@@ -477,8 +477,8 @@ def _count_truth_rows(monkeypatch):
     solvers = []
     make_solver = truth._truth_solver
 
-    def counting_solver(op):
-        solve, calls = make_solver(op), []
+    def counting_solver(op, points):
+        solve, calls = make_solver(op, points), []
         solvers.append(calls)
 
         def wrapped(mus):
@@ -875,8 +875,15 @@ def test_cli_float_demo_output_in_missing_directory_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("filesystem error")
 
 
-def test_cli_validate_output_in_missing_directory_exits_4(tmp_path, capsys):
+def test_cli_validate_output_in_missing_directory_exits_4(tmp_path, capsys,
+                                                          monkeypatch):
+    # the output directory is checked before any truth row is solved
     arts = run_experiment(_small_config(tmp_path))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("validate solved truth rows for a missing output")
+
+    monkeypatch.setattr(harness, "_truth_solver", forbidden)
     out = tmp_path / "missing" / "v.csv"
     assert cli_main(["validate", arts.directory, "--output", str(out)]) == 4
     assert capsys.readouterr().err.startswith("filesystem error")

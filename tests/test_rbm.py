@@ -131,8 +131,8 @@ def test_validate_memory_is_bounded_by_one_chunk(chunks):
 def test_validate_solves_truth_rows_chunk_by_chunk(monkeypatch):
     # a grid's truth rows are solved CHUNK points at a time through one
     # Schur-form cache: the errors keep the bits of the whole grid's
-    # truth_solve_many rows, each axis point takes two Schur forms (the
-    # cache keeps one from a key's second sighting on), and the whole
+    # truth_solve_many rows, each axis point takes one Schur form (the
+    # cache is built for the whole grid, not for a slice), and the whole
     # grid's truth rows are never held at once
     _, _, op = build_problem("twod-first", 16)
     points = make_training_grid(op.spec.param_domain, [65, 33])
@@ -150,7 +150,7 @@ def test_validate_solves_truth_rows_chunk_by_chunk(monkeypatch):
     finally:
         tracemalloc.stop()
     assert np.array_equal(errors, expected)
-    assert len(calls) == 2 * (65 + 33)
+    assert len(calls) == 65 + 33
     assert peak < points.shape[0] * op.dim * 8
 
 

@@ -378,9 +378,8 @@ def test_truth_solve_many_matches_dense_lu(pid):
 @pytest.mark.parametrize("pid", PROBLEM_IDS)
 def test_truth_solve_many_caches_schur_forms_bit_exactly(pid, monkeypatch):
     # a 4 x 3 tensor grid (a 5-point line for the oned problems): the cache
-    # keeps a factor's Schur form from the second point with the same
-    # weights of its nonzero terms on, so each recurring weight value takes
-    # two forms and a value seen once takes one
+    # keeps a factor's Schur form for every weight value of its nonzero terms
+    # that recurs among the points, so each weight value takes one form
     spec = problem_spec(pid)
     op = assemble_affine(spec, build_discretization(12))
     counts = (4, 3) if spec.param_dim == 2 else (5,)
@@ -394,8 +393,23 @@ def test_truth_solve_many_caches_schur_forms_bit_exactly(pid, monkeypatch):
                         lambda *a, **k: calls.append(1) or schur(*a, **k))
     U = truth_solve_many(op, mus)
     assert np.array_equal(U, per_point)
-    # twod: 2 x (4 + 3); oned: Ax changes at every point, Ay never does
-    assert len(calls) == (14 if spec.param_dim == 2 else 5 + 2)
+    # twod: 4 + 3; oned: Ax changes at every point, Ay never does
+    assert len(calls) == (4 + 3 if spec.param_dim == 2 else 5 + 1)
+
+
+def test_truth_solver_takes_one_form_for_a_key_that_recurs_in_one_slice(monkeypatch):
+    # two twod-first points share mu2, so Ax, whose nonzero terms carry the
+    # weights (1, mu2), is the same sum at both: one Schur form serves both
+    # points of the one call, and Ay takes one per mu1
+    op = assemble_affine(problem_spec("twod-first"), build_discretization(12))
+    mus = np.array([[0.5, 1.0], [2.5, 1.0]])
+    per_point = np.vstack([truth_solve_many(op, mu[None]) for mu in mus])
+    calls = []
+    schur = sla.schur
+    monkeypatch.setattr(sla, "schur",
+                        lambda *a, **k: calls.append(1) or schur(*a, **k))
+    assert np.array_equal(truth_solve_many(op, mus), per_point)
+    assert len(calls) == 1 + 2
 
 
 def test_truth_solver_keeps_no_form_that_never_recurs():
@@ -406,7 +420,7 @@ def test_truth_solver_keeps_no_form_that_never_recurs():
     points = np.linspace(-0.995, 0.995, 512)[:, None]
     tracemalloc.start()
     try:
-        solve = _truth_solver(op)
+        solve = _truth_solver(op, points)
         for lo in range(0, points.shape[0], 256):
             solve(points[lo:lo + 256])
         held, _ = tracemalloc.get_traced_memory()
