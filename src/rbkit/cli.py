@@ -110,7 +110,9 @@ def _cmd_validate(args):
     spec = problem_spec(config.problem)
     points = make_training_grid(spec.param_domain, config.validation_grid)
     out_path = args.output or os.path.join(args.run_dir, "validate.csv")
-    # a missing output directory fails before the grid's truth solves
+    # an output that cannot become a file fails before the grid's truth solves
+    if os.path.isdir(out_path):
+        raise IsADirectoryError(f"{out_path} is a directory")
     if not os.path.isdir(os.path.dirname(out_path) or os.curdir):
         raise FileNotFoundError(f"the directory of {out_path} does not exist")
     errors = _grid_errors(op, points, basis, model, [basis.size])[basis.size]

@@ -12,7 +12,6 @@ import json
 import numbers
 import os
 import time
-import warnings
 import zipfile
 from dataclasses import dataclass, field
 
@@ -352,9 +351,7 @@ def run_experiment(config):
 
         if pdim == 1:
             u_hat = rb_solve(sub_m, op, train)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                coeffs = lagrange_coefficients(sub_b, u_hat)
+            coeffs = lagrange_coefficients(sub_b, u_hat)
             path = os.path.join(out_dir, f"lagrange_N{k}.csv")
             _write_csv(
                 path,

@@ -117,8 +117,8 @@ def rb_solve(model, op, mu):
 
 
 def lagrange_coefficients(basis, u_hat):
-    """Snapshot-basis (cardinal Lagrange) coefficients c with R c = u_hat,
-    for one reduced solution ``(N,)`` or rows of them ``(m, N)``."""
+    """Snapshot-basis (cardinal Lagrange) coefficients c with R c = u_hat, for one
+    reduced solution ``(N,)`` or rows ``(m, N)``; warns when cond(R) > 1e12."""
     R = basis.chol_coeffs
     u_hat = np.asarray(u_hat, dtype=float)
     if R.shape[0] != u_hat.shape[-1]:

@@ -16,7 +16,7 @@ import pytest
 import yaml
 
 import rbkit
-from rbkit import cli, harness, kernels, truth
+from rbkit import cli, harness, kernels, rbm, truth
 from rbkit.cli import main as cli_main
 from rbkit.estimators import LebesgueEstimator, make_estimator
 from rbkit.harness import (
@@ -259,6 +259,22 @@ def test_lagrange_trace_sums_to_lebesgue_indicator(tmp_path):
             for c in row[1:]:
                 acc += abs(c)
             assert acc == value
+
+
+def test_run_reports_ill_conditioned_lagrange_factor(tmp_path, monkeypatch):
+    # rbm.lagrange_coefficients decides ill-conditioning; the run passes its
+    # warning on instead of filtering it
+    k = 3
+    config = _small_config(tmp_path, nodes_per_dim=16, N_max=k, checkpoints=[k])
+
+    def ill_conditioned(basis, u_hat):
+        bad = dataclasses.replace(basis, chol_coeffs=np.diag(np.logspace(0, -14, k)))
+        return rbm.lagrange_coefficients(bad, u_hat)
+
+    monkeypatch.setattr(harness, "lagrange_coefficients", ill_conditioned)
+    with pytest.warns(RuntimeWarning, match="ill conditioned"):
+        arts = run_experiment(config)
+    assert sorted(arts.lagrange) == [k]
 
 
 def test_rerun_history_byte_identical(tmp_path):
@@ -887,6 +903,21 @@ def test_cli_validate_output_in_missing_directory_exits_4(tmp_path, capsys,
     out = tmp_path / "missing" / "v.csv"
     assert cli_main(["validate", arts.directory, "--output", str(out)]) == 4
     assert capsys.readouterr().err.startswith("filesystem error")
+
+
+def test_cli_validate_output_directory_exits_4(tmp_path, capsys, monkeypatch):
+    # an output path that is a directory is refused before any truth row is
+    # solved, and nothing is written into it
+    arts = run_experiment(_small_config(tmp_path))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("validate solved truth rows for a directory output")
+
+    monkeypatch.setattr(harness, "_truth_solver", forbidden)
+    before = sorted(os.listdir(tmp_path))
+    assert cli_main(["validate", arts.directory, "--output", str(tmp_path)]) == 4
+    assert capsys.readouterr().err.startswith("filesystem error")
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 @pytest.mark.parametrize("problem, nodes, key", [
