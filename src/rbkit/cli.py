@@ -26,11 +26,12 @@ from .harness import (
     _grid_errors,
     _read_yaml,
     _write_csv,
+    _write_grid_csv,
     load_run,
     make_training_grid,
     run_experiment,
 )
-from .truth import PROBLEM_IDS, problem_spec
+from .truth import PROBLEM_IDS
 
 
 def _int_list(text):
@@ -107,8 +108,7 @@ def _cmd_validate(args):
     if args.grid is not None:
         # re-checked by ExperimentConfig like a configured validation grid
         config = dataclasses.replace(config, validation_grid=args.grid)
-    spec = problem_spec(config.problem)
-    points = make_training_grid(spec.param_domain, config.validation_grid)
+    points = make_training_grid(op.spec.param_domain, config.validation_grid)
     out_path = args.output or os.path.join(args.run_dir, "validate.csv")
     # an output that cannot become a file fails before the grid's truth solves
     if os.path.isdir(out_path):
@@ -116,12 +116,7 @@ def _cmd_validate(args):
     if not os.path.isdir(os.path.dirname(out_path) or os.curdir):
         raise FileNotFoundError(f"the directory of {out_path} does not exist")
     errors = _grid_errors(op, points, basis, model, [basis.size])[basis.size]
-    mu_names = [f"mu{d + 1}" for d in range(spec.param_dim)]
-    _write_csv(
-        out_path,
-        mu_names + ["true_error"],
-        [[float(v) for v in mu] + [float(err)] for mu, err in zip(points, errors)],
-    )
+    _write_grid_csv(out_path, points, ["true_error"], errors)
     finite = errors[np.isfinite(errors)]
     print(f"validated {len(errors)} points (N={basis.size})")
     if finite.size:

@@ -210,18 +210,22 @@ def build_problem(problem, nodes_per_dim):
     return spec, disc, op
 
 
-def _fmt(x):
-    if x is None:
-        return "nan"
-    return f"{x:.17g}"
-
-
 def _write_csv(path, header, rows):
+    """The one writer of CSV artifacts: a float (NumPy ``float64`` included)
+    as ``.17g``, so a NaN as ``nan``, anything else with ``str``."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) or v is None
-                              else str(v) for v in row) + "\n")
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
+def _write_grid_csv(path, points, names, *columns):
+    """A per-point grid file: the header ``mu1..mup`` and ``names``, then for
+    each point its coordinates and its entry of each column."""
+    mu_names = [f"mu{d + 1}" for d in range(points.shape[1])]
+    _write_csv(path, mu_names + names,
+               ([*mu, *values] for mu, *values in zip(points, *columns)))
 
 
 def _sub_basis(basis, model, k):
@@ -276,15 +280,11 @@ def run_experiment(config):
                                    workers=config.workers)
     greedy_seconds = time.perf_counter() - t_start
 
-    pdim = spec.param_dim
-    mu_names = [f"mu{d + 1}" for d in range(pdim)]
+    mu_names = [f"mu{d + 1}" for d in range(spec.param_dim)]
 
     snapshots_path = os.path.join(out_dir, "snapshots.csv")
-    _write_csv(
-        snapshots_path,
-        ["order"] + mu_names,
-        [[i] + [float(v) for v in mu] for i, mu in enumerate(basis.sample_set)],
-    )
+    _write_csv(snapshots_path, ["order"] + mu_names,
+               [[i, *mu] for i, mu in enumerate(basis.sample_set)])
 
     basis_path = os.path.join(out_dir, "basis.npz")
     np.savez(
@@ -311,15 +311,15 @@ def run_experiment(config):
     rows = []
     for r in history.records:
         if r.n == 0 or config.validate == "none":  # n = 0: the seeded pick
-            errs = (None, None)
+            errs = (np.nan, np.nan)
         elif config.validate == "argmax":
             at_mu = _grid_errors(op, np.atleast_2d(r.mu), basis, model, [r.n])
-            errs = (float(at_mu[r.n][0]), None)
+            errs = (at_mu[r.n][0], np.nan)
         else:
             grid = train_errors[r.n]
             [at] = np.flatnonzero(np.all(train == r.mu, axis=1))
-            errs = (float(grid[at]), float(np.max(grid)))
-        rows.append([r.n] + [float(v) for v in r.mu] + [float(r.estimate), *errs])
+            errs = (grid[at], np.max(grid))
+        rows.append([r.n, *r.mu, r.estimate, *errs])
     history_path = os.path.join(out_dir, "history.csv")
     _write_csv(history_path, ["n"] + mu_names + [
         "estimate", "true_error_argmax", "true_error_max"], rows)
@@ -337,29 +337,15 @@ def run_experiment(config):
         estimator.refresh(op, sub_b, sub_m)
         est_field, _ = estimator.sweep(sub_m, val_ta, val_tf, val_alpha,
                                        config.workers)
-        errs = field_errors[k]
-        path = os.path.join(out_dir, f"field_N{k}.csv")
-        _write_csv(
-            path,
-            mu_names + ["estimate", "true_error"],
-            [
-                [float(v) for v in mu] + [float(est_field[i]), errs[i]]
-                for i, mu in enumerate(val_points)
-            ],
-        )
-        fields[k] = path
+        fields[k] = os.path.join(out_dir, f"field_N{k}.csv")
+        _write_grid_csv(fields[k], val_points, ["estimate", "true_error"],
+                        est_field, field_errors[k])
 
-        if pdim == 1:
-            u_hat = rb_solve(sub_m, op, train)
-            coeffs = lagrange_coefficients(sub_b, u_hat)
-            path = os.path.join(out_dir, f"lagrange_N{k}.csv")
-            _write_csv(
-                path,
-                ["mu1"] + [f"c{m + 1}" for m in range(k)],
-                [[float(mu[0])] + [float(v) for v in c]
-                 for mu, c in zip(train, coeffs)],
-            )
-            lagrange[k] = path
+        if spec.param_dim == 1:
+            coeffs = lagrange_coefficients(sub_b, rb_solve(sub_m, op, train))
+            lagrange[k] = os.path.join(out_dir, f"lagrange_N{k}.csv")
+            _write_grid_csv(lagrange[k], train, [f"c{m + 1}" for m in range(k)],
+                            *coeffs.T)
     validation_seconds = time.perf_counter() - t_start
 
     metadata_path = os.path.join(out_dir, "metadata.json")

@@ -125,6 +125,11 @@ def test_riesz_identity_gram_is_plain_load(oned, oned_basis):
     assert L.shape == (oned.dim, basis.size * 2)
 
 
+def test_riesz_data_rejects_empty_basis(oned):
+    with pytest.raises(ValueError, match="basis must be nonempty"):
+        build_riesz_data(oned, empty_basis(oned.dim))
+
+
 def test_riesz_single_component_table():
     op = _toy_operator(dim=20, Q_a=1)
     basis, _ = _build_basis(op, [[0.3]])
@@ -374,6 +379,28 @@ def test_stable_refresh_keeps_no_load_direction_on_builtin_problems(pid, nodes):
     basis, _, _ = greedy(op, est, train, N_max=16, eps_tol=1e-14)
     assert len(est.w_rows) == basis.size
     assert est.w_rows == [0] * basis.size
+
+
+#: Training grids of the oracle-tracking greedies, at 12 nodes.
+_TRACKING_GRIDS = {"oned-continuous": [64], "oned-discontinuous": [64],
+                   "twod-first": [12, 8], "twod-second": [10, 10]}
+
+
+@pytest.mark.parametrize("pid", list(_TRACKING_GRIDS))
+def test_stable_greedy_tracks_oracle_at_every_step(pid):
+    # each recorded estimate, at its own mu with the leading-n basis the
+    # greedy scored it on, is the truth-space residual norm to the bound of
+    # the benchmark's oracle check: 1e-8 of the oracle plus 1e-11 of the
+    # load norm, the oracle's own cancellation floor
+    _, _, op = build_problem(pid, 12)
+    train = make_training_grid(op.spec.param_domain, _TRACKING_GRIDS[pid])
+    basis, model, history = greedy(op, make_estimator("stable"), train,
+                                   N_max=40, eps_tol=1e-14, seed=0)
+    for r in history.records[1:]:
+        sub_b, sub_m = _sub_basis(basis, model, r.n)
+        ref = residual_norm_oracle(op, sub_b, r.mu, rb_solve(sub_m, op, r.mu))
+        load = np.linalg.norm(load_vector(op, r.mu))
+        assert abs(r.estimate - ref) <= 1e-8 * ref + 1e-11 * load, r.n
 
 
 def test_stable_rank_deficiency_duplicate_columns(oned, oned_basis):

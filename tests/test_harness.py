@@ -219,6 +219,22 @@ def test_run_experiment_artifacts(tmp_path):
     assert len(lag.dtype.names) == 5  # mu plus one column per snapshot
 
 
+def test_grid_writer_layout_and_missing_value(tmp_path):
+    # coordinates first, then one entry per column; every float, NumPy's
+    # float64 included, as 17 significant digits, and a missing one as nan
+    points = make_training_grid(((0.0, 1.0), (0.0, 2.0)), [2, 2])
+    path = tmp_path / "grid.csv"
+    harness._write_grid_csv(path, points, ["a", "b"],
+                            np.array([0.1, np.nan, 1.0 / 3.0, 2.0]), [1, 2, 3, 4])
+    assert path.read_text().splitlines() == [
+        "mu1,mu2,a,b",
+        "0,0,0.10000000000000001,1",
+        "1,0,nan,2",
+        "0,2,0.33333333333333331,3",
+        "1,2,2,4",
+    ]
+
+
 def test_run_metadata_roundtrips_config(tmp_path):
     config = _small_config(tmp_path)
     arts = run_experiment(config)

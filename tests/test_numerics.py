@@ -173,6 +173,14 @@ def test_solve_rejects_non_finite_load(value):
         solve_dense(np.eye(4), b)
 
 
+@pytest.mark.parametrize("call", [lambda A: solve_dense(A, np.ones(2)),
+                                  smallest_symmetric_eigenvalue],
+                         ids=["solve_dense", "smallest_symmetric_eigenvalue"])
+def test_non_square_matrix_rejected(call):
+    with pytest.raises(ValueError, match="A must be square"):
+        call(np.ones((2, 3)))
+
+
 # ---------------------------------------------------------------------------
 # smallest_symmetric_eigenvalue
 

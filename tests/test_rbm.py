@@ -241,6 +241,12 @@ def test_lagrange_kronecker_at_snapshots(oned, oned_basis):
         assert np.max(np.abs(c - np.eye(basis.size)[:, n])) <= 1e-8
 
 
+def test_lagrange_rejects_length_mismatch(oned_basis):
+    basis, _ = oned_basis
+    with pytest.raises(ValueError, match="does not match basis size"):
+        lagrange_coefficients(basis, np.ones(basis.size + 1))
+
+
 def test_lagrange_warns_when_ill_conditioned(oned_basis):
     basis, _ = oned_basis
     bad = dataclasses.replace(

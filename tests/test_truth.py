@@ -72,6 +72,9 @@ def test_grid_monomial_exactness_sweep():
 def test_grid_rejects_zero():
     with pytest.raises(ValueError):
         chebyshev_grid(0)
+    # two nodes per direction leave no interior
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        build_discretization(2)
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +106,10 @@ def test_affine_component_counts():
 def test_unknown_problem_id():
     with pytest.raises(ValueError):
         problem_spec("no-such-problem")
+    # a spec built by hand names no operator unless its id is built in
+    spec = ProblemSpec(id="no-such-problem", param_domain=((0.0, 1.0),))
+    with pytest.raises(ValueError, match="unknown problem id 'no-such-problem'"):
+        assemble_affine(spec, build_discretization(4))
 
 
 # ---------------------------------------------------------------------------
