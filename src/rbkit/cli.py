@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .estimators import ALPHA_MODES, ESTIMATOR_KINDS, float_demo
+from .estimators import ESTIMATOR_KINDS, float_demo
 from .harness import (
     VALIDATE_MODES,
     ConfigError,
@@ -50,7 +50,6 @@ def _add_run_parser(sub):
     p.add_argument("--eps-tol", type=float)
     p.add_argument("--n-max", dest="N_max", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--alpha-mode", choices=ALPHA_MODES)
     p.add_argument("--validation-grid", type=_int_list)
     p.add_argument("--output-dir")
     p.add_argument("--checkpoints", type=_int_list,

@@ -11,15 +11,9 @@
 
 This module holds each indicator's offline data and the greedy-facing
 drivers, which only forward that data to the formulas and sweeps in
-``kernels`` and pass on their ``(values, clamped)``.  Also here: the
-coercivity lower-bound plug-in, a truth-space residual-norm oracle used by
-the tests, and the scalar loss-of-significance demo that motivates the
-stable evaluation.
-
-The ``exact-eig`` bound floors on three of the four problems: at 50 nodes on
-the paper grids lambda_min(sym A(mu)) lies between -1.1e6 and -5.5e5 at every
-point of the oned problems and twod-second, so those estimates are the unit
-ones times 1e12; on twod-first it lies between 0.566 and 11.7.
+``kernels`` and pass on their ``(values, clamped)``.  Also here: a
+truth-space residual-norm oracle used by the tests, and the scalar
+loss-of-significance demo that motivates the stable evaluation.
 """
 
 from dataclasses import dataclass
@@ -27,20 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .numerics import (
-    DROP_TOL,
-    _mgs_coeffs,
-    pivoted_qr,
-    smallest_symmetric_eigenvalue,
-)
-from .truth import _FactorCache, _factor_sums, load_vector
+from .numerics import DROP_TOL, _mgs_coeffs, pivoted_qr
+from .truth import _factor_sums, load_vector
 
 __all__ = [
     "StableFactors",
     "EstimateValue",
     "build_riesz_data",
     "build_stable_factors",
-    "coercivity_lower_bound",
     "residual_norm_oracle",
     "float_demo",
     "make_estimator",
@@ -48,16 +36,7 @@ __all__ = [
     "StableEstimator",
     "LebesgueEstimator",
     "ESTIMATOR_KINDS",
-    "ALPHA_MODES",
 ]
-
-#: Stability-constant modes of an estimator: ``unit`` takes 1 (the plain
-#: residual dual norm), ``exact-eig`` the ``coercivity_lower_bound``.
-ALPHA_MODES = ("unit", "exact-eig")
-
-#: Floor of the ``exact-eig`` coercivity lower bound; a smaller eigenvalue
-#: is reported as degenerate.
-ALPHA_FLOOR = 1e-12
 
 
 @dataclass
@@ -117,21 +96,6 @@ def build_stable_factors(L, C):
     return StableFactors(rank=rank, w_coords=w_coords, qtc=qtc, rzt=rzt)
 
 
-def coercivity_lower_bound(op, mus):
-    """The ``exact-eig`` lower bound for the stability constant at each row
-    of ``mus``: the smallest eigenvalue of sym A(mu), floored at
-    ``ALPHA_FLOOR``.  A value equal to ``ALPHA_FLOOR`` marks a degenerate
-    bound.  sym A(mu) is the Kronecker sum of sym Sx and sym Sy, so its
-    smallest eigenvalue is the sum of theirs (Lynch-Rice-Thomas 1964) and no
-    ``dim x dim`` matrix is formed.  A factor takes one eigensolve per tuple
-    of the weights of its nonzero terms among ``mus`` (``_FactorCache``), as
-    in ``truth_solve_many``: one per point of its axis on a tensor grid."""
-    table = op.theta_a_values(mus)
-    lam = _FactorCache(op, smallest_symmetric_eigenvalue, table)
-    return np.array([max(lam_x + lam_y, ALPHA_FLOOR)
-                     for lam_x, lam_y in map(lam.get, table)])
-
-
 def residual_norm_oracle(op, basis, mu, u_hat):
     """Euclidean (dual) norm of f(mu) - A(mu) (xi u_hat), formed directly in
     the truth space for checks of the estimators.
@@ -173,16 +137,12 @@ def float_demo(N_values, mu_samples=1000, seed=0):
 
 
 class _EstimatorBase:
-    def __init__(self, alpha_mode="unit"):
-        if alpha_mode not in ALPHA_MODES:
-            raise ValueError(f"unknown alpha mode {alpha_mode!r}")
-        self.alpha_mode = alpha_mode
-
     def alpha_values(self, op, train):
-        """The stability constant at each row of ``train``, by the mode."""
-        if self.alpha_mode == "unit":
-            return np.ones(train.shape[0])
-        return coercivity_lower_bound(op, train)
+        """The stability constant at each row of ``train``: 1, so the
+        residual-based indicators are the plain residual dual norms.  A
+        method, called by the greedy and the field files, because the
+        benchmark's tracer (``bench/tracing.py``) wraps it."""
+        return np.ones(train.shape[0])
 
     def value_at(self, op, mu, u_hat, alpha_lb):
         """The indicator at one parameter ``mu`` for a given reduced solution
@@ -246,12 +206,6 @@ class LebesgueEstimator(_EstimatorBase):
     kind = "lebesgue"
     chol_coeffs = None
 
-    def __init__(self, alpha_mode="unit"):
-        super().__init__(alpha_mode)
-        if alpha_mode != "unit":
-            raise ValueError(f"alpha mode {alpha_mode!r} has no effect on the "
-                             "lebesgue estimator, which reads no stability constant")
-
     def refresh(self, op, basis, model):
         self.chol_coeffs = basis.chol_coeffs
 
@@ -270,7 +224,7 @@ _ESTIMATORS = {cls.kind: cls
 ESTIMATOR_KINDS = tuple(_ESTIMATORS)
 
 
-def make_estimator(kind, alpha_mode="unit"):
+def make_estimator(kind):
     if not isinstance(kind, str) or kind not in _ESTIMATORS:
         raise ValueError(f"unknown estimator kind {kind!r}")
-    return _ESTIMATORS[kind](alpha_mode)
+    return _ESTIMATORS[kind]()

@@ -107,7 +107,6 @@ class ExperimentConfig:
     eps_tol: float = 1e-12
     N_max: int = 40
     seed: int = 0
-    alpha_mode: str = "unit"
     validation_grid: list | None = None  # None: the training grid
     output_dir: str = "runs/out"
     checkpoints: list = field(default_factory=list)
@@ -137,7 +136,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"output_dir must be a non-empty string, got {self.output_dir!r}")
         try:
-            make_estimator(self.estimator_kind, self.alpha_mode)
+            make_estimator(self.estimator_kind)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.validate not in VALIDATE_MODES:
@@ -167,7 +166,8 @@ class ExperimentConfig:
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            # YAML keys need not be strings, and mixed types do not compare
+            raise ConfigError(f"unknown config keys: {sorted(unknown, key=repr)}")
         if "problem" not in data:
             raise ConfigError("config must name a problem")
         try:
@@ -273,7 +273,7 @@ def run_experiment(config):
 
     spec, disc, op = build_problem(config.problem, config.nodes_per_dim)
     train = make_training_grid(spec.param_domain, config.training_grid)
-    estimator = make_estimator(config.estimator_kind, alpha_mode=config.alpha_mode)
+    estimator = make_estimator(config.estimator_kind)
     t_start = time.perf_counter()
     basis, model, history = greedy(op, estimator, train, N_max=config.N_max,
                                    eps_tol=config.eps_tol, seed=config.seed,
@@ -388,6 +388,9 @@ def load_run(run_dir):
             saved = dict(json.load(fh)["config"])
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"no run config in {metadata_path}: {exc!r}") from None
+    # runs saved with the removed stability-constant option still load: it
+    # never changed the stored basis or blocks
+    saved.pop("alpha_mode", None)
     config = ExperimentConfig.from_dict(saved)
     spec, disc, op = build_problem(config.problem, config.nodes_per_dim)
     basis_path = os.path.join(run_dir, "basis.npz")

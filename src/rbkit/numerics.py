@@ -13,7 +13,6 @@ import scipy.linalg as sla
 __all__ = [
     "pivoted_qr",
     "solve_dense",
-    "smallest_symmetric_eigenvalue",
 ]
 
 #: Tolerance for dropping a nearly dependent vector during
@@ -100,16 +99,3 @@ def solve_dense(A, b):
             f"matrix singular to working precision (pivot {pivot_min:.3e})")
     return sla.lu_solve((lu, piv), b, check_finite=False)
 
-
-def smallest_symmetric_eigenvalue(A):
-    """Smallest eigenvalue of sym(A) = (A + A^T)/2.
-
-    This is the infimum of the Rayleigh quotient w^T sym(A) w / w^T w.
-    """
-    A = np.asarray(A, dtype=float)
-    _check_finite(A, "A")
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
-    S = 0.5 * (A + A.T)
-    vals = sla.eigh(S, eigvals_only=True, subset_by_index=[0, 0])
-    return float(vals[0])

@@ -353,8 +353,7 @@ def _truth_solver(op, points):
     Schur-form cache for ``points``, the grid its calls walk in slices."""
     nx, ny = (F.shape[0] for F in op.kron_factors[0])
     (trsyl,) = sla.get_lapack_funcs(("trsyl",), dtype=float)
-    schur = _FactorCache(op, lambda S: sla.schur(S, output="real"),
-                         op.theta_a_values(points))
+    schur = _FactorCache(op, op.theta_a_values(points))
 
     def solve(mus):
         ta = op.theta_a_values(mus)
@@ -382,16 +381,17 @@ def _factor_sums(op, weights):
 
 
 class _FactorCache:
-    """``[fn(Sx), fn(Sy)]`` at a row of ``table``, the theta_a weights of the
-    points the cache serves.  Each side is keyed by the tuple of the weights
-    of its nonzero factors: a zero factor adds only zeros to an accumulation
-    that starts at +0, so that tuple fixes every bit of the sum.  A side's
-    value is kept only when its key occurs more than once in ``table``, so a
-    recurring key costs one evaluation and a key that occurs once (the x
-    factor of the oned problems, at every point) holds nothing."""
+    """The real Schur forms ``[(Tx, Qx), (Ty, Qy)]`` of ``Sx`` and ``Sy`` at a
+    row of ``table``, the theta_a weights of the points the cache serves.
+    Each side is keyed by the tuple of the weights of its nonzero factors: a
+    zero factor adds only zeros to an accumulation that starts at +0, so that
+    tuple fixes every bit of the sum.  A side's form is kept only when its
+    key occurs more than once in ``table``, so a recurring key costs one
+    Schur form and a key that occurs once (the x factor of the oned
+    problems, at every point) holds nothing."""
 
-    def __init__(self, op, fn, table):
-        self.fn, self.sides = fn, []
+    def __init__(self, op, table):
+        self.sides = []
         for factors in zip(*op.kron_factors):
             nonzero = [q for q, M in enumerate(factors) if np.any(M)]
             counts = Counter(map(tuple, table[:, nonzero]))
@@ -403,6 +403,6 @@ class _FactorCache:
         for factors, nonzero, recurring, kept in self.sides:
             key = tuple(weights[nonzero])
             if key not in kept:
-                kept[key] = self.fn(_affine_sum(weights, factors))
+                kept[key] = sla.schur(_affine_sum(weights, factors), output="real")
             values.append(kept[key] if key in recurring else kept.pop(key))
         return values

@@ -1,13 +1,11 @@
 """Independent verification oracles used by the test suite.
 
 These deliberately avoid the code paths in the package under test: rank via
-singular values, smallest eigenvalue via inertia bisection on an LDL^T
-factorization, true errors via dense solves and an explicit Galerkin
+singular values, true errors via dense solves and an explicit Galerkin
 system.
 """
 
 import numpy as np
-import scipy.linalg as sla
 
 
 def svd_rank(B, rel_tol=1e-10):
@@ -16,45 +14,6 @@ def svd_rank(B, rel_tol=1e-10):
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rel_tol * s[0]))
-
-
-def _count_eigs_below(S, t):
-    """Number of eigenvalues of symmetric S strictly below t, from the
-    inertia of the LDL^T factorization of S - t I."""
-    _, D, _ = sla.ldl(S - t * np.eye(S.shape[0]))
-    count = 0
-    j = 0
-    n = D.shape[0]
-    while j < n:
-        if j + 1 < n and D[j, j + 1] != 0.0:
-            # 2x2 block: one positive and one negative eigenvalue iff the
-            # determinant is negative
-            det = D[j, j] * D[j + 1, j + 1] - D[j, j + 1] * D[j + 1, j]
-            tr = D[j, j] + D[j + 1, j + 1]
-            if det < 0.0:
-                count += 1
-            elif det > 0.0 and tr < 0.0:
-                count += 2
-            j += 2
-        else:
-            if D[j, j] < 0.0:
-                count += 1
-            j += 1
-    return count
-
-
-def smallest_eig_bisection(A, iters=200):
-    """Smallest eigenvalue of sym(A) by inertia bisection; no eigensolver."""
-    S = 0.5 * (A + A.T)
-    bound = np.linalg.norm(S, np.inf) + 1.0
-    lo, hi = -bound, bound
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if _count_eigs_below(S, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 def true_error_reference(op, basis, mu):

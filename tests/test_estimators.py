@@ -1,30 +1,23 @@
-"""Tests for the three greedy objectives, their offline data, the coercivity
-plug-in, the truth-space residual oracle, and the scalar cancellation demo."""
+"""Tests for the three greedy objectives, their offline data, the stability
+constant, the truth-space residual oracle, and the scalar cancellation demo."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from rbkit import estimators, kernels
+from rbkit import kernels
 from rbkit.cli import build_parser
 from rbkit.estimators import (
-    ALPHA_FLOOR,
     ESTIMATOR_KINDS,
-    ClassicalEstimator,
     StableEstimator,
     build_riesz_data,
     build_stable_factors,
-    coercivity_lower_bound,
     float_demo,
     make_estimator,
     residual_norm_oracle,
 )
-from rbkit.numerics import (
-    _mgs_coeffs,
-    pivoted_qr,
-    smallest_symmetric_eigenvalue,
-)
+from rbkit.numerics import _mgs_coeffs, pivoted_qr
 from rbkit.rbm import (
     empty_basis,
     empty_model,
@@ -42,7 +35,6 @@ from rbkit.harness import (
 from rbkit.truth import (
     AffineOperator,
     ProblemSpec,
-    _factor_sums,
     assemble,
     assemble_affine,
     build_discretization,
@@ -76,11 +68,6 @@ def _stable_row(factors, theta_f, c):
                                                factors.rzt)
     assert not clamped
     return value
-
-
-def _ones(m):
-    """One unit weight per parameter row."""
-    return np.ones((len(m), 1))
 
 
 def _toy_operator(dim=30, Q_a=1, Q_f=1, seed=0):
@@ -536,151 +523,16 @@ def test_lebesgue_is_one_at_snapshots(oned, oned_basis):
 
 
 # ---------------------------------------------------------------------------
-# coercivity lower bound
+# stability constant
 
 
 def test_coercivity_unit_mode(oned):
-    # the unit mode takes 1 at every point and computes no bound
-    est = make_estimator("stable")
-    assert np.array_equal(est.alpha_values(oned, np.array([[0.4], [-0.2]])), [1.0, 1.0])
-
-
-def test_coercivity_exact_eig_identity_operator():
-    spec = ProblemSpec("toy", ((-1.0, 1.0),))
-    op = AffineOperator(
-        spec=spec,
-        kron_factors=[(np.eye(8), np.zeros((1, 1)))],
-        f_components=[np.ones(8)],
-        theta_a=_ones,
-        theta_f=_ones,
-    )
-    assert coercivity_lower_bound(op, [[0.0]])[0] == pytest.approx(1.0)
-
-
-def test_coercivity_floor_and_flag():
-    spec = ProblemSpec("toy", ((-1.0, 1.0),))
-    op = AffineOperator(
-        spec=spec,
-        kron_factors=[(-np.eye(5), np.zeros((1, 1)))],
-        f_components=[np.ones(5)],
-        theta_a=_ones,
-        theta_f=_ones,
-    )
-    # a degenerate bound is the floor itself
-    assert coercivity_lower_bound(op, [[0.0]])[0] == ALPHA_FLOOR == 1e-12
-
-
-def test_coercivity_smaller_toward_degenerate_corner():
-    # the stability constant is that of the coercive orientation of the
-    # operator (the equation multiplied by -1); as assembled, the symmetrized
-    # collocation matrix is negative and the bound floors
-    _, _, op = build_problem("twod-second", 12)
-    assert coercivity_lower_bound(op, [[0.0, 0.0]])[0] == ALPHA_FLOOR
-    op_c = AffineOperator(
-        spec=op.spec,
-        kron_factors=[(-Ax, -Ay) for Ax, Ay in op.kron_factors],
-        f_components=[-fq for fq in op.f_components],
-        theta_a=op.theta_a,
-        theta_f=op.theta_f,
-    )
-    corner = coercivity_lower_bound(op_c, [[0.99, 0.99]])[0]
-    center = coercivity_lower_bound(op_c, [[0.0, 0.0]])[0]
-    assert 0.0 < corner < center
-    # cross-check both points with the eigenvalue bisection oracle
-    for mu, got in [([0.99, 0.99], corner), ([0.0, 0.0], center)]:
-        ref = oracles.smallest_eig_bisection(assemble(op_c, mu))
-        assert got == pytest.approx(ref, rel=1e-8, abs=1e-10)
-
-
-@pytest.mark.parametrize("pid", ["oned-continuous", "oned-discontinuous",
-                                 "twod-first", "twod-second"])
-def test_coercivity_matches_dense_eigensolve(pid):
-    # the bound from the 1-D factors against the smallest eigenvalue of sym A
-    # summed from the full-grid dense components: a symmetric eigensolve is
-    # backward stable, so each side is within a small multiple of
-    # eps ||sym A|| of the exact value; 1e-10 ||sym A|| leaves a wide margin
-    _, disc, op = build_problem(pid, 12)
-    components = oracles.dense_components(pid, disc)
-    train = make_training_grid(op.spec.param_domain, [5] * op.spec.param_dim)
-    for mu, theta in zip(train, op.theta_a_values(train)):
-        A = sum(t * Aq for t, Aq in zip(theta, components))
-        S = 0.5 * (A + A.T)
-        lam = np.linalg.eigvalsh(S)[0]
-        got = coercivity_lower_bound(op, [mu])[0]
-        assert (got == ALPHA_FLOOR) == (lam <= ALPHA_FLOOR)
-        assert abs(got - max(lam, ALPHA_FLOOR)) <= 1e-10 * np.linalg.norm(S, 2)
-
-
-def test_coercivity_forms_no_dense_matrix():
-    # at 50 nodes a dense A(mu) would take 42.5 MB; the bound reads only the
-    # 48 x 48 factors
-    _, _, op = build_problem("twod-first", 50)
-    tracemalloc.start()
-    try:
-        coercivity_lower_bound(op, [[1.0, 0.5]])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1e6
-
-
-@pytest.mark.parametrize("nodes", [8, 12])
-def test_exact_eig_alpha_values_are_the_pointwise_bounds(nodes):
-    # on twod-first the symmetrized operator is positive definite, so the
-    # bound does not floor and the mode's values are the bounds themselves,
-    # bit for bit those of one-row batches
-    _, _, op = build_problem("twod-first", nodes)
-    train = make_training_grid(op.spec.param_domain, [5, 5])
-    alpha = StableEstimator("exact-eig").alpha_values(op, train)
-    assert np.array_equal(alpha, [coercivity_lower_bound(op, [mu])[0] for mu in train])
-    assert alpha.min() > ALPHA_FLOOR
-
-
-@pytest.mark.parametrize("pid", ["oned-continuous", "oned-discontinuous",
-                                 "twod-first", "twod-second"])
-def test_exact_eig_alpha_values_cache_factor_eigenvalues(pid, monkeypatch):
-    # a 4 x 3 tensor grid (a 5-point line for the oned problems): each factor
-    # takes one eigensolve per value of the weights of its nonzero terms (the
-    # cache keeps the values that recur among the points), and each value is
-    # the per-point sum of the two factors' eigenvalues
-    _, _, op = build_problem(pid, 12)
-    counts = [4, 3] if op.spec.param_dim == 2 else [5]
-    train = make_training_grid(op.spec.param_domain, counts)
-    per_point = []
-    for mu in train:
-        Sx, Sy = _factor_sums(op, op.theta_a_values([mu])[0])
-        per_point.append(max(smallest_symmetric_eigenvalue(Sx)
-                             + smallest_symmetric_eigenvalue(Sy), ALPHA_FLOOR))
-    calls = []
-    monkeypatch.setattr(estimators, "smallest_symmetric_eigenvalue",
-                        lambda S: calls.append(1) or smallest_symmetric_eigenvalue(S))
-    alpha = StableEstimator("exact-eig").alpha_values(op, train)
-    assert np.array_equal(alpha, per_point)
-    # twod: 4 + 3; oned: Sx changes at every point, Sy never does
-    assert len(calls) == (4 + 3 if op.spec.param_dim == 2 else 5 + 1)
-
-
-@pytest.mark.parametrize("nodes", [8, 12])
-def test_exact_eig_greedy_divides_unit_estimate_by_the_bound(nodes):
-    # each recorded estimate is the unit-mode indicator on the basis the
-    # sweep saw, divided by the bound at the recorded point
-    _, _, op = build_problem("twod-first", nodes)
-    train = make_training_grid(op.spec.param_domain, [5, 5])
-    basis, model, history = greedy(op, StableEstimator("exact-eig"), train,
-                                   N_max=6, eps_tol=1e-14)
-    assert len(history.records) > 2
-    for rec in history.records[1:]:
-        sub_b, sub_m = _sub_basis(basis, model, rec.n)
-        unit = _refreshed("stable", op, sub_b, sub_m)
-        u_hat = rb_solve(sub_m, op, rec.mu)
-        want = unit.value_at(op, rec.mu, u_hat, 1.0).value
-        assert rec.estimate == want / coercivity_lower_bound(op, [rec.mu])[0]
-
-
-def test_coercivity_unknown_mode(oned):
-    # the estimator owns the mode, and rejects an unknown one when built
-    with pytest.raises(ValueError, match="alpha mode"):
-        ClassicalEstimator("nope")
+    # every kind takes the stability constant 1 at every point
+    points = np.array([[0.4], [-0.2], [0.0]])
+    for kind in ESTIMATOR_KINDS:
+        alpha = make_estimator(kind).alpha_values(oned, points)
+        assert alpha.dtype == float
+        assert np.array_equal(alpha, np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -878,8 +730,3 @@ def test_estimator_kinds_agree_with_cli_and_factory(capsys):
     for kind in ESTIMATOR_KINDS:
         assert make_estimator(kind).kind == kind
 
-
-@pytest.mark.parametrize("kind", ["classical", "stable", "lebesgue"])
-def test_make_estimator_unknown_alpha_mode(kind):
-    with pytest.raises(ValueError, match="alpha mode"):
-        make_estimator(kind, alpha_mode="bogus")

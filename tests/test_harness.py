@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ import yaml
 import rbkit
 from rbkit import cli, harness, kernels, rbm, truth
 from rbkit.cli import main as cli_main
-from rbkit.estimators import LebesgueEstimator, make_estimator
+from rbkit.estimators import make_estimator
 from rbkit.harness import (
     ConfigError,
     ExperimentConfig,
@@ -95,10 +96,16 @@ def test_config_above_32_nodes_uses_paper_scale_training(tmp_path):
 
 def test_every_config_field_has_one_run_flag():
     run = cli._add_run_parser(argparse.ArgumentParser().add_subparsers())
-    dests = [a.dest for a in run._actions
-             if a.option_strings and a.dest != "help"]
+    actions = [a for a in run._actions if a.option_strings and a.dest != "help"]
     fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
-    assert sorted(dests) == sorted(fields)
+    assert sorted(a.dest for a in actions) == sorted(fields)
+    # the README's flag table lists exactly the parser's flags, in its order
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("`rbkit run` has one flag per config field")[1]
+    rows = [line for line in table.split("\n\n")[1].splitlines()
+            if line.startswith("| `--")]
+    assert [row.split("`")[1] for row in rows] == [
+        option for a in actions for option in a.option_strings]
 
 
 def test_config_unknown_key_rejected():
@@ -126,32 +133,21 @@ def test_config_rejects_workers_below_one(tmp_path, capsys, workers):
     assert not (tmp_path / "out").exists()
 
 
-def test_config_rejects_alpha_mode_with_lebesgue(tmp_path, capsys):
-    # the Lebesgue indicator reads no stability constant, so exact-eig would
-    # be recorded in metadata.json without taking effect
-    with pytest.raises(ConfigError, match="exact-eig"):
-        ExperimentConfig(problem="oned-continuous", estimator_kind="lebesgue",
-                         alpha_mode="exact-eig")
-    with pytest.raises(ValueError, match="lebesgue"):
-        make_estimator("lebesgue", alpha_mode="exact-eig")
-    with pytest.raises(ValueError, match="lebesgue"):
-        LebesgueEstimator("exact-eig")
+def test_alpha_mode_option_is_refused(tmp_path, capsys):
+    # the stability constant is 1 for every estimator, and there is no
+    # option to choose another: the flag and the config key are both unknown
     out = str(tmp_path / "out")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--problem", "oned-continuous", "--alpha-mode", "unit",
+                  "--output-dir", out])
+    assert exc.value.code == 2
+    assert "--alpha-mode" in capsys.readouterr().err
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(yaml.safe_dump({"problem": "oned-continuous",
-                                   "estimator_kind": "lebesgue",
-                                   "alpha_mode": "exact-eig", "output_dir": out}))
-    for argv in (["run", "--problem", "oned-continuous", "--estimator", "lebesgue",
-                  "--alpha-mode", "exact-eig", "--output-dir", out],
-                 ["run", str(cfg)]):
-        assert cli_main(argv) == 2
-        assert capsys.readouterr().err.startswith("config error")
+                                   "alpha_mode": "unit", "output_dir": out}))
+    assert cli_main(["run", str(cfg)]) == 2
+    assert "unknown config keys: ['alpha_mode']" in capsys.readouterr().err
     assert not os.path.exists(out)
-    # the pair with the unit mode, and exact-eig with the other kinds, stay
-    ExperimentConfig(problem="oned-continuous", estimator_kind="lebesgue")
-    for kind in ("classical", "stable"):
-        ExperimentConfig(problem="oned-continuous", estimator_kind=kind,
-                         alpha_mode="exact-eig")
 
 
 def test_config_roundtrip_dict():
@@ -641,6 +637,27 @@ def test_cli_validate_rejects_saved_validate_fields_key(tmp_path, capsys):
     assert "validate_fields" in capsys.readouterr().err
 
 
+def test_cli_validate_loads_run_saved_with_alpha_mode(tmp_path, capsys):
+    # runs saved while the stability constant was an option carry its key;
+    # it never changed the stored basis or blocks, so validate drops it and
+    # writes the same bytes
+    arts = run_experiment(_small_config(tmp_path))
+    out = os.path.join(arts.directory, "validate.csv")
+    assert cli_main(["validate", arts.directory]) == 0
+    with open(out, "rb") as fh:
+        want = fh.read()
+    os.remove(out)
+    with open(arts.metadata) as fh:
+        meta = json.load(fh)
+    meta["config"]["alpha_mode"] = "unit"
+    with open(arts.metadata, "w") as fh:
+        json.dump(meta, fh)
+    assert cli_main(["validate", arts.directory]) == 0
+    with open(out, "rb") as fh:
+        assert fh.read() == want
+    assert load_run(arts.directory)[0] == _small_config(tmp_path)
+
+
 def test_cli_validate_rejects_run_without_reduced_blocks(tmp_path, capsys):
     # a basis.npz saved before the reduced blocks, or before the operator
     # images, were stored cannot give the greedy's state, nor can one
@@ -888,6 +905,11 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         assert cli_main(["run", str(bad)]) == 2, (key, value)
         err = capsys.readouterr().err
         assert err.startswith("config error") and (key in err or repr(value) in err)
+    # YAML keys of mixed types are named, not compared
+    bad.write_text(f"problem: oned-continuous\n1: 2\nnope: 3\n"
+                   f"output_dir: {tmp_path / 'out'}\n")
+    assert cli_main(["run", str(bad)]) == 2
+    assert "unknown config keys: ['nope', 1]" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

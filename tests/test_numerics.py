@@ -9,7 +9,6 @@ from rbkit.numerics import (
     FINITE_BLOCK,
     _mgs_coeffs,
     pivoted_qr,
-    smallest_symmetric_eigenvalue,
     solve_dense,
 )
 
@@ -173,41 +172,8 @@ def test_solve_rejects_non_finite_load(value):
         solve_dense(np.eye(4), b)
 
 
-@pytest.mark.parametrize("call", [lambda A: solve_dense(A, np.ones(2)),
-                                  smallest_symmetric_eigenvalue],
-                         ids=["solve_dense", "smallest_symmetric_eigenvalue"])
+@pytest.mark.parametrize("call", [lambda A: solve_dense(A, np.ones(2))],
+                         ids=["solve_dense"])
 def test_non_square_matrix_rejected(call):
     with pytest.raises(ValueError, match="A must be square"):
         call(np.ones((2, 3)))
-
-
-# ---------------------------------------------------------------------------
-# smallest_symmetric_eigenvalue
-
-
-def test_smallest_eig_identity():
-    assert smallest_symmetric_eigenvalue(np.eye(4)) == pytest.approx(1.0)
-
-
-def test_smallest_eig_diagonal():
-    assert smallest_symmetric_eigenvalue(np.diag([3.0, -2.0])) == pytest.approx(-2.0)
-
-
-def test_smallest_eig_matches_bisection_oracle():
-    rng = np.random.default_rng(9)
-    A = rng.standard_normal((20, 20))
-    A = 0.5 * (A + A.T)
-    lam = smallest_symmetric_eigenvalue(A)
-    ref = oracles.smallest_eig_bisection(A)
-    assert lam == pytest.approx(ref, rel=1e-10, abs=1e-10)
-
-
-def test_smallest_eig_rayleigh_lower_bound():
-    rng = np.random.default_rng(10)
-    A = rng.standard_normal((15, 15))
-    lam = smallest_symmetric_eigenvalue(A)
-    S = 0.5 * (A + A.T)
-    for _ in range(10):
-        w = rng.standard_normal(15)
-        w /= np.linalg.norm(w)
-        assert (w @ S @ w) / (w @ w) >= lam - 1e-8 * np.linalg.norm(A)
