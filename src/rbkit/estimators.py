@@ -11,7 +11,7 @@
 
 This module holds each indicator's offline data and the greedy-facing
 drivers, which only forward that data to the formulas and sweeps in
-``kernels`` and pass on their ``(values, clamped)``.  Also here: a
+``kernels`` and pass on their values, NaN where unresolved.  Also here: a
 truth-space residual-norm oracle used by the tests, and the scalar
 loss-of-significance demo that motivates the stable evaluation.
 """
@@ -52,8 +52,7 @@ class StableFactors:
 
 @dataclass
 class EstimateValue:
-    value: float
-    clamped: bool = False
+    value: float  # NaN when the indicator cannot resolve it
 
 
 def build_riesz_data(op, basis):
@@ -137,6 +136,10 @@ def float_demo(N_values, mu_samples=1000, seed=0):
 
 
 class _EstimatorBase:
+    """A driver's ``sweep(model, theta_a, theta_f, alpha, workers=1)`` gives
+    the indicator at every row of the theta tables from ``model``'s blocks
+    and the last ``refresh``, one float array (NaN where unresolved)."""
+
     def alpha_values(self, op, train):
         """The stability constant at each row of ``train``: 1, so the
         residual-based indicators are the plain residual dual norms.  A
@@ -152,15 +155,9 @@ class _EstimatorBase:
             raise ValueError("alpha_lb must be positive")
         u = np.asarray(u_hat, dtype=float)[None, :]
         c = kernels.residual_coefficients(op.theta_a_values([mu]), u)
-        values, clamped = self._values(op.theta_f_values([mu]), c,
-                                       np.array([float(alpha_lb)]), u)
-        return EstimateValue(float(values[0]), bool(clamped[0]))
-
-    def sweep(self, model, theta_a, theta_f, alpha, workers=1):
-        """The indicator at every row of the theta tables from ``model``'s
-        blocks and the last ``refresh``; returns ``(values, clamped)``, where
-        ``clamped`` marks values that are unresolved (clamped at zero)."""
-        raise NotImplementedError
+        values = self._values(op.theta_f_values([mu]), c,
+                              np.array([float(alpha_lb)]), u)
+        return EstimateValue(float(values[0]))
 
 
 class ClassicalEstimator(_EstimatorBase):

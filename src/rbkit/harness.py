@@ -2,9 +2,10 @@
 validation sweeps, and delimited-text artifact emission.
 
 All numeric artifact files are comma-separated with a header line and
-17-significant-digit floats, so reruns with the same config and seed are
-byte-identical.  Timings and environment details go to the metadata sidecar
-only, which is the one artifact allowed to differ between reruns.
+17-significant-digit floats, so reruns with the same config and seed at a
+fixed BLAS thread count are byte-identical.  Timings and environment details
+go to the metadata sidecar only, which is the one artifact allowed to differ
+between reruns.
 """
 
 import dataclasses
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, kernels
-from .estimators import make_estimator
+from .estimators import ESTIMATOR_KINDS, make_estimator
 from .rbm import (
     greedy,
     lagrange_coefficients,
@@ -135,10 +136,8 @@ class ExperimentConfig:
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError(
                 f"output_dir must be a non-empty string, got {self.output_dir!r}")
-        try:
-            make_estimator(self.estimator_kind)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        if self.estimator_kind not in ESTIMATOR_KINDS:
+            raise ConfigError(f"unknown estimator kind {self.estimator_kind!r}")
         if self.validate not in VALIDATE_MODES:
             raise ConfigError(f"unknown validate mode {self.validate!r}")
         pdim = problem_spec(self.problem).param_dim
@@ -170,10 +169,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown, key=repr)}")
         if "problem" not in data:
             raise ConfigError("config must name a problem")
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**data)
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -335,8 +331,7 @@ def run_experiment(config):
     for k in checkpoints:
         sub_b, sub_m = _sub_basis(basis, model, k)
         estimator.refresh(op, sub_b, sub_m)
-        est_field, _ = estimator.sweep(sub_m, val_ta, val_tf, val_alpha,
-                                       config.workers)
+        est_field = estimator.sweep(sub_m, val_ta, val_tf, val_alpha, config.workers)
         fields[k] = os.path.join(out_dir, f"field_N{k}.csv")
         _write_grid_csv(fields[k], val_points, ["estimate", "true_error"],
                         est_field, field_errors[k])
@@ -359,6 +354,7 @@ def run_experiment(config):
             "sweep_seconds": [r.seconds for r in history.records],
             "validation_seconds": validation_seconds,
         },
+        "unresolved": [r.unresolved for r in history.records],
     }
     with open(metadata_path, "w") as fh:
         json.dump(meta, fh, indent=2)

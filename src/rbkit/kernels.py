@@ -28,9 +28,9 @@ coefficient trace sums to the Lebesgue indicator bit for bit.
 
 The kernels take precomputed theta tables, ``theta_a (M, Q_a)`` and
 ``theta_f (M, Q_f)``, the reduced blocks ``a_blocks (Q_a, N, N)`` and
-``f_blocks (Q_f, N)``.  Every formula and sweep returns ``(values, clamped)``,
-one indicator value per parameter and a mask of the values that are
-unresolved (clamped at zero); only the classical quadratic clamps.
+``f_blocks (Q_f, N)``.  Every formula and sweep returns one float array,
+one indicator value per parameter; a value the indicator cannot resolve is
+NaN, and only the classical quadratic has such values.
 The residual-coefficient ordering is snapshot-major: ``c[m*Q_a + q]``.
 """
 
@@ -156,26 +156,23 @@ def _dot(x, y):
 
 def classical_values(theta_f, c, alpha, cc, cl, ll):
     """Expanded-quadratic residual estimate for rows of load coefficients
-    ``theta_f (m, Q_f)`` and residual coefficients ``c (m, N*Q_a)``; returns
-    (values, clamped) where clamped marks rows whose squared form went
-    negative in floating point and was clamped at zero.  A clamped value is
-    unresolved, not zero: the true residual lies somewhere below the
-    quadratic's rounding floor."""
+    ``theta_f (m, Q_f)`` and residual coefficients ``c (m, N*Q_a)``.  A row
+    whose squared form went negative in floating point is NaN: unresolved,
+    not zero, since the true residual lies somewhere below the quadratic's
+    rounding floor."""
     quad = _dot(_vecmat(theta_f, cc), theta_f) + _dot(_vecmat(c, ll), c) - 2.0 * _dot(
         _vecmat(theta_f, cl), c
     )
-    clamped = quad < 0.0
-    return np.sqrt(np.where(clamped, 0.0, quad)) / alpha, clamped
+    return np.sqrt(np.where(quad < 0.0, np.nan, quad)) / alpha
 
 
 def stable_values(theta_f, c, alpha, w_coords, qtc, rzt):
     """Pythagorean-split residual estimate for rows of load and residual
-    coefficients (never clamped): the complement part ``w_coords theta_f``
+    coefficients (never NaN): the complement part ``w_coords theta_f``
     and the range part ``qtc theta_f - rzt c`` are normed separately."""
     t1 = _matvec(w_coords, theta_f)
     t2 = _matvec(qtc, theta_f) - _matvec(rzt, c)
-    values = np.sqrt(_dot(t1, t1) + _dot(t2, t2)) / alpha
-    return values, np.zeros(values.shape, dtype=bool)
+    return np.sqrt(_dot(t1, t1) + _dot(t2, t2)) / alpha
 
 
 def lagrange_values(u, rs):
@@ -199,12 +196,12 @@ def lagrange_values(u, rs):
 
 def lebesgue_values(u, rs):
     """Sum of absolute Lagrange coefficients (``lagrange_values``) for rows
-    of reduced solutions ``u (m, N)`` (never clamped)."""
+    of reduced solutions ``u (m, N)`` (never NaN)."""
     c = lagrange_values(u, rs)
     acc = np.zeros(u.shape[0])
     for m in range(u.shape[1]):
         acc += np.abs(c[:, m])
-    return acc, np.zeros(acc.shape, dtype=bool)
+    return acc
 
 
 # The three sweeps keep their positional arguments 0-7 in this order (for
@@ -215,15 +212,13 @@ def lebesgue_values(u, rs):
 def _sweep(formula, tables, theta_a, theta_f, alpha, a_blocks, f_blocks, workers):
     """``formula(theta_f, c, alpha, *tables)`` on each chunk's coefficients ``c``."""
     values = np.empty(theta_a.shape[0])
-    clamped = np.empty(theta_a.shape[0], dtype=bool)
 
     def write(lo, hi, u):
         c = residual_coefficients(theta_a[lo:hi], u)
-        values[lo:hi], clamped[lo:hi] = formula(theta_f[lo:hi], c, alpha[lo:hi],
-                                                *tables)
+        values[lo:hi] = formula(theta_f[lo:hi], c, alpha[lo:hi], *tables)
 
     _solve_chunks(theta_a, theta_f, a_blocks, f_blocks, write, workers)
-    return values, clamped
+    return values
 
 
 def classical_sweep(theta_a, theta_f, alpha, a_blocks, f_blocks, cc, cl, ll, workers=1):

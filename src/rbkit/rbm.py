@@ -76,6 +76,7 @@ class GreedyRecord:
     mu: np.ndarray
     estimate: float
     seconds: float  # sweep and selection; 0.0 for the seeded pick
+    unresolved: int = 0  # NaN values of the sweep; 0 for the seeded pick
 
 
 @dataclass
@@ -219,9 +220,8 @@ def greedy(op, estimator, training_set, *, N_max, eps_tol, seed=0, workers=1):
     * the basis reaches ``N_max``;
     * the basis saturates (``history.saturated`` is set and the sweep is not
       recorded): an already-selected point is the strict maximizer, or the
-      maximum is unresolved because the sweep's mask marks it clamped (a
-      clamped value is a rounding floor, not a zero error, so it never
-      satisfies ``eps_tol``);
+      maximum is unresolved (a NaN value is ranked as 0 but is a rounding
+      floor, not a zero error, so it never satisfies ``eps_tol``);
     * the picked snapshot is numerically dependent on the basis
       (``history.saturated`` is set after the sweep is recorded); at the
       seeded pick the :class:`DependentSnapshotError` propagates instead.
@@ -263,17 +263,18 @@ def greedy(op, estimator, training_set, *, N_max, eps_tol, seed=0, workers=1):
         if basis.size >= N_max:
             break
         t0 = time.perf_counter()
-        values, clamped = estimator.sweep(model, theta_a, theta_f, alpha, workers)
-        masked = values.copy()
+        values = estimator.sweep(model, theta_a, theta_f, alpha, workers)
+        ranked = np.where(np.isnan(values), 0.0, values)
+        masked = ranked.copy()
         masked[selected] = -np.inf
         best = int(np.argmax(masked))
-        if (masked[best] == -np.inf or np.max(values[selected]) > values[best]
-                or clamped[best]):
+        if (masked[best] == -np.inf or np.max(ranked[selected]) > ranked[best]
+                or np.isnan(values[best])):
             # an already-selected point is the strict maximizer (re-selecting
             # it would force a dependent snapshot), or every remaining value
             # is below the estimator's rounding floor: no informative pick
             history.saturated = True
             break
         record = GreedyRecord(basis.size, train[best].copy(), float(values[best]),
-                              time.perf_counter() - t0)
+                              time.perf_counter() - t0, int(np.isnan(values).sum()))
     return basis, model, history

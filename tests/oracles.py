@@ -45,7 +45,6 @@ def classical_sweep_loop(theta_a, theta_f, alpha, a_blocks, f_blocks, cc, cl, ll
     Qf = f_blocks.shape[0]
     N = a_blocks.shape[1]
     values = np.empty(M)
-    clamped = np.zeros(M, dtype=np.bool_)
     for i in range(M):
         A = np.zeros((N, N))
         for q in range(Qa):
@@ -62,16 +61,14 @@ def classical_sweep_loop(theta_a, theta_f, alpha, a_blocks, f_blocks, cc, cl, ll
         quad = np.dot(np.dot(tf, cc), tf) + np.dot(np.dot(c, ll), c) - 2.0 * np.dot(
             np.dot(tf, cl), c
         )
-        if quad < 0.0:
-            clamped[i] = True
-            quad = 0.0
-        values[i] = np.sqrt(quad) / alpha[i]
-    return values, clamped
+        # a negative quadratic is unresolved, NaN
+        values[i] = np.sqrt(quad) / alpha[i] if quad >= 0.0 else np.nan
+    return values
 
 
 def stable_sweep_loop(theta_a, theta_f, alpha, a_blocks, f_blocks, w_coords, qtc, rzt,
                       workers=1):
-    """Per-point reference for ``kernels.stable_sweep``, never clamped
+    """Per-point reference for ``kernels.stable_sweep``, never NaN
     (``workers`` is accepted and ignored)."""
     M = theta_a.shape[0]
     Qa = a_blocks.shape[0]
@@ -94,11 +91,11 @@ def stable_sweep_loop(theta_a, theta_f, alpha, a_blocks, f_blocks, w_coords, qtc
         t1 = np.dot(w_coords, tf)
         t2 = np.dot(qtc, tf) - np.dot(rzt, c)
         values[i] = np.sqrt(np.dot(t1, t1) + np.dot(t2, t2)) / alpha[i]
-    return values, np.zeros(M, dtype=np.bool_)
+    return values
 
 
 def lebesgue_sweep_loop(theta_a, theta_f, a_blocks, f_blocks, rs, workers=1):
-    """Per-point reference for ``kernels.lebesgue_sweep``, never clamped
+    """Per-point reference for ``kernels.lebesgue_sweep``, never NaN
     (``workers`` is accepted and ignored)."""
     M = theta_a.shape[0]
     Qa = a_blocks.shape[0]
@@ -123,7 +120,7 @@ def lebesgue_sweep_loop(theta_a, theta_f, a_blocks, f_blocks, rs, workers=1):
         for m in range(N):
             acc += abs(c[m])
         values[i] = acc
-    return values, np.zeros(M, dtype=np.bool_)
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,7 @@ def test_criterion_2_estimator_equivalence_above_floor(oned32_stable):
             continue
         v1 = classical.value_at(op, rec.mu, u_hat, 1.0).value
         rel = abs(v1 - rec.estimate) / rec.estimate
-        worst_rel = max(worst_rel, rel)
+        worst_rel = float(np.maximum(worst_rel, rel))  # an unresolved v1 fails
         checked.append(rec.estimate)
     elapsed = time.perf_counter() - t0
     ok = len(checked) >= 5 and worst_rel <= 1e-6 and elapsed < 60.0
@@ -233,10 +233,10 @@ def test_criterion_5_rank_deficiency_robustness(oned32_stable):
         split = rng.uniform(0.2, 0.8)
         c_dup = np.concatenate([c, split * c[(N - 1) * Qa:]])
         c_dup[(N - 1) * Qa:N * Qa] *= 1.0 - split
-        [v_clean], _ = kernels.stable_values(theta_f[None], c[None], np.ones(1),
-                                             clean.w_coords, clean.qtc, clean.rzt)
-        [v_dup], _ = kernels.stable_values(theta_f[None], c_dup[None], np.ones(1),
-                                           dup.w_coords, dup.qtc, dup.rzt)
+        [v_clean] = kernels.stable_values(theta_f[None], c[None], np.ones(1),
+                                          clean.w_coords, clean.qtc, clean.rzt)
+        [v_dup] = kernels.stable_values(theta_f[None], c_dup[None], np.ones(1),
+                                        dup.w_coords, dup.qtc, dup.rzt)
         worst_rel = max(worst_rel, abs(v_dup - v_clean) / v_clean)
     ok = rank_ok and worst_rel <= 1e-12
     _report(5, ok, f"duplicated columns: rank {dup.rank} < {L_dup.shape[1]} "

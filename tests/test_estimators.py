@@ -63,10 +63,8 @@ def _refreshed(kind, op, basis, model=None):
 
 def _stable_row(factors, theta_f, c):
     """``kernels.stable_values`` for one explicit coefficient row."""
-    [value], [clamped] = kernels.stable_values(theta_f[None], c[None], np.ones(1),
-                                               factors.w_coords, factors.qtc,
-                                               factors.rzt)
-    assert not clamped
+    [value] = kernels.stable_values(theta_f[None], c[None], np.ones(1),
+                                    factors.w_coords, factors.qtc, factors.rzt)
     return value
 
 
@@ -193,7 +191,6 @@ def test_classical_matches_oracle_above_floor(oned, oned_basis):
         assert ref >= 1e-4 * f_scale  # random coefficients sit far from the floor
         est = classical.value_at(oned, mu, u_hat, 1.0)
         assert est.value == pytest.approx(ref, rel=1e-8)
-        assert not est.clamped
 
 
 def test_classical_rejects_bad_alpha(oned, oned_basis):
@@ -205,10 +202,11 @@ def test_classical_rejects_bad_alpha(oned, oned_basis):
 
 def test_classical_clamp_only_in_cancellation_regime():
     # a residual that is exactly zero in real arithmetic: the expanded
-    # quadratic evaluates to floating-point noise of either sign
+    # quadratic evaluates to floating-point noise of either sign, and a
+    # negative one gives an unresolved (NaN) value
     rng = np.random.default_rng(15)
     op = _toy_operator(dim=25, Q_a=2, seed=7)
-    clamp_seen = False
+    nan_seen = False
     for trial in range(30):
         mus = [[rng.uniform(-1, 1)], [rng.uniform(-1, 1)]]
         basis, model = _build_basis(op, mus)
@@ -219,14 +217,14 @@ def test_classical_clamp_only_in_cancellation_regime():
         pts = np.array(mus + [[rng.uniform(-1, 1)] for _ in range(10)])
         for mu, u_hat in zip(pts, rb_solve(model, op, pts)):
             est = classical.value_at(op, mu, u_hat, 1.0)
-            if est.clamped:
-                clamp_seen = True
-                # clamps must only happen when the true residual is tiny
+            if np.isnan(est.value):
+                nan_seen = True
+                # NaN must only come when the true residual is tiny
                 ref = residual_norm_oracle(op, basis, mu, u_hat)
                 assert ref <= 1e-6 * np.linalg.norm(load_vector(op, mu))
-        if clamp_seen:
+        if nan_seen:
             break
-    assert clamp_seen, "no clamp event observed in the cancellation regime"
+    assert nan_seen, "no NaN value observed in the cancellation regime"
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +269,6 @@ def test_stable_at_snapshot_parameters_no_floor(oned):
     for mu, u_hat in zip(basis.sample_set, U):
         est = stable.value_at(oned, mu, u_hat, 1.0)
         assert est.value <= 1e-12 * f_scale
-        assert not est.clamped
 
 
 def test_stable_pythagorean_split_against_truth_space(oned, oned_basis):
@@ -492,8 +489,8 @@ def test_scale_equivariance(oned, oned_basis):
     # the Lebesgue indicator sees the jointly scaled solution and snapshots
     # (u_hat and R both times s) as unchanged
     rs = basis.chol_coeffs
-    [v3], _ = kernels.lebesgue_values(u_hat[None], rs)
-    [v3s], _ = kernels.lebesgue_values(s * u_hat[None], s * rs)
+    [v3] = kernels.lebesgue_values(u_hat[None], rs)
+    [v3s] = kernels.lebesgue_values(s * u_hat[None], s * rs)
     assert v3s == pytest.approx(v3, rel=1e-12)
 
 
@@ -504,8 +501,7 @@ def test_scale_equivariance(oned, oned_basis):
 def test_lebesgue_trivial_values():
     # with an identity change of basis the Lagrange coefficients are u itself
     def value(u):
-        [v], [clamped] = kernels.lebesgue_values(u[None], np.eye(u.size))
-        assert not clamped
+        [v] = kernels.lebesgue_values(u[None], np.eye(u.size))
         return v
 
     assert value(np.eye(4)[:, 2]) == 1.0
@@ -635,11 +631,10 @@ def test_sweep_values_match_pointwise_estimates(oned, oned_basis):
                                                    model.f_blocks))
     for kind in ("classical", "stable", "lebesgue"):
         est = _refreshed(kind, oned, basis, model)
-        values, clamped = est.sweep(model, ta, tf, np.ones(train.shape[0]))
-        for mu, u_hat, value, flag in zip(train, U, values, clamped):
+        values = est.sweep(model, ta, tf, np.ones(train.shape[0]))
+        for mu, u_hat, value in zip(train, U, values):
             point = est.value_at(oned, mu, u_hat, 1.0)
-            assert point.value == value, kind
-            assert point.clamped == flag, kind
+            assert np.array_equal(point.value, value, equal_nan=True), kind
 
 
 def _kernel_calls(kind, est, model, ta, tf, alpha, u):
@@ -659,13 +654,12 @@ def _kernel_calls(kind, est, model, ta, tf, alpha, u):
 
 
 @pytest.mark.parametrize("kind", ["classical", "stable", "lebesgue"])
-def test_every_formula_and_sweep_returns_values_and_clamp_mask(oned, oned_basis,
-                                                               kind):
-    # the one indicator contract: each formula and sweep returns float
-    # values and a bool mask of their shape, all False but for the classical
-    # quadratic, and value_at at rb_solve's solution is the one-row sweep,
-    # value and mask; the snapshot parameters, where the residual is
-    # rounding noise, are among the points
+def test_every_formula_and_sweep_returns_one_float_array(oned, oned_basis, kind):
+    # the one indicator contract: each formula and sweep returns one (M,)
+    # float64 array, NaN nowhere but in the classical quadratic, and
+    # value_at at rb_solve's solution is the one-row sweep, NaN where NaN;
+    # the snapshot parameters, where the residual is rounding noise, are
+    # among the points
     basis, model = oned_basis
     est = _refreshed(kind, oned, basis, model)
     train = np.vstack([np.linspace(-0.995, 0.995, 33)[:, None], basis.sample_set])
@@ -673,14 +667,14 @@ def test_every_formula_and_sweep_returns_values_and_clamp_mask(oned, oned_basis,
     alpha = np.ones(train.shape[0])
     u = rb_solve(model, oned, train)
     results = _kernel_calls(kind, est, model, ta, tf, alpha, u)
-    for values, clamped in results + (est.sweep(model, ta, tf, alpha),):
-        assert values.dtype == np.float64 and clamped.dtype == np.bool_
-        assert values.shape == clamped.shape == (train.shape[0],)
-        assert kind == "classical" or not clamped.any()
+    for values in results + (est.sweep(model, ta, tf, alpha),):
+        assert isinstance(values, np.ndarray) and values.dtype == np.float64
+        assert values.shape == (train.shape[0],)
+        assert kind == "classical" or not np.isnan(values).any()
     for i, mu in enumerate(train):
         point = est.value_at(oned, mu, u[i], 1.0)
-        [value], [flag] = est.sweep(model, ta[i:i + 1], tf[i:i + 1], alpha[i:i + 1])
-        assert (point.value, point.clamped) == (value, flag), mu
+        [value] = est.sweep(model, ta[i:i + 1], tf[i:i + 1], alpha[i:i + 1])
+        assert np.array_equal(point.value, value, equal_nan=True), mu
 
 
 def test_classical_greedy_tables_match_fresh_refresh(oned):
@@ -701,7 +695,7 @@ def test_lebesgue_sweep_matches_pointwise(oned, oned_basis):
     basis, model = oned_basis
     train = np.linspace(-0.995, 0.995, 17)[:, None]
     est = _refreshed("lebesgue", oned, basis, model)
-    values, _ = est.sweep(
+    values = est.sweep(
         model, oned.theta_a_values(train), oned.theta_f_values(train),
         np.ones(train.shape[0]),
     )

@@ -261,8 +261,8 @@ def test_lagrange_trace_sums_to_lebesgue_indicator(tmp_path):
         sub_b, sub_m = _sub_basis(basis, model, k)
         lebesgue = make_estimator("lebesgue")
         lebesgue.refresh(op, sub_b, sub_m)
-        swept, _ = lebesgue.sweep(sub_m, op.theta_a_values(train),
-                                  op.theta_f_values(train), np.ones(len(train)))
+        swept = lebesgue.sweep(sub_m, op.theta_a_values(train),
+                               op.theta_f_values(train), np.ones(len(train)))
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         assert rows.shape == (24, k + 1)
         assert np.array_equal(rows[:, 0], train[:, 0])
@@ -329,6 +329,54 @@ def test_history_estimate_matches_field_file(tmp_path, problem, nodes, grid, kin
         assert row["n"] == str(k)
         field = {tuple(r[m] for m in mu_names): r["estimate"] for r in read(path)}
         assert field[tuple(row[m] for m in mu_names)] == row["estimate"], k
+
+
+def test_classical_field_file_writes_unresolved_estimates_as_nan(tmp_path):
+    # a field estimate is nan exactly where the quadratic of the checkpoint's
+    # refresh is negative, computed here point by point from its tables
+    config = ExperimentConfig(
+        problem="oned-continuous", nodes_per_dim=16, training_grid=[64],
+        estimator_kind="classical", eps_tol=1e-300, N_max=6, checkpoints=[6],
+        output_dir=str(tmp_path / "run"),
+    )
+    arts = run_experiment(config)
+    _, op, basis, model = load_run(arts.directory)
+    assert basis.size == 6
+    est = make_estimator("classical")
+    est.refresh(op, basis, model)
+    cc, cl, ll = est.tables
+    train = make_training_grid(op.spec.param_domain, [64])
+    negative = []
+    for mu, ta, tf in zip(train, op.theta_a_values(train), op.theta_f_values(train)):
+        c = np.outer(rb_solve(model, op, mu), ta).ravel()
+        quad = np.dot(np.dot(tf, cc), tf) + np.dot(np.dot(c, ll), c) - 2.0 * np.dot(
+            np.dot(tf, cl), c)
+        negative.append(quad < 0.0)
+    field = np.genfromtxt(arts.fields[6], delimiter=",", names=True)
+    assert any(negative)
+    assert np.array_equal(np.isnan(field["estimate"]), negative)
+    assert np.all(field["estimate"][~np.array(negative)] >= 0.0)
+
+
+@pytest.mark.parametrize("kind", ["classical", "stable", "lebesgue"])
+def test_metadata_counts_unresolved_values_per_sweep(tmp_path, kind):
+    # one count per history row, the seeded pick's 0 first; only the
+    # classical quadratic leaves values unresolved
+    config = ExperimentConfig(
+        problem="oned-continuous", nodes_per_dim=16, training_grid=[64],
+        estimator_kind=kind, eps_tol=1e-300, N_max=8,
+        output_dir=str(tmp_path / "run"),
+    )
+    arts = run_experiment(config)
+    with open(arts.metadata) as fh:
+        meta = json.load(fh)
+    counts = meta["unresolved"]
+    assert len(counts) == len(meta["timings"]["sweep_seconds"]) > 1
+    assert counts[0] == 0 and all(isinstance(n, int) for n in counts)
+    if kind == "classical":
+        assert max(counts) > 0
+    else:
+        assert not any(counts)
 
 
 def test_load_run_reproduces_reduced_model(tmp_path):

@@ -56,12 +56,13 @@ def _random_inputs(seed=0, M=64, N=6, Qa=2, Qf=1):
 
 
 def _assert_classical_identical(args):
-    values, clamped = kernels.classical_sweep(*args)
-    ref_values, ref_clamped = oracles.classical_sweep_loop(*args)
+    """The batched and per-point values agree bit for bit, NaN where NaN;
+    returns the unresolved (NaN) mask."""
+    values = kernels.classical_sweep(*args)
+    ref_values = oracles.classical_sweep_loop(*args)
     assert values.shape == ref_values.shape
-    assert np.array_equal(values, ref_values)
-    assert np.array_equal(clamped, ref_clamped)
-    return clamped
+    assert np.array_equal(values, ref_values, equal_nan=True)
+    return np.isnan(values)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -84,11 +85,9 @@ def test_stable_matches_per_point(M, shape):
         qtc = rng.standard_normal((rank, Qf))
         rzt = rng.standard_normal((rank, N * Qa))
         args = (ta, tf, al, ab, fb, w, qtc, rzt)
-        values, clamped = kernels.stable_sweep(*args)
-        ref_values, ref_clamped = oracles.stable_sweep_loop(*args)
-        assert values.shape == clamped.shape == (M,)
-        assert np.array_equal(values, ref_values), k
-        assert np.array_equal(clamped, ref_clamped) and not clamped.any(), k
+        values = kernels.stable_sweep(*args)
+        assert values.shape == (M,)
+        assert np.array_equal(values, oracles.stable_sweep_loop(*args)), k
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -96,11 +95,9 @@ def test_stable_matches_per_point(M, shape):
 def test_lebesgue_matches_per_point(M, shape):
     N, Qa, Qf = shape
     ta, tf, _, ab, fb, _, _, _, rs = _random_inputs(M + 2, M, N, Qa, Qf)
-    values, clamped = kernels.lebesgue_sweep(ta, tf, ab, fb, rs)
-    ref_values, ref_clamped = oracles.lebesgue_sweep_loop(ta, tf, ab, fb, rs)
-    assert values.shape == clamped.shape == (M,)
-    assert np.array_equal(values, ref_values)
-    assert np.array_equal(clamped, ref_clamped) and not clamped.any()
+    values = kernels.lebesgue_sweep(ta, tf, ab, fb, rs)
+    assert values.shape == (M,)
+    assert np.array_equal(values, oracles.lebesgue_sweep_loop(ta, tf, ab, fb, rs))
 
 
 def test_classical_clamp_mask_matches_per_point_in_cancellation_regime():
@@ -117,14 +114,14 @@ def test_classical_clamp_mask_matches_per_point_in_cancellation_regime():
     C = L @ np.linalg.solve(a_blocks[0], f_blocks.T)
     args = (theta_a, theta_f, np.ones(M), a_blocks, f_blocks,
             C.T @ C, C.T @ L, L.T @ L)
-    clamped = _assert_classical_identical(args)
-    assert 0 < clamped.sum() < M
+    unresolved = _assert_classical_identical(args)
+    assert 0 < unresolved.sum() < M
 
 
 @pytest.fixture(scope="module")
 def saturated_state():
     """A classical greedy on oned-continuous (32 nodes, 128 points) run until
-    its sweep clamps at every unselected point (N = 21 with one BLAS thread,
+    its sweep is NaN at every unselected point (N = 21 with one BLAS thread,
     22 with two), with the theta tables of a 515-point grid."""
     _, _, op = build_problem("oned-continuous", 32)
     train = make_training_grid(op.spec.param_domain, [128])
@@ -140,8 +137,8 @@ def test_kernels_match_per_point_on_greedy_state(saturated_state):
     basis, model, tables, (C, L), ta, tf = saturated_state
     alpha = np.ones(ta.shape[0])
     blocks = (model.a_blocks, model.f_blocks)
-    clamped = _assert_classical_identical((ta, tf, alpha, *blocks, *tables))
-    assert 0 < clamped.sum() < ta.shape[0]
+    unresolved = _assert_classical_identical((ta, tf, alpha, *blocks, *tables))
+    assert 0 < unresolved.sum() < ta.shape[0]
 
     fc = build_stable_factors(L, C)
     for sweep, loop, args in [
@@ -150,15 +147,12 @@ def test_kernels_match_per_point_on_greedy_state(saturated_state):
         (kernels.lebesgue_sweep, oracles.lebesgue_sweep_loop,
          (ta, tf, *blocks, basis.chol_coeffs)),
     ]:
-        values, clamped = sweep(*args)
-        assert np.array_equal(values, loop(*args)[0])
-        assert not clamped.any()
+        assert np.array_equal(sweep(*args), loop(*args))
 
 
 def test_lebesgue_back_substitution_matches_solve_triangular():
     ta, tf, _, ab, fb, _, _, _, rs = _random_inputs(4, M=8)
-    values, clamped = kernels.lebesgue_sweep(ta, tf, ab, fb, rs)
-    assert not clamped.any()
+    values = kernels.lebesgue_sweep(ta, tf, ab, fb, rs)
     for i in range(ta.shape[0]):
         A = np.tensordot(ta[i], ab, axes=1)
         u = np.linalg.solve(A, tf[i] @ fb)
@@ -167,21 +161,15 @@ def test_lebesgue_back_substitution_matches_solve_triangular():
 
 
 def test_clamp_flags_from_negative_quadratic():
-    # hand-built tables where the quadratic cancels exactly to rounding noise
-    rng = np.random.default_rng(5)
-    N, Qa, Qf = 1, 1, 1
-    v = rng.standard_normal(30)
-    L = v[:, None]
-    C = v[:, None] * (1.0 + 1e-16)
-    theta_a = np.ones((1, Qa))
-    theta_f = np.ones((1, Qf))
-    ab = np.ones((Qa, N, N))
-    fb = np.ones((Qf, N))  # reduced solve yields u = 1, so c = 1
-    values, clamped = kernels.classical_sweep(
-        theta_a, theta_f, np.ones(1), ab, fb, C.T @ C, C.T @ L, L.T @ L
-    )
-    assert values[0] <= 1e-6 * np.linalg.norm(v)
-    assert clamped.dtype == np.bool_
+    # hand-built one-point tables (N = Q_a = Q_f = 1, u = 1, so c = 1) whose
+    # quadratic 1 + 1 - 2 cl cancels to exactly 0 at cl = 1, a resolved zero,
+    # and to -2 eps at cl = 1 + eps, an unresolved value
+    one = np.ones((1, 1))
+    for cl, expected in ((1.0, 0.0), (1.0 + np.finfo(float).eps, np.nan)):
+        values = kernels.classical_sweep(one, one, np.ones(1), one[None], one,
+                                         one, cl * one, one)
+        assert values.dtype == np.float64
+        assert np.array_equal(values, [expected], equal_nan=True), cl
 
 
 @pytest.fixture(scope="module")
@@ -210,13 +198,12 @@ def test_parallel_sweep_bit_identical_to_serial(four_snapshot_state):
         for kind in ("classical", "stable", "lebesgue"):
             est = make_estimator(kind)
             est.refresh(op, basis, model)
-            values, clamped = est.sweep(model, ta, tf, alpha, workers=1)
-            assert values.shape == clamped.shape == (M,)
+            values = est.sweep(model, ta, tf, alpha, workers=1)
+            assert values.shape == (M,)
             for workers in (2, 3, 8):
-                par_values, par_clamped = est.sweep(model, ta, tf, alpha,
-                                                    workers=workers)
-                assert np.array_equal(values, par_values), (M, kind, workers)
-                assert np.array_equal(clamped, par_clamped), (M, kind, workers)
+                par_values = est.sweep(model, ta, tf, alpha, workers=workers)
+                assert np.array_equal(values, par_values, equal_nan=True), (
+                    M, kind, workers)
 
 
 def test_sweep_without_affinity_call(four_snapshot_state, monkeypatch):
@@ -228,10 +215,9 @@ def test_sweep_without_affinity_call(four_snapshot_state, monkeypatch):
     for kind in ("classical", "stable", "lebesgue"):
         est = make_estimator(kind)
         est.refresh(op, basis, model)
-        values, clamped = est.sweep(model, ta, tf, alpha, workers=1)
-        par_values, par_clamped = est.sweep(model, ta, tf, alpha, workers=2)
-        assert np.array_equal(values, par_values), kind
-        assert np.array_equal(clamped, par_clamped), kind
+        values = est.sweep(model, ta, tf, alpha, workers=1)
+        par_values = est.sweep(model, ta, tf, alpha, workers=2)
+        assert np.array_equal(values, par_values, equal_nan=True), kind
 
 
 def test_chunked_threads_bounded_by_usable_cpus(four_snapshot_state, monkeypatch):

@@ -466,7 +466,7 @@ def test_greedy_lebesgue_builds_usable_basis(oned):
 
 class _ClampsFromSize(ClassicalEstimator):
     """Classical estimator whose sweeps, once the basis has ``size``
-    columns, report every point clamped at zero: what the kernel reports
+    columns, report every point unresolved (NaN): what the kernel reports
     when the expanded quadratic is negative everywhere."""
 
     def __init__(self, size):
@@ -474,25 +474,25 @@ class _ClampsFromSize(ClassicalEstimator):
         self.size = size
 
     def sweep(self, model, theta_a, theta_f, alpha, workers=1):
-        values, clamped = super().sweep(model, theta_a, theta_f, alpha, workers)
+        values = super().sweep(model, theta_a, theta_f, alpha, workers)
         if model.size >= self.size:
-            values, clamped = np.zeros_like(values), np.ones_like(clamped)
-        self.last_clamped = clamped
-        return values, clamped
+            values = np.full_like(values, np.nan)
+        self.last_values = values
+        return values
 
 
 def test_greedy_stops_saturated_on_fully_clamped_sweep(oned):
-    # the clamped zeros must neither be recorded nor satisfy eps_tol
+    # the unresolved values must neither be recorded nor satisfy eps_tol
     settings, _ = _greedy_setup(oned, N_max=30, eps_tol=1e-16)
     est = _ClampsFromSize(4)
     basis, _, history = greedy(oned, est, **settings)
     assert history.saturated
     assert basis.size == 4
-    assert len(history.records) == basis.size  # the clamped sweep is not recorded
+    assert len(history.records) == basis.size  # the NaN sweep is not recorded
     assert np.all(history.estimates > 0.0)
     selected = np.isin(settings["training_set"][:, 0],
                        [mu[0] for mu in basis.sample_set])
-    assert np.all(est.last_clamped[~selected])
+    assert np.all(np.isnan(est.last_values[~selected]))
 
 
 def test_greedy_holds_no_validation_mode(oned, monkeypatch):
@@ -500,7 +500,7 @@ def test_greedy_holds_no_validation_mode(oned, monkeypatch):
     # true errors, and it solves no truth but the snapshot's
     assert "validate" not in inspect.signature(greedy).parameters
     assert {f.name for f in dataclasses.fields(rbm.GreedyRecord)} == {
-        "n", "mu", "estimate", "seconds"}
+        "n", "mu", "estimate", "seconds", "unresolved"}
     assert not hasattr(rbm, "VALIDATE_MODES")
 
     def forbidden(*args, **kwargs):
@@ -519,6 +519,7 @@ def test_greedy_seed_record_runs_no_sweep(oned):
     _, _, history = greedy(oned, est, **settings)
     seed = history.records[0]
     assert seed.n == 0 and np.isnan(seed.estimate) and seed.seconds == 0.0
+    assert seed.unresolved == 0
     assert [r.n for r in history.records] == [0, 1, 2]
     assert all(r.seconds > 0.0 for r in history.records[1:])
 
