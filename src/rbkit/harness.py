@@ -17,6 +17,7 @@ import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
 from . import __version__, kernels
 from .estimators import ESTIMATOR_KINDS, make_estimator
@@ -262,6 +263,18 @@ def _grid_errors(op, points, basis, model, sizes):
     return errors
 
 
+def _blas():
+    """numpy's and scipy's BLAS as ``name version`` and the thread-count
+    variables (None when unset): what the bits of a history depend on."""
+    record = {}
+    for module in (np, scipy):
+        lib = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        record[module.__name__] = f"{lib['name']} {lib.get('version', '')}".strip()
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        record[var] = os.environ.get(var)
+    return record
+
+
 def run_experiment(config):
     """Execute the configured greedy run and emit all artifact files."""
     out_dir = config.output_dir
@@ -347,14 +360,15 @@ def run_experiment(config):
     meta = {
         "config": config.to_dict(),
         "versions": {"rbkit": __version__, "numpy": np.__version__},
+        "blas": _blas(),
         "n_final": basis.size,
         "saturated": history.saturated,
         "timings": {
             "greedy_seconds": greedy_seconds,
-            "sweep_seconds": [r.seconds for r in history.records],
+            "sweep_seconds": [seconds for seconds, _ in history.sweeps],
             "validation_seconds": validation_seconds,
         },
-        "unresolved": [r.unresolved for r in history.records],
+        "unresolved": [count for _, count in history.sweeps],
     }
     with open(metadata_path, "w") as fh:
         json.dump(meta, fh, indent=2)

@@ -72,16 +72,15 @@ class ReducedModel:
 
 @dataclass
 class GreedyRecord:
-    n: int  # basis size when the sweep ran (0 for the seeded initial pick)
+    n: int  # size of the basis swept to choose it (0 for the seeded pick)
     mu: np.ndarray
-    estimate: float
-    seconds: float  # sweep and selection; 0.0 for the seeded pick
-    unresolved: int = 0  # NaN values of the sweep; 0 for the seeded pick
+    estimate: float  # NaN for the seeded pick, which no sweep chose
 
 
 @dataclass
 class GreedyHistory:
-    records: list = field(default_factory=list)
+    records: list = field(default_factory=list)  # the picks
+    sweeps: list = field(default_factory=list)  # (seconds, unresolved) per sweep
     saturated: bool = False
 
     @property
@@ -210,21 +209,22 @@ def greedy(op, estimator, training_set, *, N_max, eps_tol, seed=0, workers=1):
     over the training points ``training_set (M, p)``.
 
     The first pick is a ``seed``-deterministic uniform draw from the training
-    set, recorded with estimate NaN and seconds 0.0 since no sweep chose it.
-    Each step solves the snapshot at the pick, extends the basis, refreshes
-    the estimator, then sweeps every not-yet-selected training point and
-    records the argmax (ties broken by lowest index) as the next pick.  The
-    loop stops when
+    set.  Each step solves the snapshot at the pick, extends the basis,
+    refreshes the estimator, sweeps every not-yet-selected training point,
+    adds ``(seconds, unresolved)`` (the sweep's time with the selection, its
+    NaN count) to ``history.sweeps`` and records the argmax (ties broken by
+    lowest index) as the next pick: sweep k chose ``history.records[k + 1]``.
+    The loop stops when
 
     * the recorded estimate falls to ``eps_tol``;
     * the basis reaches ``N_max``;
-    * the basis saturates (``history.saturated`` is set and the sweep is not
-      recorded): an already-selected point is the strict maximizer, or the
+    * the basis saturates (``history.saturated`` is set and the sweep picks
+      nothing): an already-selected point is the strict maximizer, or the
       maximum is unresolved (a NaN value is ranked as 0 but is a rounding
       floor, not a zero error, so it never satisfies ``eps_tol``);
     * the picked snapshot is numerically dependent on the basis
-      (``history.saturated`` is set after the sweep is recorded); at the
-      seeded pick the :class:`DependentSnapshotError` propagates instead.
+      (``history.saturated`` is set); at the seeded pick the
+      :class:`DependentSnapshotError` propagates instead.
 
     Returns ``(basis, model, history)``; ``estimator`` is left refreshed on
     the final basis.
@@ -245,7 +245,7 @@ def greedy(op, estimator, training_set, *, N_max, eps_tol, seed=0, workers=1):
     basis = empty_basis(op.dim)
     model = empty_model(len(op.kron_factors), len(op.f_components))
     selected = []
-    record = GreedyRecord(0, train[best].copy(), float("nan"), 0.0)
+    record = GreedyRecord(0, train[best].copy(), float("nan"))
     while True:
         history.records.append(record)
         if record.estimate <= eps_tol:  # False for the seed's NaN
@@ -268,6 +268,7 @@ def greedy(op, estimator, training_set, *, N_max, eps_tol, seed=0, workers=1):
         masked = ranked.copy()
         masked[selected] = -np.inf
         best = int(np.argmax(masked))
+        history.sweeps.append((time.perf_counter() - t0, int(np.isnan(values).sum())))
         if (masked[best] == -np.inf or np.max(ranked[selected]) > ranked[best]
                 or np.isnan(values[best])):
             # an already-selected point is the strict maximizer (re-selecting
@@ -275,6 +276,5 @@ def greedy(op, estimator, training_set, *, N_max, eps_tol, seed=0, workers=1):
             # is below the estimator's rounding floor: no informative pick
             history.saturated = True
             break
-        record = GreedyRecord(basis.size, train[best].copy(), float(values[best]),
-                              time.perf_counter() - t0, int(np.isnan(values).sum()))
+        record = GreedyRecord(basis.size, train[best].copy(), float(values[best]))
     return basis, model, history

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from numpy.lib.stride_tricks import as_strided
 
 from .numerics import solve_dense
 
@@ -240,7 +239,7 @@ def _kron_affine_sum(weights, pairs, out=None):
     """Dense ``sum_q weights[q] * (kron(Ax^q, I) + kron(I, Ay^q))`` for
     ``pairs[q] = (Ax^q, Ay^q)``, in the ``k = i*ny + j`` order, in a new
     row-major array, or over ``out``, a row-major Kronecker sum of factors
-    of the same shapes; written from the 1-D factors through two strided
+    of the same shapes; written from the 1-D factors through two diagonal
     views of the array.
 
     Block (i, k) is ``Sx[i, k] I`` for i != k, with ``Sx`` the weighted sum
@@ -252,15 +251,13 @@ def _kron_affine_sum(weights, pairs, out=None):
     """
     Fx, Fy = zip(*pairs)
     nx, ny = Fx[0].shape[0], Fy[0].shape[0]
-    dim = nx * ny
     if out is None:
-        out = np.zeros((dim, dim))
-    s = out.itemsize
-    # off[i, k, j] is entry (i*ny + j, k*ny + j), diag[i, j, l] entry
-    # (i*ny + j, i*ny + l); off covers the diagonal of each diagonal block,
-    # which diag then overwrites
-    off = as_strided(out, (nx, nx, ny), (ny * dim * s, ny * s, (dim + 1) * s))
-    diag = as_strided(out, (nx, ny, ny), ((dim + 1) * ny * s, dim * s, s))
+        out = np.zeros((nx * ny, nx * ny))
+    # blocks[i, j, k, l] is entry (i*ny + j, k*ny + l), so off[i, k, j] is
+    # entry (i*ny + j, k*ny + j) and diag[i, j, l] entry (i*ny + j, i*ny + l);
+    # off covers the diagonal of each diagonal block, which diag then overwrites
+    blocks = out.reshape(nx, ny, nx, ny)
+    off, diag = np.einsum("ijkj->ikj", blocks), np.einsum("ijil->ijl", blocks)
     off[...] = _affine_sum(weights, Fx)[:, :, None]
     diag[...] = 0.0
     term, eye = np.empty((nx, ny, ny)), np.eye(ny)

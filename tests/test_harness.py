@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import yaml
 
 import rbkit
@@ -106,6 +107,18 @@ def test_every_config_field_has_one_run_flag():
             if line.startswith("| `--")]
     assert [row.split("`")[1] for row in rows] == [
         option for a in actions for option in a.option_strings]
+
+
+def test_every_metadata_key_is_documented(tmp_path):
+    # the README's run-directory paragraph names every top-level key of
+    # metadata.json and every key of its timings
+    with open(run_experiment(_small_config(tmp_path, N_max=2, checkpoints=[])
+                             ).metadata) as fh:
+        meta = json.load(fh)
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = readme.split("A run directory contains")[1].split("\n\n")[0]
+    for key in [*meta, *meta["timings"]]:
+        assert f"`{key}`" in paragraph, key
 
 
 def test_config_unknown_key_rejected():
@@ -231,7 +244,9 @@ def test_grid_writer_layout_and_missing_value(tmp_path):
     ]
 
 
-def test_run_metadata_roundtrips_config(tmp_path):
+def test_run_metadata_roundtrips_config(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     config = _small_config(tmp_path)
     arts = run_experiment(config)
     with open(arts.metadata) as fh:
@@ -242,9 +257,16 @@ def test_run_metadata_roundtrips_config(tmp_path):
     assert os.path.exists(os.path.join(arts.directory, "history.csv"))
     assert meta["n_final"] == 4
     assert meta["timings"]["validation_seconds"] > 0.0
-    # one entry per history row; the seeded pick ran no sweep
+    # one entry per sweep: the three that chose the rows after the seeded pick
     sweeps = meta["timings"]["sweep_seconds"]
-    assert len(sweeps) == 4 and sweeps[0] == 0.0 and min(sweeps[1:]) > 0.0
+    assert len(sweeps) == 3 and min(sweeps) > 0.0
+    # the history's bits depend on the BLAS libraries and their thread counts
+    blas = meta["blas"]
+    assert blas["OPENBLAS_NUM_THREADS"] == "1" and blas["MKL_NUM_THREADS"] is None
+    assert "OMP_NUM_THREADS" in blas
+    for module in (np, scipy):
+        lib = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert blas[module.__name__] == f"{lib['name']} {lib['version']}"
 
 
 def test_lagrange_trace_sums_to_lebesgue_indicator(tmp_path):
@@ -359,9 +381,18 @@ def test_classical_field_file_writes_unresolved_estimates_as_nan(tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["classical", "stable", "lebesgue"])
-def test_metadata_counts_unresolved_values_per_sweep(tmp_path, kind):
-    # one count per history row, the seeded pick's 0 first; only the
-    # classical quadratic leaves values unresolved
+def test_metadata_counts_unresolved_values_per_sweep(tmp_path, monkeypatch, kind):
+    # one count and one time per sweep, as the greedy's history holds them:
+    # sweep k chose history row k + 1; only the classical quadratic leaves
+    # values unresolved
+    histories = []
+
+    def recording_greedy(*args, **kwargs):
+        result = rbm.greedy(*args, **kwargs)
+        histories.append(result[2])
+        return result
+
+    monkeypatch.setattr(harness, "greedy", recording_greedy)
     config = ExperimentConfig(
         problem="oned-continuous", nodes_per_dim=16, training_grid=[64],
         estimator_kind=kind, eps_tol=1e-300, N_max=8,
@@ -370,9 +401,13 @@ def test_metadata_counts_unresolved_values_per_sweep(tmp_path, kind):
     arts = run_experiment(config)
     with open(arts.metadata) as fh:
         meta = json.load(fh)
+    [history] = histories
     counts = meta["unresolved"]
-    assert len(counts) == len(meta["timings"]["sweep_seconds"]) > 1
-    assert counts[0] == 0 and all(isinstance(n, int) for n in counts)
+    assert counts == [count for _, count in history.sweeps]
+    assert meta["timings"]["sweep_seconds"] == [s for s, _ in history.sweeps]
+    rows = np.genfromtxt(arts.history, delimiter=",", names=True).shape[0]
+    assert len(counts) in (rows - 1, rows) and len(counts) > 1
+    assert all(isinstance(n, int) for n in counts)
     if kind == "classical":
         assert max(counts) > 0
     else:
@@ -654,7 +689,7 @@ def test_history_true_errors_timed_as_validation(tmp_path, monkeypatch, mode):
                                         validate=mode))
     with open(arts.metadata) as fh:
         timings = json.load(fh)["timings"]
-    assert len(timings["sweep_seconds"]) == 3
+    assert len(timings["sweep_seconds"]) == 2
     assert timings["greedy_seconds"] < 0.25
     assert timings["validation_seconds"] >= 2 * 0.25
 

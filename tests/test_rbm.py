@@ -482,17 +482,21 @@ class _ClampsFromSize(ClassicalEstimator):
 
 
 def test_greedy_stops_saturated_on_fully_clamped_sweep(oned):
-    # the unresolved values must neither be recorded nor satisfy eps_tol
+    # the unresolved values must neither be recorded nor satisfy eps_tol;
+    # the NaN sweep is the history's last sweep, with no pick after it
     settings, _ = _greedy_setup(oned, N_max=30, eps_tol=1e-16)
     est = _ClampsFromSize(4)
     basis, _, history = greedy(oned, est, **settings)
     assert history.saturated
     assert basis.size == 4
-    assert len(history.records) == basis.size  # the NaN sweep is not recorded
+    assert len(history.records) == len(history.sweeps) == basis.size
     assert np.all(history.estimates > 0.0)
     selected = np.isin(settings["training_set"][:, 0],
                        [mu[0] for mu in basis.sample_set])
     assert np.all(np.isnan(est.last_values[~selected]))
+    counts = [count for _, count in history.sweeps]
+    assert counts[-1] == est.last_values.size > np.count_nonzero(~selected)
+    assert max(counts[:-1]) < counts[-1]
 
 
 def test_greedy_holds_no_validation_mode(oned, monkeypatch):
@@ -500,7 +504,7 @@ def test_greedy_holds_no_validation_mode(oned, monkeypatch):
     # true errors, and it solves no truth but the snapshot's
     assert "validate" not in inspect.signature(greedy).parameters
     assert {f.name for f in dataclasses.fields(rbm.GreedyRecord)} == {
-        "n", "mu", "estimate", "seconds", "unresolved"}
+        "n", "mu", "estimate"}
     assert not hasattr(rbm, "VALIDATE_MODES")
 
     def forbidden(*args, **kwargs):
@@ -514,14 +518,15 @@ def test_greedy_holds_no_validation_mode(oned, monkeypatch):
 
 
 def test_greedy_seed_record_runs_no_sweep(oned):
-    # the seeded pick is recorded before any sweep: no estimate, no time
+    # the seeded pick is recorded before any sweep: no estimate, and the
+    # sweeps are the two that chose the later picks
     settings, est = _greedy_setup(oned, N_max=3)
     _, _, history = greedy(oned, est, **settings)
     seed = history.records[0]
-    assert seed.n == 0 and np.isnan(seed.estimate) and seed.seconds == 0.0
-    assert seed.unresolved == 0
+    assert seed.n == 0 and np.isnan(seed.estimate)
     assert [r.n for r in history.records] == [0, 1, 2]
-    assert all(r.seconds > 0.0 for r in history.records[1:])
+    assert len(history.sweeps) == 2
+    assert all(seconds > 0.0 and count == 0 for seconds, count in history.sweeps)
 
 
 @pytest.mark.parametrize("stop", ["eps_tol", "N_max", "saturated", "dependent"])
@@ -551,6 +556,8 @@ def test_greedy_solves_and_refreshes_once_per_basis_vector(oned, monkeypatch, st
     assert history.saturated == (stop in ("saturated", "dependent"))
     assert len(refreshes) == basis.size
     assert len(solves) == basis.size + (stop == "dependent")
+    # one sweep per pick after the seed, and the saturating one chose none
+    assert len(history.sweeps) == len(history.records) - (stop != "saturated")
 
 
 def test_greedy_raises_on_dependent_seed_snapshot():
