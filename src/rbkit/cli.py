@@ -81,6 +81,8 @@ def _cmd_run(args):
     print(f"  snapshots: {artifacts.snapshots}")
     for k, path in artifacts.fields.items():
         print(f"  field N={k}: {path}")
+    for k in sorted(set(config.checkpoints) - set(artifacts.fields)):
+        print(f"  field N={k}: skipped, the run stopped at N={artifacts.n_final}")
     for k, path in artifacts.lagrange.items():
         print(f"  lagrange N={k}: {path}")
     return 0

@@ -185,6 +185,7 @@ class RunArtifacts:
     fields: dict  # N -> path
     lagrange: dict  # N -> path
     basis: str
+    n_final: int  # the final basis size; a checkpoint above it has no files
 
 
 def make_training_grid(domain, counts):
@@ -309,21 +310,22 @@ def run_experiment(config):
     t_start = time.perf_counter()
     checkpoints = [k for k in config.checkpoints if k <= basis.size]
     val_points = make_training_grid(spec.param_domain, config.validation_grid)
-    # with field files on the training grid (the default) one pass serves
-    # the history and the fields
+    # one pass per grid: the training grid's validates --validate full's sizes
+    # and default-grid fields, the picks' (after the seed) --validate argmax's
     default_grid = config.validation_grid == config.training_grid
-    sizes = [r.n for r in history.records[1:]] if config.validate == "full" else []
-    train_errors = _grid_errors(op, train, basis, model,
-                                sizes + checkpoints if default_grid else sizes)
+    sizes = {config.validate: [r.n for r in history.records[1:]]}
+    picks = np.reshape([r.mu for r in history.records[1:]], (-1, spec.param_dim))
+    train_errors = _grid_errors(op, train, basis, model, sizes.get("full", [])
+                                + (checkpoints if default_grid else []))
+    pick_errors = _grid_errors(op, picks, basis, model, sizes.get("argmax", []))
     field_errors = (train_errors if default_grid else
                     _grid_errors(op, val_points, basis, model, checkpoints))
     rows = []
-    for r in history.records:
+    for i, r in enumerate(history.records):
         if r.n == 0 or config.validate == "none":  # n = 0: the seeded pick
             errs = (np.nan, np.nan)
         elif config.validate == "argmax":
-            at_mu = _grid_errors(op, np.atleast_2d(r.mu), basis, model, [r.n])
-            errs = (at_mu[r.n][0], np.nan)
+            errs = (pick_errors[r.n][i - 1], np.nan)
         else:
             grid = train_errors[r.n]
             [at] = np.flatnonzero(np.all(train == r.mu, axis=1))
@@ -381,6 +383,7 @@ def run_experiment(config):
         fields=fields,
         lagrange=lagrange,
         basis=basis_path,
+        n_final=basis.size,
     )
 
 

@@ -212,9 +212,9 @@ def greedy(op, estimator, training_set, *, N_max, eps_tol, seed=0, workers=1):
     set.  Each step solves the snapshot at the pick, extends the basis,
     refreshes the estimator, sweeps every not-yet-selected training point,
     adds ``(seconds, unresolved)`` (the sweep's time with the selection, its
-    NaN count) to ``history.sweeps`` and records the argmax (ties broken by
-    lowest index) as the next pick: sweep k chose ``history.records[k + 1]``.
-    The loop stops when
+    NaN count at those points) to ``history.sweeps`` and records the argmax
+    (ties broken by lowest index) as the next pick: sweep k chose
+    ``history.records[k + 1]``.  The loop stops when
 
     * the recorded estimate falls to ``eps_tol``;
     * the basis reaches ``N_max``;
@@ -264,13 +264,15 @@ def greedy(op, estimator, training_set, *, N_max, eps_tol, seed=0, workers=1):
             break
         t0 = time.perf_counter()
         values = estimator.sweep(model, theta_a, theta_f, alpha, workers)
-        ranked = np.where(np.isnan(values), 0.0, values)
+        unresolved = np.isnan(values)
+        ranked = np.where(unresolved, 0.0, values)
         masked = ranked.copy()
         masked[selected] = -np.inf
+        unresolved[selected] = False
         best = int(np.argmax(masked))
-        history.sweeps.append((time.perf_counter() - t0, int(np.isnan(values).sum())))
+        history.sweeps.append((time.perf_counter() - t0, int(unresolved.sum())))
         if (masked[best] == -np.inf or np.max(ranked[selected]) > ranked[best]
-                or np.isnan(values[best])):
+                or unresolved[best]):
             # an already-selected point is the strict maximizer (re-selecting
             # it would force a dependent snapshot), or every remaining value
             # is below the estimator's rounding floor: no informative pick

@@ -9,11 +9,10 @@ On interior nodes every operator component is a Kronecker sum
 ``A^q = kron(Ax^q, I) + kron(I, Ay^q)`` of 1-D factors, so with ``U[i, j]``
 the value at ``(x_i, y_j)`` the system ``A(mu) u = f(mu)`` is the Sylvester
 equation ``Ax(mu) U + U Ay(mu)^T = F``.  Dense matrices are written from the
-1-D factors by one row-major writer.  The greedy's snapshots use the dense
-LU solve: ``truth_solve`` returns the snapshot vector, and ``assemble``
-writes the transpose of A(mu) and returns its column-major transposed view,
-which ``solve_dense`` factors in place.  Validation truth rows solve the
-Sylvester form by Bartels-Stewart (``truth_solve_many``, ``_truth_solver``).
+1-D factors by one row-major writer.  Each kind of truth row has one solve
+site: a snapshot is the dense LU solve of ``truth_solve``, the one place
+that writes A(mu), and a validation row the Bartels-Stewart solve of the
+Sylvester form (``truth_solve_many``, ``_truth_solver``).
 """
 
 from collections import Counter
@@ -33,7 +32,6 @@ __all__ = [
     "problem_spec",
     "build_discretization",
     "assemble_affine",
-    "assemble",
     "load_vector",
     "truth_solve",
     "truth_solve_many",
@@ -308,25 +306,19 @@ def assemble_affine(spec, disc):
     )
 
 
-def assemble(op, mu):
-    """Full operator matrix at mu, sum_q theta_a^q(mu) A^q, column-major (the
-    layout LAPACK factors in place): the transposed view of the sum over the
-    transposed pairs, as the Kronecker sum of ``(Ax.T, Ay.T)`` is the
-    transpose of that of ``(Ax, Ay)``; equal bit for bit to the weighted sum
-    of the dense components."""
-    pairs = [(Ax.T, Ay.T) for Ax, Ay in op.kron_factors]
-    return _kron_affine_sum(op.theta_a_values([mu])[0], pairs).T
-
-
 def load_vector(op, mu):
     """Load vector at mu: sum_q theta_f^q(mu) f^q."""
     return _affine_sum(op.theta_f_values([mu])[0], op.f_components)
 
 
 def truth_solve(op, mu):
-    """The snapshot vector: the high-fidelity solve of the assembled system
-    at mu; the LU overwrites the assembled matrix."""
-    return solve_dense(assemble(op, mu), load_vector(op, mu))
+    """The snapshot vector, by the dense LU of A(mu), written column-major (the
+    layout LAPACK factors in place) as the transposed view of the sum over the
+    transposed pairs: the Kronecker sum of ``(Ax.T, Ay.T)`` is the transpose
+    of that of ``(Ax, Ay)``, bit for bit.  The LU overwrites it."""
+    pairs = [(Ax.T, Ay.T) for Ax, Ay in op.kron_factors]
+    A = _kron_affine_sum(op.theta_a_values([mu])[0], pairs).T
+    return solve_dense(A, load_vector(op, mu))
 
 
 def truth_solve_many(op, mus):

@@ -16,13 +16,20 @@ def svd_rank(B, rel_tol=1e-10):
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
+def dense_operator(op, mu):
+    """Dense C-ordered ``A(mu) = sum_q theta_a^q(mu) A^q``, each component
+    built from its 1-D factors by ``kron_sum`` below, not by the package's
+    writer."""
+    return sum(th * kron_sum(Ax, Ay)
+               for th, (Ax, Ay) in zip(op.theta_a_values([mu])[0], op.kron_factors))
+
+
 def true_error_reference(op, basis, mu):
     """True error at mu from a dense ``np.linalg.solve`` truth solution and
     the explicit Galerkin system ``xi^T A xi``, with neither the package's
     truth solvers nor its stored components or reduced blocks: the operator
-    is built from the 1-D factors by ``kron_sum`` below."""
-    A = sum(th * kron_sum(Ax, Ay)
-            for th, (Ax, Ay) in zip(op.theta_a_values([mu])[0], op.kron_factors))
+    is ``dense_operator``."""
+    A = dense_operator(op, mu)
     f = sum(th * fq for th, fq in zip(op.theta_f_values([mu])[0], op.f_components))
     xi = basis.xi
     u = np.linalg.solve(A, f)

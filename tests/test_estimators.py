@@ -35,7 +35,6 @@ from rbkit.harness import (
 from rbkit.truth import (
     AffineOperator,
     ProblemSpec,
-    assemble,
     assemble_affine,
     build_discretization,
     load_vector,
@@ -283,7 +282,7 @@ def test_stable_pythagorean_split_against_truth_space(oned, oned_basis):
     c = np.outer(u_hat, oned.theta_a_values([mu])[0]).ravel()
     term_perp = np.linalg.norm(factors.w_coords @ theta_f)
     term_par = np.linalg.norm(factors.qtc @ theta_f - factors.rzt @ c)
-    r = load_vector(oned, mu) - assemble(oned, mu) @ (basis.xi @ u_hat)
+    r = load_vector(oned, mu) - oracles.dense_operator(oned, mu) @ (basis.xi @ u_hat)
     Q = pivoted_qr(build_riesz_data(oned, basis)[1])[0]
     r_par = Q @ (Q.T @ r)
     r_perp = r - r_par

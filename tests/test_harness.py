@@ -163,6 +163,25 @@ def test_alpha_mode_option_is_refused(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_cli_run_reports_checkpoints_above_the_final_basis(tmp_path, capsys):
+    # a 3-point training grid saturates the basis at N = 3: checkpoints 5
+    # and 6 get no files, and the run says so with the size it stopped at
+    out = tmp_path / "run"
+    assert cli_main(["run", "--problem", "oned-continuous", "--nodes-per-dim", "12",
+                     "--training-grid", "3", "--n-max", "6", "--eps-tol", "1e-300",
+                     "--checkpoints", "6,2,5", "--output-dir", str(out)]) == 0
+    with open(out / "metadata.json") as fh:
+        assert json.load(fh)["n_final"] == 3
+    lines = capsys.readouterr().out.splitlines()
+    fields = [line for line in lines if line.startswith("  field N=")]
+    assert fields == [f"  field N=2: {out / 'field_N2.csv'}",
+                      "  field N=5: skipped, the run stopped at N=3",
+                      "  field N=6: skipped, the run stopped at N=3"]
+    assert sorted(os.listdir(out)) == [
+        "basis.npz", "field_N2.csv", "history.csv", "lagrange_N2.csv",
+        "metadata.json", "snapshots.csv"]
+
+
 def test_config_roundtrip_dict():
     cfg = ExperimentConfig(problem="oned-continuous", nodes_per_dim=16,
                            training_grid=[64], N_max=5, checkpoints=[2, 5])
@@ -384,18 +403,23 @@ def test_classical_field_file_writes_unresolved_estimates_as_nan(tmp_path):
 def test_metadata_counts_unresolved_values_per_sweep(tmp_path, monkeypatch, kind):
     # one count and one time per sweep, as the greedy's history holds them:
     # sweep k chose history row k + 1; only the classical quadratic leaves
-    # values unresolved
-    histories = []
+    # values unresolved, and a count covers only the points sweep k could
+    # pick, not the k + 1 already selected (by N = 20 the classical sweeps
+    # have NaN values at unselected points; before that only at selected
+    # ones, which count 0)
+    histories, swept = [], []
 
-    def recording_greedy(*args, **kwargs):
-        result = rbm.greedy(*args, **kwargs)
+    def recording_greedy(op, estimator, train, **kwargs):
+        sweep = estimator.sweep
+        estimator.sweep = lambda *a: swept.append(sweep(*a)) or swept[-1]
+        result = rbm.greedy(op, estimator, train, **kwargs)
         histories.append(result[2])
         return result
 
     monkeypatch.setattr(harness, "greedy", recording_greedy)
     config = ExperimentConfig(
         problem="oned-continuous", nodes_per_dim=16, training_grid=[64],
-        estimator_kind=kind, eps_tol=1e-300, N_max=8,
+        estimator_kind=kind, eps_tol=1e-300, N_max=20,
         output_dir=str(tmp_path / "run"),
     )
     arts = run_experiment(config)
@@ -408,8 +432,14 @@ def test_metadata_counts_unresolved_values_per_sweep(tmp_path, monkeypatch, kind
     rows = np.genfromtxt(arts.history, delimiter=",", names=True).shape[0]
     assert len(counts) in (rows - 1, rows) and len(counts) > 1
     assert all(isinstance(n, int) for n in counts)
+    picks = [r.mu[0] for r in history.records]
+    train = np.linspace(-0.995, 0.995, 64)
+    assert counts == [
+        np.count_nonzero(np.isnan(values[~np.isin(train, picks[:k + 1])]))
+        for k, values in enumerate(swept)]
     if kind == "classical":
         assert max(counts) > 0
+        assert sum(map(np.count_nonzero, map(np.isnan, swept))) > sum(counts)
     else:
         assert not any(counts)
 
@@ -616,7 +646,7 @@ def test_full_validation_and_fields_solve_training_truth_once(tmp_path, monkeypa
     ("none", [40, 20], [800]),
     ("full", None, [2145]),
     ("full", [40, 20], [2145, 800]),
-    ("argmax", [40, 20], [800] + [1] * 5),
+    ("argmax", [40, 20], [800, 5]),
 ])
 def test_each_grid_is_solved_once_in_slices(tmp_path, monkeypatch, mode,
                                             validation_grid, rows):
@@ -624,7 +654,7 @@ def test_each_grid_is_solved_once_in_slices(tmp_path, monkeypatch, mode,
     # through one solver per grid: a grid no basis is validated on (here the
     # 2,145-point training grid under --validate none) is not solved, the
     # default grid is solved once for the history and the fields, and
-    # --validate argmax solves one row per record
+    # --validate argmax solves its five picks in one pass
     solvers = _count_truth_rows(monkeypatch)
     run_experiment(_small_config(
         tmp_path, problem="twod-first", nodes_per_dim=16, training_grid=[65, 33],

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from rbkit import truth
 from rbkit.harness import TRAINING_GRIDS, make_training_grid
 from rbkit.rbm import empty_basis, empty_model, extend_basis, validate
 from rbkit.truth import (
@@ -17,7 +18,6 @@ from rbkit.truth import (
     ProblemSpec,
     _kron_affine_sum,
     _truth_solver,
-    assemble,
     assemble_affine,
     build_discretization,
     chebyshev_grid,
@@ -157,7 +157,7 @@ def test_affine_consistency_with_pde(pid):
     rng = np.random.default_rng(11)
     for _ in range(20):
         mu = np.array([rng.uniform(lo, hi) for lo, hi in spec.param_domain])
-        got = assemble(op, mu) @ u
+        got = oracles.dense_operator(op, mu) @ u
         want = _pde_apply(pid, mu, X, Y)
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
@@ -222,7 +222,7 @@ def test_theta_table_must_have_one_weight_per_component():
         theta_f=_one_and_mu,
     )
     with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
-        assemble(op, [0.5])
+        truth_solve(op, [0.5])
     with pytest.raises(ValueError, match=r"shape \(1, 1\)"):
         load_vector(op, [0.5])
     with pytest.raises(ValueError, match=r"shape \(3, 2\)"):
@@ -238,7 +238,7 @@ def test_truth_solve_residual():
     op = assemble_affine(spec, build_discretization(20))
     mu = np.array([1.0, 0.0])
     u = truth_solve(op, mu)
-    A = assemble(op, mu)
+    A = oracles.dense_operator(op, mu)
     f = load_vector(op, mu)
     res = np.linalg.norm(A @ u - f)
     assert res <= 1e-9 * (np.linalg.norm(A) * np.linalg.norm(u)
@@ -377,7 +377,7 @@ def test_truth_solve_many_matches_dense_lu(pid):
         u_lu = truth_solve(op, mu)
         assert np.linalg.norm(u - u_lu) <= 1e-12 * np.linalg.norm(u_lu)
         # normwise backward residual on the scale of the solve's rounding
-        A = assemble(op, mu)
+        A = oracles.dense_operator(op, mu)
         res = np.linalg.norm(load_vector(op, mu) - A @ u)
         assert res <= 1e2 * eps * np.linalg.norm(A, 2) * np.linalg.norm(u)
 
@@ -454,32 +454,34 @@ def test_kron_sum_matches_two_kron_construction(nx, ny):
     assert not np.any(np.signbit(A[A == 0.0]))
 
 
-def _dense_affine_sum(op, mu):
-    """``sum(th(mu) * A^q)`` over components from the two-``np.kron``
-    construction, C-ordered."""
-    return sum(th * oracles.kron_sum(Ax, Ay)
-               for th, (Ax, Ay) in zip(op.theta_a_values([mu])[0], op.kron_factors))
+def _assert_is_dense_affine_sum(op, mu, monkeypatch):
+    # the A(mu) that truth_solve writes, copied as it reaches the LU
+    solve, written = truth.solve_dense, []
 
-
-def _assert_is_dense_affine_sum(op, mu):
-    A = assemble(op, mu)
-    assert np.array_equal(A, _dense_affine_sum(op, mu))
+    def capture(A, b):
+        written.append(A.copy(order="K"))
+        return solve(A, b)
+    with monkeypatch.context() as m:
+        m.setattr(truth, "solve_dense", capture)
+        truth_solve(op, mu)
+    [A] = written
+    assert np.array_equal(A, oracles.dense_operator(op, mu))
     assert A.flags.f_contiguous
     assert not np.any(np.signbit(A[A == 0.0]))
 
 
 @pytest.mark.parametrize("nodes", [12, 32, 50])
 @pytest.mark.parametrize("pid", PROBLEM_IDS)
-def test_assemble_is_the_dense_affine_sum(pid, nodes):
+def test_assemble_is_the_dense_affine_sum(pid, nodes, monkeypatch):
     # the domain's lower corner gives twod-first a zero weight (mu2 = 0)
     spec = problem_spec(pid)
     op = assemble_affine(spec, build_discretization(nodes))
     corner = np.array([lo for lo, _ in spec.param_domain])
     for mu in [corner, *_sample_points(spec, 1, nodes)]:
-        _assert_is_dense_affine_sum(op, mu)
+        _assert_is_dense_affine_sum(op, mu, monkeypatch)
 
 
-def test_assemble_hand_built_dense_operator():
+def test_assemble_hand_built_dense_operator(monkeypatch):
     rng = np.random.default_rng(9)
     comps = [rng.standard_normal((6, 6)) for _ in range(2)]
     comps[0][0, 1] = comps[1][0, 1] = -0.0
@@ -491,7 +493,7 @@ def test_assemble_hand_built_dense_operator():
         theta_f=_ones,
     )
     for mu in ([0.0], [0.3]):
-        _assert_is_dense_affine_sum(op, mu)
+        _assert_is_dense_affine_sum(op, mu, monkeypatch)
 
 
 @pytest.mark.parametrize("nodes", [12, 32])
@@ -500,13 +502,13 @@ def test_truth_solve_matches_lu_of_c_ordered_operator(pid, nodes):
     spec = problem_spec(pid)
     op = assemble_affine(spec, build_discretization(nodes))
     for mu in _sample_points(spec, 2, nodes):
-        A = np.ascontiguousarray(_dense_affine_sum(op, mu))
+        A = oracles.dense_operator(op, mu)
         want = sla.lu_solve(sla.lu_factor(A), load_vector(op, mu))
         assert np.array_equal(truth_solve(op, mu), want)
 
 
 def test_truth_solve_allocates_one_operator():
-    # assemble writes A(mu) into one column-major buffer through strided
+    # truth_solve writes A(mu) into one column-major buffer through strided
     # views, with one (nx, ny, ny) term buffer, the finiteness check reads it
     # block by block and the LU factors it in place, so the peak stays within
     # one dim x dim matrix plus 3 nx ny^2 doubles (1.1 dim^2 at nx = ny = 30).
@@ -549,8 +551,8 @@ def test_singular_point_gives_nan_rows_and_errors():
     op = _singular_kron_operator()
     mus = np.array([[0.0], [0.5]])
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(assemble(op, mus[0]), load_vector(op, mus[0]))
-    u_lu = np.linalg.solve(assemble(op, mus[1]), load_vector(op, mus[1]))
+        np.linalg.solve(oracles.dense_operator(op, mus[0]), load_vector(op, mus[0]))
+    u_lu = np.linalg.solve(oracles.dense_operator(op, mus[1]), load_vector(op, mus[1]))
 
     U = truth_solve_many(op, mus)
     assert np.all(np.isnan(U[0]))
