@@ -79,10 +79,9 @@ def _cmd_run(args):
     print(f"run complete: {artifacts.directory}")
     print(f"  history:   {artifacts.history}")
     print(f"  snapshots: {artifacts.snapshots}")
-    for k, path in artifacts.fields.items():
-        print(f"  field N={k}: {path}")
-    for k in sorted(set(config.checkpoints) - set(artifacts.fields)):
-        print(f"  field N={k}: skipped, the run stopped at N={artifacts.n_final}")
+    skipped = f"skipped, the run stopped at N={artifacts.n_final}"
+    for k in config.checkpoints:
+        print(f"  field N={k}: {artifacts.fields.get(k, skipped)}")
     for k, path in artifacts.lagrange.items():
         print(f"  lagrange N={k}: {path}")
     return 0

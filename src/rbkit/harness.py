@@ -154,7 +154,8 @@ class ExperimentConfig:
             if any(c < least for c in counts):
                 raise ConfigError(f"{name} counts must be at least {least}: {counts}")
             setattr(self, name, counts)
-        self.checkpoints = _int_entries("checkpoints", self.checkpoints)
+        # a set of sizes: each is refreshed, swept and written once
+        self.checkpoints = sorted(set(_int_entries("checkpoints", self.checkpoints)))
         if any(k < 1 for k in self.checkpoints):
             raise ConfigError(f"checkpoints must be at least 1, got {self.checkpoints}")
         if any(k > self.N_max for k in self.checkpoints):

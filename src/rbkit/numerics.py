@@ -5,8 +5,6 @@ product is the Euclidean one on interior collocation values, so norms and
 dual norms are plain ``np.linalg.norm`` calls.
 """
 
-import warnings
-
 import numpy as np
 import scipy.linalg as sla
 
@@ -64,8 +62,8 @@ def pivoted_qr(B):
     ``|R_kk| > RANK_TOL * |R_00|``.
     """
     B = np.asarray(B, dtype=float)
-    _check_finite(B, "B")
-    Q, R, perm = sla.qr(B, mode="economic", pivoting=True)
+    _check_finite(B, "B")  # so scipy need not read B again
+    Q, R, perm = sla.qr(B, mode="economic", pivoting=True, check_finite=False)
     diag = np.abs(np.diag(R))
     # diag[:1] is empty with diag, so an empty B has rank 0; so has a zero B
     rank = int(np.count_nonzero(diag > RANK_TOL * diag[:1]))
@@ -73,12 +71,13 @@ def pivoted_qr(B):
 
 
 def solve_dense(A, b):
-    """Solve a dense square system by LU with partial pivoting.
+    """Solve a dense square system by LU with partial pivoting, LAPACK
+    ``getrf`` then ``getrs``.
 
-    A may be overwritten by its LU factors, as LAPACK's ``overwrite_a``
-    does: a column-major float64 A is factored in place, any other A is
-    copied first.  Raises ``np.linalg.LinAlgError`` naming the offending
-    pivot magnitude when A is singular to working precision.
+    A may be overwritten by its LU factors: a column-major float64 A is
+    factored in place, any other A is copied first.  Raises
+    ``np.linalg.LinAlgError`` naming the offending pivot magnitude when A is
+    singular to working precision.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -86,10 +85,10 @@ def solve_dense(A, b):
     _check_finite(b, "b")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
-    with warnings.catch_warnings():
-        # the pivot check below raises a richer error than scipy's warning
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(A, overwrite_a=True, check_finite=False)
+    getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), dtype=float)
+    # dgetrf calls an empty A illegal: its empty diagonal raises below, as
+    # an exactly zero pivot (getrf's info > 0) does
+    lu, piv, _ = getrf(A, overwrite_a=True) if A.size else (A, None, 0)
     diag = np.abs(np.diag(lu))
     pivot_min = float(diag.min()) if diag.size else 0.0
     # relative to the largest pivot, so the decision does not depend on
@@ -97,5 +96,4 @@ def solve_dense(A, b):
     if pivot_min <= np.finfo(float).eps * A.shape[0] * diag.max(initial=0.0):
         raise np.linalg.LinAlgError(
             f"matrix singular to working precision (pivot {pivot_min:.3e})")
-    return sla.lu_solve((lu, piv), b, check_finite=False)
-
+    return getrs(lu, piv, b)[0]

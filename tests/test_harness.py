@@ -182,6 +182,23 @@ def test_cli_run_reports_checkpoints_above_the_final_basis(tmp_path, capsys):
         "metadata.json", "snapshots.csv"]
 
 
+@pytest.mark.parametrize("arg, sizes", [("3,3,3", [3]), ("6,3", [3, 6])])
+def test_checkpoints_are_a_sorted_set(tmp_path, monkeypatch, arg, sizes):
+    # each size is refreshed, swept and written once, and metadata.json
+    # records the sorted set
+    written, write = [], harness._write_grid_csv
+    monkeypatch.setattr(harness, "_write_grid_csv",
+                        lambda path, *a: (written.append(path), write(path, *a)))
+    out = tmp_path / "run"
+    assert cli_main(["run", "--problem", "oned-continuous", "--nodes-per-dim", "12",
+                     "--training-grid", "16", "--n-max", "6", "--eps-tol", "1e-300",
+                     "--checkpoints", arg, "--output-dir", str(out)]) == 0
+    assert written == [str(out / f"{name}_N{k}.csv")
+                       for k in sizes for name in ("field", "lagrange")]
+    with open(out / "metadata.json") as fh:
+        assert json.load(fh)["config"]["checkpoints"] == sizes
+
+
 def test_config_roundtrip_dict():
     cfg = ExperimentConfig(problem="oned-continuous", nodes_per_dim=16,
                            training_grid=[64], N_max=5, checkpoints=[2, 5])

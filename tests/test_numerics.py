@@ -136,6 +136,18 @@ def test_solve_singular_raises_with_pivot():
             solve_dense(M, np.ones(2))
 
 
+def test_solve_empty_raises_before_lapack(capfd):
+    # dgetrf would print an illegal-argument message for a 0 x 0 A
+    with pytest.raises(np.linalg.LinAlgError, match=r"\(pivot 0\.000e\+00\)"):
+        solve_dense(np.zeros((0, 0)), np.zeros(0))
+    assert capfd.readouterr() == ("", "")
+
+
+def test_solve_rejects_load_of_wrong_length():
+    with pytest.raises(ValueError):
+        solve_dense(np.eye(3), np.ones(4))
+
+
 @pytest.mark.parametrize("scale", [1e-17, 1e-200])
 def test_solve_scaled_identity(scale):
     # the singularity decision is relative to the largest pivot, so a
