@@ -85,6 +85,8 @@ def solve_dense(A, b):
     _check_finite(b, "b")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
+    if b.shape[:1] != A.shape[:1]:
+        raise ValueError(f"b of shape {b.shape} does not fit A of shape {A.shape}")
     getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), dtype=float)
     # dgetrf calls an empty A illegal: its empty diagonal raises below, as
     # an exactly zero pivot (getrf's info > 0) does

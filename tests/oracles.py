@@ -2,10 +2,13 @@
 
 These deliberately avoid the code paths in the package under test: rank via
 singular values, true errors via dense solves and an explicit Galerkin
-system.
+system.  ``build_basis`` alone is a fixture built with the package itself.
 """
 
 import numpy as np
+
+from rbkit.rbm import empty_basis, empty_model, extend_basis
+from rbkit.truth import truth_solve
 
 
 def svd_rank(B, rel_tol=1e-10):
@@ -35,6 +38,16 @@ def true_error_reference(op, basis, mu):
     u = np.linalg.solve(A, f)
     u_hat = np.linalg.solve(xi.T @ A @ xi, xi.T @ f)
     return float(np.linalg.norm(u - xi @ u_hat))
+
+
+def build_basis(op, mus):
+    """Basis/model pair from snapshots at the given parameters, through the
+    package's ``truth_solve`` and ``extend_basis``."""
+    basis = empty_basis(op.dim)
+    model = empty_model(len(op.kron_factors), len(op.f_components))
+    for mu in mus:
+        basis, model = extend_basis(basis, model, mu, truth_solve(op, mu), op)
+    return basis, model
 
 
 # ---------------------------------------------------------------------------

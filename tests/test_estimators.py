@@ -20,8 +20,6 @@ from rbkit.estimators import (
 from rbkit.numerics import _mgs_coeffs, pivoted_qr
 from rbkit.rbm import (
     empty_basis,
-    empty_model,
-    extend_basis,
     greedy,
     lagrange_coefficients,
     rb_solve,
@@ -43,14 +41,6 @@ from rbkit.truth import (
 )
 
 import oracles
-
-
-def _build_basis(op, mus):
-    basis = empty_basis(op.dim)
-    model = empty_model(len(op.kron_factors), len(op.f_components))
-    for mu in mus:
-        basis, model = extend_basis(basis, model, mu, truth_solve(op, mu), op)
-    return basis, model
 
 
 def _refreshed(kind, op, basis, model=None):
@@ -95,7 +85,7 @@ def oned():
 @pytest.fixture(scope="module")
 def oned_basis(oned):
     mus = [[-0.9], [-0.6], [-0.2], [0.1], [0.45], [0.7], [0.85], [0.95]]
-    return _build_basis(oned, mus)
+    return oracles.build_basis(oned, mus)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +106,7 @@ def test_riesz_data_rejects_empty_basis(oned):
 
 def test_riesz_single_component_table():
     op = _toy_operator(dim=20, Q_a=1)
-    basis, _ = _build_basis(op, [[0.3]])
+    basis, _ = oracles.build_basis(op, [[0.3]])
     _, _, ll = _refreshed("classical", op, basis).tables
     L1 = op.a_components[0] @ basis.xi[:, 0]
     assert ll.shape == (1, 1)
@@ -145,7 +135,7 @@ def test_diagonal_component_gives_the_dense_bits():
     _, _, op = build_problem("twod-first", 16)
     assert op.diagonals[2] is not None
     mus = [[0.5, 1.5], [3.0, 0.2], [1.7, 1.0], [0.1, 2.0]]
-    basis, model = _build_basis(op, mus)
+    basis, model = oracles.build_basis(op, mus)
     dense = [oracles.kron_sum(Ax, Ay) for Ax, Ay in op.kron_factors]
     L = []
     for n in range(basis.size):
@@ -208,7 +198,7 @@ def test_classical_clamp_only_in_cancellation_regime():
     nan_seen = False
     for trial in range(30):
         mus = [[rng.uniform(-1, 1)], [rng.uniform(-1, 1)]]
-        basis, model = _build_basis(op, mus)
+        basis, model = oracles.build_basis(op, mus)
         classical = _refreshed("classical", op, basis, model)
         # at snapshot parameters the residual vanishes in real arithmetic,
         # leaving the expanded quadratic at floating-point noise of either
@@ -261,7 +251,7 @@ def test_stable_matches_oracle_random_pairs(oned, oned_basis):
 
 
 def test_stable_at_snapshot_parameters_no_floor(oned):
-    basis, model = _build_basis(oned, [[-0.7], [-0.2], [0.3], [0.8]])
+    basis, model = oracles.build_basis(oned, [[-0.7], [-0.2], [0.3], [0.8]])
     stable = _refreshed("stable", oned, basis, model)
     f_scale = np.linalg.norm(oned.f_components[0])
     U = rb_solve(model, oned, np.array(basis.sample_set))
@@ -323,7 +313,7 @@ def test_stable_loads_outside_representer_span_match_oracle():
     # snapshot's two images, the other two load directions stick out of it,
     # so W has two columns and the stable value reads w_coords
     op = _toy_operator(dim=30, Q_a=2, Q_f=3, seed=3)
-    basis, model = _build_basis(op, [[0.3]])
+    basis, model = oracles.build_basis(op, [[0.3]])
     stable = _refreshed("stable", op, basis, model)
     assert stable.factors.w_coords.shape == (2, 3)
     rng = np.random.default_rng(20)

@@ -35,15 +35,6 @@ from rbkit.truth import (
 import oracles
 
 
-def _build_basis(op, mus):
-    """Basis/model pair from snapshots at the given parameters."""
-    basis = empty_basis(op.dim)
-    model = empty_model(len(op.kron_factors), len(op.f_components))
-    for mu in mus:
-        basis, model = extend_basis(basis, model, mu, truth_solve(op, mu), op)
-    return basis, model
-
-
 @pytest.fixture(scope="module")
 def oned():
     _, _, op = build_problem("oned-continuous", 16)
@@ -53,7 +44,7 @@ def oned():
 @pytest.fixture(scope="module")
 def oned_basis(oned):
     mus = [[-0.9], [-0.5], [0.0], [0.4], [0.7], [0.95]]
-    return _build_basis(oned, mus)
+    return oracles.build_basis(oned, mus)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +54,7 @@ def oned_basis(oned):
 def test_rb_solve_reproduces_single_snapshot(oned):
     mu = [0.3]
     u = truth_solve(oned, mu)
-    basis, model = _build_basis(oned, [mu])
+    basis, model = oracles.build_basis(oned, [mu])
     u_rb = basis.xi @ rb_solve(model, oned, mu)
     assert np.linalg.norm(u_rb - u) <= 1e-10 * np.linalg.norm(u)
 
@@ -82,7 +73,7 @@ def test_rb_solve_zero_load(oned, oned_basis):
 
 
 def test_rb_solve_galerkin_orthogonality(oned):
-    basis, model = _build_basis(oned, [[-0.8], [-0.3], [0.1], [0.5], [0.9]])
+    basis, model = oracles.build_basis(oned, [[-0.8], [-0.3], [0.1], [0.5], [0.9]])
     # more points than one kernel chunk, so the batch spans a chunk boundary
     pts = np.linspace(-0.99, 0.99, 260)[:, None]
     U = rb_solve(model, oned, pts)
@@ -136,7 +127,7 @@ def test_validate_solves_truth_rows_chunk_by_chunk(monkeypatch):
     _, _, op = build_problem("twod-first", 16)
     points = make_training_grid(op.spec.param_domain, [65, 33])
     assert points.shape[0] > 8 * kernels.CHUNK
-    basis, model = _build_basis(op, points[[0, 700, 1400, 2144]])
+    basis, model = oracles.build_basis(op, points[[0, 700, 1400, 2144]])
     expected = validate(basis, model, op, points, truth_solve_many(op, points))
     calls = []
     schur = sla.schur
@@ -215,7 +206,7 @@ def test_lagrange_triangular_definition(oned_basis):
 
 
 def test_lagrange_single_snapshot(oned):
-    basis, _ = _build_basis(oned, [[0.1]])
+    basis, _ = oracles.build_basis(oned, [[0.1]])
     u_hat = np.array([2.5])
     c = lagrange_coefficients(basis, u_hat)
     assert c[0] == pytest.approx(2.5 / basis.chol_coeffs[0, 0], rel=1e-14)
@@ -270,7 +261,7 @@ def test_extend_empty_basis(oned):
 
 
 def test_extend_duplicate_snapshot_rejected(oned):
-    basis, model = _build_basis(oned, [[0.2]])
+    basis, model = oracles.build_basis(oned, [[0.2]])
     near = [0.2000000001]
     with pytest.raises(DependentSnapshotError):
         extend_basis(basis, model, near, truth_solve(oned, near), oned)
@@ -279,7 +270,7 @@ def test_extend_duplicate_snapshot_rejected(oned):
 
 
 def test_extend_matches_batch_assembly_oracle(oned):
-    basis, model = _build_basis(oned, [[-0.4], [0.6]])
+    basis, model = oracles.build_basis(oned, [[-0.4], [0.6]])
     Xi = basis.xi
     for q, Aq in enumerate(oned.a_components):
         assert np.allclose(model.a_blocks[q], Xi.T @ Aq @ Xi, atol=1e-12)
@@ -288,7 +279,7 @@ def test_extend_matches_batch_assembly_oracle(oned):
 
 
 def test_extend_nesting_bit_identical(oned):
-    basis2, model2 = _build_basis(oned, [[-0.4], [0.6]])
+    basis2, model2 = oracles.build_basis(oned, [[-0.4], [0.6]])
     basis3, model3 = extend_basis(basis2, model2, [0.1], truth_solve(oned, [0.1]),
                                   oned)
     assert np.array_equal(model3.a_blocks[:, :2, :2], model2.a_blocks)
