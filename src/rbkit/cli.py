@@ -88,13 +88,7 @@ def _cmd_run(args):
 
 
 def _cmd_float_demo(args):
-    n_range = range(args.n_min, args.n_max + 1)
-    if not n_range:
-        raise ConfigError("float-demo needs n_min <= n_max")
-    try:
-        rows = float_demo(n_range, args.mu_samples, args.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    rows = float_demo()
     _write_csv(args.output, ["N", "max_stable", "max_expanded"], rows)
     print(f"{'N':>4} {'max_stable':>14} {'max_expanded':>14}")
     for n, s, e in rows:
@@ -135,10 +129,6 @@ def build_parser():
     _add_run_parser(sub)
 
     p = sub.add_parser("float-demo", help="scalar loss-of-significance table")
-    p.add_argument("--n-min", type=int, default=1)
-    p.add_argument("--n-max", type=int, default=26)
-    p.add_argument("--mu-samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default="float_demo.csv")
 
     p = sub.add_parser("validate", help="post-hoc validation of a saved run")

@@ -107,27 +107,24 @@ def residual_norm_oracle(op, basis, mu, u_hat):
     return float(np.linalg.norm(r))
 
 
-def float_demo(N_values, mu_samples=1000, seed=0):
+def float_demo():
     """Scalar demonstration of the loss of significance in the expanded
     quadratic.
 
-    a is a single seeded uniform draw from (0,1) shared by every row;
-    b = a + mu*4^{-N} over ``mu_samples`` uniformly spaced mu in (0,1).
-    Returns one row (N, max_stable, max_expanded) per N, where stable
-    evaluates sqrt((a-b)^2) and expanded evaluates
+    a is one uniform draw from (0,1) by ``default_rng(0)``, shared by every
+    row; b = a + mu*4^{-N} over 1000 uniformly spaced mu in (0,1).
+    Returns one row (N, max_stable, max_expanded) for each N = 1..26, where
+    stable evaluates sqrt((a-b)^2) and expanded evaluates
     sqrt(max(a^2 - 2ab + b^2, 0)).
     """
-    if mu_samples < 1:
-        raise ValueError("mu_samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    a = float(rng.uniform(0.0, 1.0))
-    mu = (np.arange(mu_samples) + 1.0) / (mu_samples + 1.0)
+    a = float(np.random.default_rng(0).uniform(0.0, 1.0))
+    mu = (np.arange(1000) + 1.0) / 1001.0
     rows = []
-    for N in N_values:
+    for N in range(1, 27):
         b = a + mu * 4.0 ** (-float(N))
         stable = np.sqrt((a - b) ** 2)
         expanded = np.sqrt(np.maximum(a * a - 2.0 * a * b + b * b, 0.0))
-        rows.append((int(N), float(stable.max()), float(expanded.max())))
+        rows.append((N, float(stable.max()), float(expanded.max())))
     return rows
 
 

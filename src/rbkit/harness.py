@@ -402,9 +402,6 @@ def load_run(run_dir):
             saved = dict(json.load(fh)["config"])
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"no run config in {metadata_path}: {exc!r}") from None
-    # runs saved with the removed stability-constant option still load: it
-    # never changed the stored basis or blocks
-    saved.pop("alpha_mode", None)
     config = ExperimentConfig.from_dict(saved)
     spec, disc, op = build_problem(config.problem, config.nodes_per_dim)
     basis_path = os.path.join(run_dir, "basis.npz")

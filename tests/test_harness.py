@@ -20,7 +20,7 @@ import yaml
 import rbkit
 from rbkit import cli, harness, kernels, rbm, truth
 from rbkit.cli import main as cli_main
-from rbkit.estimators import make_estimator
+from rbkit.estimators import float_demo, make_estimator
 from rbkit.harness import (
     ConfigError,
     ExperimentConfig,
@@ -754,38 +754,28 @@ def test_metadata_records_resolved_validation_grid(tmp_path):
     assert config.validation_grid == config.training_grid == [24]
 
 
-def test_cli_validate_rejects_saved_validate_fields_key(tmp_path, capsys):
-    # a run saved while field errors could be switched off carries a config
-    # key rbkit no longer knows: validate names it and exits 2
+@pytest.mark.parametrize("key, value", [("validate_fields", True),
+                                        ("alpha_mode", "unit")],
+                         ids=["validate_fields", "alpha_mode"])
+def test_cli_validate_rejects_saved_stale_config_key(tmp_path, capsys,
+                                                     monkeypatch, key, value):
+    # a run saved while field errors could be switched off, or while the
+    # stability constant was an option, carries a config key rbkit no longer
+    # knows: validate names it and exits 2 before any truth row is solved
     arts = run_experiment(_small_config(tmp_path))
     with open(arts.metadata) as fh:
         meta = json.load(fh)
-    meta["config"]["validate_fields"] = True
+    meta["config"][key] = value
     with open(arts.metadata, "w") as fh:
         json.dump(meta, fh)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("validate solved truth rows for a stale config")
+
+    monkeypatch.setattr(harness, "_truth_solver", forbidden)
     assert cli_main(["validate", arts.directory]) == 2
-    assert "validate_fields" in capsys.readouterr().err
-
-
-def test_cli_validate_loads_run_saved_with_alpha_mode(tmp_path, capsys):
-    # runs saved while the stability constant was an option carry its key;
-    # it never changed the stored basis or blocks, so validate drops it and
-    # writes the same bytes
-    arts = run_experiment(_small_config(tmp_path))
-    out = os.path.join(arts.directory, "validate.csv")
-    assert cli_main(["validate", arts.directory]) == 0
-    with open(out, "rb") as fh:
-        want = fh.read()
-    os.remove(out)
-    with open(arts.metadata) as fh:
-        meta = json.load(fh)
-    meta["config"]["alpha_mode"] = "unit"
-    with open(arts.metadata, "w") as fh:
-        json.dump(meta, fh)
-    assert cli_main(["validate", arts.directory]) == 0
-    with open(out, "rb") as fh:
-        assert fh.read() == want
-    assert load_run(arts.directory)[0] == _small_config(tmp_path)
+    assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(arts.directory, "validate.csv"))
 
 
 def test_cli_validate_rejects_run_without_reduced_blocks(tmp_path, capsys):
@@ -884,25 +874,31 @@ def test_validate_against_manual_recomputation():
 # float demo file
 
 
-def test_run_float_demo_rows(tmp_path, capsys):
+def test_run_float_demo_rows(tmp_path):
+    # the CSV holds float_demo()'s rows, N = 1..26, at full precision
     out = tmp_path / "float_demo.csv"
-    assert cli_main(["float-demo", "--n-min", "1", "--n-max", "8",
-                     "--mu-samples", "100", "--output", str(out)]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 1 + 8 + 1
-    data = np.genfromtxt(out, delimiter=",", names=True)
-    assert data.shape[0] == 8
+    assert cli_main(["float-demo", "--output", str(out)]) == 0
+    rows = float_demo()
+    assert [n for n, _, _ in rows] == list(range(1, 27))
+    assert out.read_text() == "N,max_stable,max_expanded\n" + "".join(
+        f"{n},{s:.17g},{e:.17g}\n" for n, s, e in rows)
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["--mu-samples", "0"], "mu_samples"),
-    (["--n-min", "5", "--n-max", "2"], "n_min <= n_max"),
-])
-def test_cli_float_demo_bad_arguments_exit_2(tmp_path, capsys, argv, message):
-    out = tmp_path / "fd.csv"
-    assert cli_main(["float-demo", "--output", str(out)] + argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error") and message in err
-    assert not out.exists()
+def test_cli_float_demo(tmp_path, capsys):
+    # stdout prints float_demo()'s rows at 7 digits between the header and
+    # the written: line
+    out = tmp_path / "float_demo.csv"
+    assert cli_main(["float-demo", "--output", str(out)]) == 0
+    rows = float_demo()
+    header, *printed, written = capsys.readouterr().out.splitlines()
+    assert header.split() == ["N", "max_stable", "max_expanded"]
+    assert written == f"written: {out}"
+    assert len(printed) == 26
+    for line, (n, s, e) in zip(printed, rows):
+        col_n, col_s, col_e = line.split()
+        assert int(col_n) == n
+        assert float(col_s) == pytest.approx(s, rel=1e-6)
+        assert float(col_e) == pytest.approx(e, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -962,14 +958,6 @@ def test_cli_run_with_config_file(tmp_path):
     }))
     assert cli_main(["run", str(cfg)]) == 0
     assert (tmp_path / "out" / "metadata.json").exists()
-
-
-def test_cli_float_demo(tmp_path):
-    out = tmp_path / "fd.csv"
-    rc = cli_main(["float-demo", "--n-max", "6", "--mu-samples", "50",
-                   "--output", str(out)])
-    assert rc == 0
-    assert out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -1054,8 +1042,7 @@ def test_cli_filesystem_error_exits_4(tmp_path, capsys):
 
 def test_cli_float_demo_output_in_missing_directory_exits_4(tmp_path, capsys):
     out = tmp_path / "missing" / "fd.csv"
-    assert cli_main(["float-demo", "--n-max", "2", "--mu-samples", "10",
-                     "--output", str(out)]) == 4
+    assert cli_main(["float-demo", "--output", str(out)]) == 4
     assert capsys.readouterr().err.startswith("filesystem error")
 
 

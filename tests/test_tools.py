@@ -63,10 +63,12 @@ def test_artifacts_runs_every_combination_and_drops_timings(tmp_path, monkeypatc
     e2e.artifacts(e2e.SRC, str(tmp_path))
     combos = list(itertools.product(PROBLEM_IDS, ESTIMATOR_KINDS, VALIDATE_MODES))
     names = [f"{p}-{k}-{m}" for p, k, m in combos]
-    assert calls[::2] == [("run", "--problem", p, "--estimator", k, "--validate", m,
-                           "--output-dir", name, *e2e.MATRIX_FLAGS)
-                          for (p, k, m), name in zip(combos, names)]
-    assert calls[1::2] == [("validate", name) for name in names]
+    *runs, last = calls
+    assert runs[::2] == [("run", "--problem", p, "--estimator", k, "--validate", m,
+                          "--output-dir", name, *e2e.MATRIX_FLAGS)
+                         for (p, k, m), name in zip(combos, names)]
+    assert runs[1::2] == [("validate", name) for name in names]
+    assert last == ("float-demo", "--output", "float_demo.csv")
     assert json.loads((tmp_path / names[0] / "metadata.json").read_text()) == {"n_final": 8}
 
 

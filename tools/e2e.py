@@ -21,9 +21,11 @@ checked against a bound.
 
 Artifact matrix: every problem, indicator and validate mode at 12 nodes,
 ``N_max`` 8, ``eps_tol`` 1e-300 and checkpoints 3 and 8, each run followed
-by ``rbkit validate``; with one BLAS thread the files are reproducible bit
-for bit.  ``timings``, the one entry allowed to differ between reruns, is
-dropped from each ``metadata.json``.  ``compare`` lists every file that
+by ``rbkit validate``, then one ``rbkit float-demo`` writing
+``float_demo.csv``, so the matrix holds what all three commands write; with
+one BLAS thread the files are reproducible bit for bit.  ``timings``, the
+one entry allowed to differ between reruns, is dropped from each
+``metadata.json``.  ``compare`` lists every file that
 differs or exists on one side only and exits 1 if there is any.
 """
 
@@ -154,7 +156,8 @@ def timing(src, out):
 
 def artifacts(src, out):
     """Build the artifact matrix of the package under ``src`` into ``out``,
-    one directory per run named ``problem-estimator-mode``."""
+    one directory per run named ``problem-estimator-mode`` and the
+    float-demo table beside them."""
     os.makedirs(out, exist_ok=True)
     for problem, kind, mode in itertools.product(*lists(src)):
         name = f"{problem}-{kind}-{mode}"
@@ -170,6 +173,7 @@ def artifacts(src, out):
         with open(path, "w") as fh:
             json.dump(meta, fh, indent=2)
         print(name, flush=True)
+    _rbkit(src, out, "float-demo", "--output", "float_demo.csv")
 
 
 def _files(root):
