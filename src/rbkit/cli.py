@@ -2,8 +2,7 @@
 
 Subcommands:
 
-* ``run``        execute a greedy experiment from a YAML config (every config
-                 field can be overridden with a flag)
+* ``run``        execute a greedy experiment (one flag per config field)
 * ``float-demo`` the scalar loss-of-significance table
 * ``validate``   post-hoc true-error sweep of a saved run
 
@@ -24,7 +23,6 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     _grid_errors,
-    _read_yaml,
     _write_csv,
     _write_grid_csv,
     load_run,
@@ -40,8 +38,7 @@ def _int_list(text):
 
 def _add_run_parser(sub):
     p = sub.add_parser("run", help="run a greedy experiment")
-    p.add_argument("config", nargs="?", help="YAML config file")
-    p.add_argument("--problem", choices=PROBLEM_IDS)
+    p.add_argument("--problem", choices=PROBLEM_IDS, required=True)
     p.add_argument("--nodes-per-dim", type=int)
     p.add_argument("--training-grid", type=_int_list,
                    help="per-dimension counts, e.g. 65,33")
@@ -60,17 +57,12 @@ def _add_run_parser(sub):
 
 
 def _config_from_args(args):
-    # flags override the file's entries before the defaults are filled in,
-    # so --nodes-per-dim 50 also picks the paper-scale training grid
-    data = _read_yaml(args.config) if args.config else {}
-    # every run flag's dest is an ExperimentConfig field name
-    for f in dataclasses.fields(ExperimentConfig):
-        value = getattr(args, f.name)
-        if value is not None:
-            data[f.name] = value
-    if "problem" not in data:
-        raise ConfigError("give a config file or --problem")
-    return ExperimentConfig.from_dict(data)
+    # every run flag's dest is an ExperimentConfig field name; a flag not
+    # given keeps the field's default, so --nodes-per-dim 50 alone also
+    # picks the paper-scale training grid
+    return ExperimentConfig.from_dict({
+        f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)
+        if getattr(args, f.name) is not None})
 
 
 def _cmd_run(args):

@@ -86,20 +86,6 @@ def _open_input(path, mode="r"):
         raise ConfigError(f"{path} does not exist") from None
 
 
-def _read_yaml(path):
-    """The mapping of a YAML config file, before defaults are filled in;
-    PyYAML is imported here, so a run set by flags alone never loads it."""
-    import yaml
-    with _open_input(path) as fh:
-        try:
-            data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must contain a mapping")
-    return data
-
-
 @dataclass
 class ExperimentConfig:
     problem: str
@@ -167,7 +153,7 @@ class ExperimentConfig:
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
-            # YAML keys need not be strings, and mixed types do not compare
+            # a caller's keys need not be strings, and mixed types do not compare
             raise ConfigError(f"unknown config keys: {sorted(unknown, key=repr)}")
         if "problem" not in data:
             raise ConfigError("config must name a problem")

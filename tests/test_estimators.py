@@ -692,7 +692,7 @@ def test_lebesgue_sweep_matches_pointwise(oned, oned_basis):
 
 
 def test_make_estimator_unknown_kind():
-    # a YAML list or number is an unknown kind too, not a lookup error
+    # a list, None or a number is an unknown kind too, not a lookup error
     for kind in ("nope", [], None, 1):
         with pytest.raises(ValueError, match="unknown estimator kind"):
             make_estimator(kind)

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
-import yaml
 
 import rbkit
 from rbkit import cli, harness, kernels, rbm, truth
@@ -84,13 +83,11 @@ def test_config_defaults_to_desk_scale_training():
     assert cfg.training_grid == TRAINING_GRIDS["twod-first"][0]
 
 
-def test_config_above_32_nodes_uses_paper_scale_training(tmp_path):
+def test_config_above_32_nodes_uses_paper_scale_training():
     cfg = ExperimentConfig(problem="twod-second", nodes_per_dim=50)
     assert cfg.training_grid == TRAINING_GRIDS["twod-second"][1]
-    # a flag overrides the file before the default grid is picked
-    path = tmp_path / "cfg.yaml"
-    path.write_text(yaml.safe_dump({"problem": "twod-second"}))
-    args = cli.build_parser().parse_args(["run", str(path),
+    # the flag is passed before the default grid is picked
+    args = cli.build_parser().parse_args(["run", "--problem", "twod-second",
                                           "--nodes-per-dim", "50"])
     assert cli._config_from_args(args) == cfg
 
@@ -148,18 +145,13 @@ def test_config_rejects_workers_below_one(tmp_path, capsys, workers):
 
 def test_alpha_mode_option_is_refused(tmp_path, capsys):
     # the stability constant is 1 for every estimator, and there is no
-    # option to choose another: the flag and the config key are both unknown
+    # option to choose another: the flag is unknown
     out = str(tmp_path / "out")
     with pytest.raises(SystemExit) as exc:
         cli_main(["run", "--problem", "oned-continuous", "--alpha-mode", "unit",
                   "--output-dir", out])
     assert exc.value.code == 2
     assert "--alpha-mode" in capsys.readouterr().err
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(yaml.safe_dump({"problem": "oned-continuous",
-                                   "alpha_mode": "unit", "output_dir": out}))
-    assert cli_main(["run", str(cfg)]) == 2
-    assert "unknown config keys: ['alpha_mode']" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -204,25 +196,6 @@ def test_config_roundtrip_dict():
                            training_grid=[64], N_max=5, checkpoints=[2, 5])
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again == cfg
-
-
-def test_config_from_yaml(tmp_path):
-    path = tmp_path / "cfg.yaml"
-    path.write_text(yaml.safe_dump({
-        "problem": "oned-continuous",
-        "nodes_per_dim": 12,
-        "training_grid": [16],
-        "N_max": 3,
-    }))
-    def from_file(p):
-        return cli._config_from_args(cli.build_parser().parse_args(["run", str(p)]))
-
-    cfg = from_file(path)
-    assert cfg.nodes_per_dim == 12
-    bad = tmp_path / "bad.yaml"
-    bad.write_text("- just\n- a list\n")
-    with pytest.raises(ConfigError):
-        from_file(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -914,23 +887,6 @@ def test_python_m_rbkit_help():
     assert proc.stdout.startswith("usage: rbkit")
 
 
-def test_flags_only_run_never_imports_yaml(tmp_path):
-    # PyYAML is loaded only to read a config file
-    src = os.path.dirname(os.path.dirname(rbkit.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    script = (
-        "import sys\n"
-        "from rbkit.cli import main\n"
-        "assert main(['run', '--problem', 'oned-continuous', '--nodes-per-dim',"
-        " '8', '--training-grid', '8', '--n-max', '2', '--output-dir',"
-        f" {str(tmp_path / 'run')!r}]) == 0\n"
-        "assert 'yaml' not in sys.modules\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-
-
 def test_cli_run_and_validate(tmp_path, capsys):
     out_dir = tmp_path / "cli-run"
     rc = cli_main([
@@ -945,19 +901,6 @@ def test_cli_run_and_validate(tmp_path, capsys):
     assert (out_dir / "validate.csv").exists()
     data = np.genfromtxt(out_dir / "validate.csv", delimiter=",", names=True)
     assert data.shape[0] == 8
-
-
-def test_cli_run_with_config_file(tmp_path):
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(yaml.safe_dump({
-        "problem": "oned-continuous",
-        "nodes_per_dim": 12,
-        "training_grid": [16],
-        "N_max": 2,
-        "output_dir": str(tmp_path / "out"),
-    }))
-    assert cli_main(["run", str(cfg)]) == 0
-    assert (tmp_path / "out" / "metadata.json").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -983,25 +926,26 @@ def test_cli_bad_validation_grid_exits_2(tmp_path, capsys, argv):
     assert not os.path.exists(run_dir + "-new")
 
 
-def test_cli_malformed_yaml_exits_2(tmp_path, capsys):
-    # a YAML syntax error is a configuration error naming the file, raised
-    # before the output directory is made
-    bad = tmp_path / "bad.yaml"
-    bad.write_text("problem: [oned-continuous\nN_max: 3\n")
-    out_dir = tmp_path / "out"
-    assert cli_main(["run", str(bad), "--output-dir", str(out_dir)]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and str(bad) in err
-    assert not out_dir.exists()
+@pytest.mark.parametrize("argv, message", [
+    (["run", "cfg.yaml", "--problem", "oned-continuous"],
+     "unrecognized arguments: cfg.yaml"),
+    (["run"], "the following arguments are required: --problem"),
+], ids=["config_file", "no_problem"])
+def test_cli_run_takes_flags_only(tmp_path, capsys, argv, message):
+    # a run is stated by its flags alone: a positional config file and a
+    # missing --problem are usage errors, raised before the output
+    # directory is made
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv + ["--output-dir", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_config_errors_exit_2(tmp_path, capsys):
-    assert cli_main(["run"]) == 2  # no problem given
-    bad = tmp_path / "bad.yaml"
-    bad.write_text(yaml.safe_dump({"problem": "oned-continuous", "zzz": 1}))
-    assert cli_main(["run", str(bad)]) == 2
     assert cli_main(["validate", str(tmp_path / "missing")]) == 2
-    assert cli_main(["run", str(tmp_path / "missing.yaml")]) == 2
+    assert capsys.readouterr().err.startswith("config error")
     # unknown values are caught with the config, before any solve runs
     for key, value in [("estimator_kind", "nope"), ("alpha_mode", "bogus"),
                        ("validate", "bogus"), ("eps_tol", 0.0), ("N_max", 0),
@@ -1014,20 +958,17 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
                        ("output_dir", 5), ("output_dir", None),
                        ("estimator_kind", []), ("training_grid", [1]),
                        ("validation_grid", [0]), ("problem", "nosuch"),
-                       ("eps_tol", "1e-10")]:  # PyYAML reads 1e-10 as a string
-        bad.write_text(yaml.safe_dump({
-            "problem": "oned-continuous", "nodes_per_dim": 12,
-            "training_grid": [16], "N_max": 2,
-            "output_dir": str(tmp_path / "out"), key: value,
-        }))
-        assert cli_main(["run", str(bad)]) == 2, (key, value)
-        err = capsys.readouterr().err
-        assert err.startswith("config error") and (key in err or repr(value) in err)
-    # YAML keys of mixed types are named, not compared
-    bad.write_text(f"problem: oned-continuous\n1: 2\nnope: 3\n"
-                   f"output_dir: {tmp_path / 'out'}\n")
-    assert cli_main(["run", str(bad)]) == 2
-    assert "unknown config keys: ['nope', 1]" in capsys.readouterr().err
+                       ("eps_tol", "1e-10")]:
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict({
+                "problem": "oned-continuous", "nodes_per_dim": 12,
+                "training_grid": [16], "N_max": 2,
+                "output_dir": str(tmp_path / "out"), key: value,
+            })
+        assert key in str(exc.value) or repr(value) in str(exc.value), (key, value)
+    # a caller's dict can mix key types: they are named, not compared
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['nope', 1\]"):
+        ExperimentConfig.from_dict({"problem": "oned-continuous", 1: 2, "nope": 3})
     assert not (tmp_path / "out").exists()
 
 
