@@ -70,7 +70,6 @@ def _cmd_run(args):
     artifacts = run_experiment(config)
     print(f"run complete: {artifacts.directory}")
     print(f"  history:   {artifacts.history}")
-    print(f"  snapshots: {artifacts.snapshots}")
     skipped = f"skipped, the run stopped at N={artifacts.n_final}"
     for k in config.checkpoints:
         print(f"  field N={k}: {artifacts.fields.get(k, skipped)}")

@@ -102,31 +102,23 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.problem not in PROBLEM_IDS:
-            raise ConfigError(f"unknown problem {self.problem!r}")
-        for name in ("nodes_per_dim", "N_max", "seed", "workers"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}")
-        if isinstance(self.eps_tol, bool) or not isinstance(self.eps_tol, numbers.Real):
-            raise ConfigError(f"eps_tol must be a number, got {self.eps_tol!r}")
-        if self.nodes_per_dim < 3:
-            raise ConfigError("nodes_per_dim must be at least 3")
-        if not self.eps_tol > 0:
-            raise ConfigError("eps_tol must be positive")
-        if self.N_max < 1:
-            raise ConfigError("N_max must be at least 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be at least 1, got {self.workers}")
+        for name, choices in (("problem", PROBLEM_IDS),
+                              ("estimator_kind", ESTIMATOR_KINDS),
+                              ("validate", VALIDATE_MODES)):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {', '.join(choices)}, "
+                                  f"got {getattr(self, name)!r}")
+        for name, least in (("nodes_per_dim", 3), ("N_max", 1), ("seed", 0),
+                            ("workers", 1)):
+            if not _is_int(getattr(self, name)) or getattr(self, name) < least:
+                raise ConfigError(f"{name} must be an integer of at least {least}, "
+                                  f"got {getattr(self, name)!r}")
+        if (isinstance(self.eps_tol, bool) or not isinstance(self.eps_tol, numbers.Real)
+                or not self.eps_tol > 0):
+            raise ConfigError(f"eps_tol must be a positive number, got {self.eps_tol!r}")
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError(
                 f"output_dir must be a non-empty string, got {self.output_dir!r}")
-        if self.estimator_kind not in ESTIMATOR_KINDS:
-            raise ConfigError(f"unknown estimator kind {self.estimator_kind!r}")
-        if self.validate not in VALIDATE_MODES:
-            raise ConfigError(f"unknown validate mode {self.validate!r}")
         pdim = problem_spec(self.problem).param_dim
         if self.training_grid is None:
             desk, paper = TRAINING_GRIDS[self.problem]
@@ -166,8 +158,7 @@ class ExperimentConfig:
 @dataclass
 class RunArtifacts:
     directory: str
-    history: str
-    snapshots: str
+    history: str  # its first n_final rows are the basis parameters, in order
     metadata: str
     fields: dict  # N -> path
     lagrange: dict  # N -> path
@@ -277,18 +268,12 @@ def run_experiment(config):
                                    workers=config.workers)
     greedy_seconds = time.perf_counter() - t_start
 
-    mu_names = [f"mu{d + 1}" for d in range(spec.param_dim)]
-
-    snapshots_path = os.path.join(out_dir, "snapshots.csv")
-    _write_csv(snapshots_path, ["order"] + mu_names,
-               [[i, *mu] for i, mu in enumerate(basis.sample_set)])
-
     basis_path = os.path.join(out_dir, "basis.npz")
     np.savez(
         basis_path,
         xi=basis.xi,
         chol_coeffs=basis.chol_coeffs,
-        sample_set=np.array(basis.sample_set),
+        sample_set=basis.sample_set,
         images=basis.images,
         a_blocks=model.a_blocks,
         f_blocks=model.f_blocks,
@@ -319,6 +304,7 @@ def run_experiment(config):
             errs = (grid[at], np.max(grid))
         rows.append([r.n, *r.mu, r.estimate, *errs])
     history_path = os.path.join(out_dir, "history.csv")
+    mu_names = [f"mu{d + 1}" for d in range(spec.param_dim)]
     _write_csv(history_path, ["n"] + mu_names + [
         "estimate", "true_error_argmax", "true_error_max"], rows)
 
@@ -365,7 +351,6 @@ def run_experiment(config):
     return RunArtifacts(
         directory=out_dir,
         history=history_path,
-        snapshots=snapshots_path,
         metadata=metadata_path,
         fields=fields,
         lagrange=lagrange,
@@ -410,7 +395,7 @@ def load_run(run_dir):
             raise ConfigError(f"{basis_path} does not fit the run's operator: "
                               f"{key} has shape {data[key].shape}, expected {shape}")
     basis = ReducedBasis(
-        sample_set=[np.atleast_1d(mu) for mu in data["sample_set"]],
+        sample_set=data["sample_set"],
         xi=data["xi"],
         chol_coeffs=data["chol_coeffs"],
         images=data["images"],

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .numerics import DROP_TOL, _mgs_coeffs
+from .numerics import DROP_TOL, _check_finite, _mgs_coeffs
 # unused here; kept because bench/tracing.py wraps ``rbkit.rbm.solve_dense``
 from .numerics import solve_dense  # noqa: F401
 from .truth import truth_solve
@@ -43,12 +43,12 @@ class ReducedBasis:
 
     ``xi`` holds the orthonormal basis columns, ``chol_coeffs`` the
     upper-triangular factor R with snapshots = xi @ R, and ``sample_set``
-    the selected parameters in greedy order.  ``images`` holds the operator
-    images ``A^q xi_m``, snapshot-major (column ``m*Q_a + q``): the Riesz
-    representers of the residual-based estimators.
+    the selected parameters, one row each in greedy order.  ``images`` holds
+    the operator images ``A^q xi_m``, snapshot-major (column ``m*Q_a + q``):
+    the Riesz representers of the residual-based estimators.
     """
 
-    sample_set: list
+    sample_set: np.ndarray  # (N, p)
     xi: np.ndarray
     chol_coeffs: np.ndarray
     images: np.ndarray  # (dim, N*Q_a)
@@ -88,15 +88,15 @@ class GreedyHistory:
         return np.array([r.estimate for r in self.records[1:]])
 
 
-def empty_basis(dim):
-    return ReducedBasis(sample_set=[], xi=np.zeros((dim, 0)),
-                        chol_coeffs=np.zeros((0, 0)), images=np.zeros((dim, 0)))
+def empty_basis(op):
+    return ReducedBasis(sample_set=np.zeros((0, op.spec.param_dim)),
+                        xi=np.zeros((op.dim, 0)), chol_coeffs=np.zeros((0, 0)),
+                        images=np.zeros((op.dim, 0)))
 
 
-def empty_model(Q_a, Q_f):
-    return ReducedModel(
-        a_blocks=np.zeros((Q_a, 0, 0)), f_blocks=np.zeros((Q_f, 0))
-    )
+def empty_model(op):
+    return ReducedModel(a_blocks=np.zeros((len(op.kron_factors), 0, 0)),
+                        f_blocks=np.zeros((len(op.f_components), 0)))
 
 
 def rb_solve(model, op, mu):
@@ -140,14 +140,20 @@ def extend_basis(basis, model, mu, values, op):
     and one column, leaving old entries untouched, and append the new
     vector's operator images.
 
-    Raises :class:`DependentSnapshotError` when the snapshot adds no stable
-    new direction (its remainder is below ``DROP_TOL`` times its norm); the
+    Raises ``ValueError`` for a parameter that is not one ``(p,)`` point new
+    to the sample set or for non-finite ``values``, and
+    :class:`DependentSnapshotError` when the snapshot adds no stable new
+    direction (its remainder is below ``DROP_TOL`` times its norm); the
     greedy driver treats that as a stopping signal.
     """
-    for mu_prev in basis.sample_set:
-        if np.array_equal(mu_prev, mu):
-            raise ValueError("parameter already in the sample set")
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != basis.sample_set.shape[1:]:
+        raise ValueError(f"parameter has shape {mu.shape}, expected "
+                         f"{basis.sample_set.shape[1:]}")
+    if np.all(basis.sample_set == mu, axis=1).any():
+        raise ValueError("parameter already in the sample set")
     v = np.asarray(values, dtype=float)
+    _check_finite(v, "values")
     orig = float(np.linalg.norm(v))
     coeffs, w = _mgs_coeffs(basis.xi, v)
     wnorm = float(np.linalg.norm(w))
@@ -174,7 +180,7 @@ def extend_basis(basis, model, mu, values, op):
         a_blocks[q, N, :N] = xi_new @ old
         images.append(image)
     new_basis = ReducedBasis(
-        sample_set=basis.sample_set + [np.atleast_1d(np.array(mu, dtype=float))],
+        sample_set=np.vstack([basis.sample_set, mu]),
         xi=new_xi,
         chol_coeffs=new_R,
         images=np.column_stack(images),
@@ -242,8 +248,7 @@ def greedy(op, estimator, training_set, *, N_max, eps_tol, seed=0, workers=1):
     alpha = estimator.alpha_values(op, train)
 
     history = GreedyHistory()
-    basis = empty_basis(op.dim)
-    model = empty_model(len(op.kron_factors), len(op.f_components))
+    basis, model = empty_basis(op), empty_model(op)
     selected = []
     record = GreedyRecord(0, train[best].copy(), float("nan"))
     while True:

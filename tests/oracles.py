@@ -43,8 +43,7 @@ def true_error_reference(op, basis, mu):
 def build_basis(op, mus):
     """Basis/model pair from snapshots at the given parameters, through the
     package's ``truth_solve`` and ``extend_basis``."""
-    basis = empty_basis(op.dim)
-    model = empty_model(len(op.kron_factors), len(op.f_components))
+    basis, model = empty_basis(op), empty_model(op)
     for mu in mus:
         basis, model = extend_basis(basis, model, mu, truth_solve(op, mu), op)
     return basis, model

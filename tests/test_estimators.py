@@ -101,7 +101,7 @@ def test_riesz_identity_gram_is_plain_load(oned, oned_basis):
 
 def test_riesz_data_rejects_empty_basis(oned):
     with pytest.raises(ValueError, match="basis must be nonempty"):
-        build_riesz_data(oned, empty_basis(oned.dim))
+        build_riesz_data(oned, empty_basis(oned))
 
 
 def test_riesz_single_component_table():
@@ -527,7 +527,7 @@ def test_coercivity_unit_mode(oned):
 def test_oracle_zero_for_truth_solution(oned):
     mu = [0.3]
     u = truth_solve(oned, mu)
-    basis = empty_basis(oned.dim)
+    basis = empty_basis(oned)
     basis.xi = (u / np.linalg.norm(u))[:, None]
     ref = residual_norm_oracle(oned, basis, mu, np.array([np.linalg.norm(u)]))
     assert ref <= 1e-12 * np.linalg.norm(load_vector(oned, mu)) * 1e3
@@ -549,7 +549,7 @@ def test_oracle_matches_dense_operator(pid):
     _, disc, op = build_problem(pid, 12)
     components = oracles.dense_components(pid, disc)
     rng = np.random.default_rng(3)
-    basis = empty_basis(op.dim)
+    basis = empty_basis(op)
     basis.xi = np.linalg.qr(rng.standard_normal((op.dim, 4)))[0]
     nx = disc.nodes_per_dim - 2
     lo, hi = np.array(op.spec.param_domain).T
@@ -570,7 +570,7 @@ def test_oracle_forms_no_dense_matrix():
     # at 50 nodes a dense A(mu) would take 42.5 MB; the Kronecker form reads
     # only the 48 x 48 factors and dim vectors
     _, _, op = build_problem("twod-first", 50)
-    basis = empty_basis(op.dim)
+    basis = empty_basis(op)
     basis.xi = np.random.default_rng(0).standard_normal((op.dim, 3))
     tracemalloc.start()
     try:

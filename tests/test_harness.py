@@ -171,7 +171,7 @@ def test_cli_run_reports_checkpoints_above_the_final_basis(tmp_path, capsys):
                       "  field N=6: skipped, the run stopped at N=3"]
     assert sorted(os.listdir(out)) == [
         "basis.npz", "field_N2.csv", "history.csv", "lagrange_N2.csv",
-        "metadata.json", "snapshots.csv"]
+        "metadata.json"]
 
 
 @pytest.mark.parametrize("arg, sizes", [("3,3,3", [3]), ("6,3", [3, 6])])
@@ -217,15 +217,31 @@ def _small_config(tmp_path, **kwargs):
     return ExperimentConfig(**defaults)
 
 
+def _assert_history_lists_basis(arts):
+    # the first n_final rows of history.csv are the basis parameters in
+    # order: their n and mu text is basis.npz's sample_set written with .17g
+    assert not os.path.exists(os.path.join(arts.directory, "snapshots.csv"))
+    with np.load(arts.basis) as npz:
+        sample_set = npz["sample_set"]
+    assert sample_set.shape[0] == arts.n_final
+    with open(arts.history) as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+    p = sample_set.shape[1]
+    assert [row[:1 + p] for row in rows[:arts.n_final]] == [
+        [str(i), *(f"{v:.17g}" for v in mu)] for i, mu in enumerate(sample_set)]
+
+
 def test_run_experiment_artifacts(tmp_path):
     config = _small_config(tmp_path)
     arts = run_experiment(config)
-    for path in [arts.history, arts.snapshots, arts.metadata, arts.basis]:
+    for path in [arts.history, arts.metadata, arts.basis]:
         assert os.path.exists(path)
     history = np.genfromtxt(arts.history, delimiter=",", names=True)
     assert history.shape[0] == 4  # seed row + 3 sweeps
-    snaps = np.genfromtxt(arts.snapshots, delimiter=",", names=True)
-    assert snaps.shape[0] == 4
+    assert arts.n_final == 4
+    _assert_history_lists_basis(arts)
+    _assert_history_lists_basis(run_experiment(_small_config(
+        tmp_path / "twod", problem="twod-first", training_grid=[5, 4], checkpoints=[])))
     # field files carry one row per validation-grid point
     for k, path in arts.fields.items():
         field = np.genfromtxt(path, delimiter=",", names=True)
@@ -463,7 +479,7 @@ def test_load_run_rebuilds_the_greedys_images(tmp_path, problem, monkeypatch):
     monkeypatch.setattr(truth, "_kron_affine_sum", forbidden)
     _, op, basis, model = load_run(directory)
     monkeypatch.undo()
-    replay, replay_model = empty_basis(op.dim), empty_model(len(op.kron_factors), 1)
+    replay, replay_model = empty_basis(op), empty_model(op)
     for mu in basis.sample_set:
         replay, replay_model = extend_basis(replay, replay_model, mu,
                                             truth_solve(op, mu), op)
@@ -818,8 +834,7 @@ def test_cli_validate_singular_reduced_system_exits_3(tmp_path, capsys):
 
 def test_validate_snapshots_and_empty():
     _, _, op = build_problem("oned-continuous", 12)
-    basis = empty_basis(op.dim)
-    model = empty_model(2, 1)
+    basis, model = empty_basis(op), empty_model(op)
     for mu in [[-0.5], [0.5]]:
         basis, model = extend_basis(basis, model, mu, truth_solve(op, mu), op)
     errors = validate(basis, model, op, basis.sample_set,
@@ -833,8 +848,7 @@ def test_validate_snapshots_and_empty():
 
 def test_validate_against_manual_recomputation():
     _, _, op = build_problem("oned-continuous", 12)
-    basis = empty_basis(op.dim)
-    model = empty_model(2, 1)
+    basis, model = empty_basis(op), empty_model(op)
     for mu in [[-0.5], [0.5]]:
         basis, model = extend_basis(basis, model, mu, truth_solve(op, mu), op)
     mu = np.array([0.123])

@@ -175,8 +175,7 @@ def test_clamp_flags_from_negative_quadratic():
 @pytest.fixture(scope="module")
 def four_snapshot_state():
     _, _, op = build_problem("oned-continuous", 16)
-    basis = empty_basis(op.dim)
-    model = empty_model(2, 1)
+    basis, model = empty_basis(op), empty_model(op)
     for mu in [[-0.8], [-0.1], [0.5], [0.9]]:
         basis, model = extend_basis(basis, model, mu, truth_solve(op, mu), op)
     return op, basis, model

@@ -146,7 +146,7 @@ def test_validate_solves_truth_rows_chunk_by_chunk(monkeypatch):
 
 def test_rb_solve_empty_model_raises(oned):
     with pytest.raises(ValueError):
-        rb_solve(empty_model(2, 1), oned, [0.0])
+        rb_solve(empty_model(oned), oned, [0.0])
 
 
 def test_parameter_width_is_checked(oned, oned_basis):
@@ -251,7 +251,7 @@ def test_lagrange_warns_when_ill_conditioned(oned_basis):
 
 def test_extend_empty_basis(oned):
     basis, model = extend_basis(
-        empty_basis(oned.dim), empty_model(2, 1), [0.2], truth_solve(oned, [0.2]), oned
+        empty_basis(oned), empty_model(oned), [0.2], truth_solve(oned, [0.2]), oned
     )
     assert basis.size == 1
     xi = basis.xi[:, 0]
@@ -267,6 +267,17 @@ def test_extend_duplicate_snapshot_rejected(oned):
         extend_basis(basis, model, near, truth_solve(oned, near), oned)
     with pytest.raises(ValueError):
         extend_basis(basis, model, [0.2], truth_solve(oned, [0.2]), oned)
+    # a parameter of the wrong width is refused before any array grows
+    def state():
+        return [a.copy() for a in [*vars(basis).values(), *vars(model).values()]]
+
+    before = state()
+    with pytest.raises(ValueError, match=r"shape \(2,\), expected \(1,\)"):
+        extend_basis(basis, model, [0.5, 0.5], truth_solve(oned, [0.5]), oned)
+    assert all(map(np.array_equal, state(), before))
+    assert basis.sample_set.shape == (1, 1)
+    with pytest.raises(ValueError, match="values contains non-finite entries"):
+        extend_basis(basis, model, [0.5], np.full(oned.dim, np.nan), oned)
 
 
 def test_extend_matches_batch_assembly_oracle(oned):

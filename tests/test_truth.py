@@ -343,7 +343,7 @@ def test_greedy_step_holds_one_dense_matrix():
     from rbkit.estimators import make_estimator
 
     op = assemble_affine(problem_spec("twod-first"), build_discretization(32))
-    basis, model = empty_basis(op.dim), empty_model(3, 1)
+    basis, model = empty_basis(op), empty_model(op)
     for mu in ([0.5, 1.5], [3.0, 0.2]):
         basis, model = extend_basis(basis, model, mu, truth_solve(op, mu), op)
     est = make_estimator("stable")
@@ -559,7 +559,7 @@ def test_singular_point_gives_nan_rows_and_errors():
     assert np.all(np.isfinite(U[1]))
     assert np.linalg.norm(U[1] - u_lu) <= 1e-14 * np.linalg.norm(u_lu)
 
-    basis, model = empty_basis(op.dim), empty_model(2, 1)
+    basis, model = empty_basis(op), empty_model(op)
     for mu in ([0.25], [1.0]):
         basis, model = extend_basis(basis, model, mu, truth_solve(op, mu), op)
     errs = validate(basis, model, op, mus, U)
